@@ -14,40 +14,17 @@ from pathlib import Path
 import click
 
 from . import pipeline as pl
-from .catalog import load_catalog, load_tables
-from .dataset import (
-    build_prompt,
-    build_sft_dataset,
-    demonstration_from_record,
-    extract_input_sql,
-    load_dataset,
-    select_demonstration,
-    write_dataset,
-)
+from .catalog import load_catalog
+from .dataset import load_dataset
 from .errors import PlangenError
-from .executor import PlanTiming
 from .hints import emit_hints
-from .model import load_model, save_model
+from .jsonl import read_jsonl
+from .model import load_model
 from .plans import bracket_to_tree
-from .preferences import (
-    PreferenceConfig,
-    extend_dataset,
-    load_preference_file,
-    sort_triples,
-    write_preference_file,
-)
+from .preferences import load_preference_file
 from .sql import parse_sql, render_sql
-from .training import (
-    TrainConfig,
-    dpo_grad_check,
-    fit_qit_from_records,
-    sft_grad_check,
-    train_qdpo,
-    write_trace,
-)
+from .training import dpo_grad_check, sft_grad_check
 from .validator import classify_corpus, classify_corpus_file
-
-import random as _random
 
 
 def _domain_errors(fn):
@@ -77,9 +54,7 @@ def cli():
 @_domain_errors
 def gen_workload_cmd(catalog_path, join_graph, n_joins, count, seed, out):
     """Generate a random SPJ workload over a join graph."""
-    catalog = load_catalog(catalog_path)
-    queries = pl.stage_workload(catalog, join_graph, n_joins, count, seed)
-    pl.write_workload(queries, out)
+    queries = pl.workload_stage(catalog_path, join_graph, out, n_joins, count, seed)
     click.echo(f"wrote {len(queries)} queries to {out}")
 
 
@@ -94,10 +69,7 @@ def gen_workload_cmd(catalog_path, join_graph, n_joins, count, seed, out):
 @_domain_errors
 def split_workload_cmd(workload, ratio, seed, mode, out_train, out_test):
     """Split a workload file into train and test parts."""
-    queries = pl.read_workload(workload)
-    train, test = pl.split_workload(queries, ratio, seed, mode)
-    pl.write_workload(train, out_train)
-    pl.write_workload(test, out_test)
+    train, test = pl.split_stage(workload, out_train, out_test, ratio, seed, mode)
     click.echo(f"train={len(train)} test={len(test)}")
 
 
@@ -110,9 +82,7 @@ def split_workload_cmd(workload, ratio, seed, mode, out_train, out_test):
 @_domain_errors
 def run_optimizers_cmd(workload, catalog_path, tables_dir, random_seed, out):
     """Plan every query with the three personalities and micro-time the plans."""
-    queries = pl.read_workload(workload)
-    records = pl.run_optimizers(queries, load_catalog(catalog_path), load_tables(tables_dir), random_seed)
-    pl._write_jsonl(records, out)
+    records = pl.plans_stage(workload, catalog_path, tables_dir, out, random_seed)
     click.echo(f"wrote {len(records)} plan records to {out}")
 
 
@@ -127,13 +97,7 @@ def run_optimizers_cmd(workload, catalog_path, tables_dir, random_seed, out):
 @_domain_errors
 def gen_sft_cmd(workload, plans, catalog_path, demo_mode, seed, out):
     """Build the instruction-tuning dataset from a workload and its plan log."""
-    queries = pl.read_workload(workload)
-    logs = {
-        qid: [(r["bracket"], r["time_units"]) for r in records]
-        for qid, records in pl.plan_log_by_query(pl._read_jsonl(plans)).items()
-    }
-    records = build_sft_dataset(queries, logs, load_catalog(catalog_path), demo_mode, seed)
-    write_dataset(records, out)
+    records = pl.sft_stage(workload, plans, catalog_path, out, demo_mode, seed)
     click.echo(f"wrote {len(records)} records to {out}")
 
 
@@ -145,10 +109,7 @@ def gen_sft_cmd(workload, plans, catalog_path, demo_mode, seed, out):
 @_domain_errors
 def gen_dpo_cmd(plans, sft, r0, out):
     """Build the preference dataset from plan timings."""
-    triples = pl.build_preferences_from_logs(
-        load_dataset(sft), pl._read_jsonl(plans), r0
-    )
-    write_preference_file(triples, out)
+    triples = pl.dpo_stage(plans, sft, out, r0)
     click.echo(f"wrote {len(triples)} triples to {out}")
 
 
@@ -165,42 +126,8 @@ def gen_dpo_cmd(plans, sft, r0, out):
 @_domain_errors
 def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
     """Extend a preference dataset with one new optimizer's plans."""
-    config = PreferenceConfig(r0)
-    prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
-    old_by_query = pl.plan_log_by_query(pl._read_jsonl(plans))
-    new_by_query = pl.plan_log_by_query(pl._read_jsonl(plans_new))
-    existing = load_preference_file(dpo)
-    existing_by_query: dict[str, list] = {}
-    for triple in existing:
-        existing_by_query.setdefault(triple.query_id, []).append(triple)
-
-    updated = []
-    added_count = 0
-    for query_id in sorted(old_by_query):
-        if query_id not in prompts:
-            continue
-        old = [
-            PlanTiming(r["optimizer"], bracket_to_tree(r["bracket"]), r["time_units"])
-            for r in old_by_query[query_id]
-        ]
-        new_records = new_by_query.get(query_id, [])
-        if not new_records:
-            updated.extend(existing_by_query.get(query_id, []))
-            continue
-        if len(new_records) != 1:
-            raise PlangenError(f"expected one new plan for {query_id}, got {len(new_records)}")
-        new = PlanTiming(
-            new_records[0]["optimizer"],
-            bracket_to_tree(new_records[0]["bracket"]),
-            new_records[0]["time_units"],
-        )
-        merged, added = extend_dataset(
-            existing_by_query.get(query_id, []), new, old, prompts[query_id], config, query_id
-        )
-        updated.extend(merged)
-        added_count += len(added)
-    write_preference_file(sort_triples(updated), out)
-    click.echo(f"added {added_count} triples; wrote {len(updated)} to {out}")
+    updated, added = pl.extend_preference_file(plans_new, plans, sft, dpo, out, r0)
+    click.echo(f"added {added} triples; wrote {len(updated)} to {out}")
 
 
 @cli.command("train-qit")
@@ -215,12 +142,7 @@ def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
 @_domain_errors
 def train_qit_cmd(sft, out, lr, steps, batch_size, seed, contexts, trace):
     """Stage one: instruction tuning on the SFT dataset."""
-    pairs = [(r.prompt, r.response) for r in load_dataset(sft)]
-    config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
-    model, rows = fit_qit_from_records(pairs, config, contexts)
-    save_model(model, out)
-    if trace:
-        write_trace(rows, trace)
+    rows = pl.qit_stage(sft, out, trace, lr, steps, batch_size, seed, contexts)
     final = rows[-1].loss if rows else float("nan")
     click.echo(f"trained {steps} steps; final batch loss {final:.4f}; saved {out}")
 
@@ -239,13 +161,7 @@ def train_qit_cmd(sft, out, lr, steps, batch_size, seed, contexts, trace):
 @_domain_errors
 def train_qdpo_cmd(dpo, init_ckpt, out, lr, steps, batch_size, beta, seed, trace):
     """Stage two: preference optimization against the frozen stage-one model."""
-    policy = load_model(init_ckpt)
-    triples = [(t.prompt, t.chosen, t.rejected) for t in load_preference_file(dpo)]
-    config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, beta=beta, seed=seed)
-    model, rows = train_qdpo(policy, triples, config)
-    save_model(model, out)
-    if trace:
-        write_trace(rows, trace)
+    rows = pl.qdpo_stage(dpo, init_ckpt, out, trace, lr, steps, batch_size, beta, seed)
     margin = rows[-1].margin if rows else float("nan")
     click.echo(f"trained {steps} steps; final mean margin {margin:.4f}; saved {out}")
 
@@ -270,28 +186,20 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
     """Decode a response for one query, or for a workload in batch mode."""
     if (sql_file is None) == (workload is None):
         raise click.UsageError("pass exactly one of --sql or --workload")
-    model = load_model(model_path)
-    catalog = load_catalog(catalog_path)
-    pool = load_dataset(demo_pool) if demo_pool else []
-    if demo_mode != "none" and not pool:
+    if demo_mode != "none" and not demo_pool:
         raise click.UsageError(f"--demo-mode {demo_mode} needs --demo-pool")
-
-    if sql_file:
-        query = parse_sql(Path(sql_file).read_text(encoding="utf-8"))
-        sql = render_sql(query)
-        candidates = [r for r in pool if extract_input_sql(r.prompt) != sql]
-        rng = _random.Random(f"{demo_seed}:infer:single")
-        demo_record = select_demonstration(query, candidates, demo_mode, rng=rng)
-        demo = demonstration_from_record(demo_record) if demo_record else None
-        click.echo(model.greedy_decode(build_prompt(query, catalog, demo), max_len))
+    if workload:
+        if not out:
+            raise click.UsageError("--workload mode needs --out")
+        rows = pl.infer_stage(
+            model_path, workload, catalog_path, demo_pool, out, demo_mode, demo_seed, max_len
+        )
+        click.echo(f"wrote {len(rows)} responses to {out}")
         return
-
-    if not out:
-        raise click.UsageError("--workload mode needs --out")
-    queries = pl.read_workload(workload)
-    rows = pl.infer_responses(model, queries, catalog, pool, demo_mode, demo_seed, max_len)
-    pl._write_jsonl(rows, out)
-    click.echo(f"wrote {len(rows)} responses to {out}")
+    query = parse_sql(Path(sql_file).read_text(encoding="utf-8"))
+    pool = load_dataset(demo_pool) if demo_pool else []
+    model, catalog = load_model(model_path), load_catalog(catalog_path)
+    click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, "single"))
 
 
 @cli.command("validate")
@@ -308,7 +216,7 @@ def validate_cmd(corpus, queries, responses):
         summary = classify_corpus_file(corpus)
     elif queries and responses:
         query_list = pl.read_workload(queries)
-        rows = pl._read_jsonl(responses)
+        rows = read_jsonl(responses, pl.RESPONSE_KEYS)
         by_id = {row["query_id"]: row["response"] for row in rows}
         ids = pl.query_ids(query_list)
         missing = [qid for qid in ids if qid not in by_id]
@@ -386,7 +294,7 @@ def grad_check_cmd(model_path, loss, sft_path, dpo_path, reference, beta, step,
 @click.option("--build", is_flag=True,
               help="Rebuild report.json from the run directory's artifacts.")
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True), default=None,
-              help="Needed with --build.")
+              help="Accepted for older command lines; the report does not read it.")
 @click.option("--tables", "tables_dir", type=click.Path(exists=True), default=None,
               help="Needed with --build.")
 @click.option("--json", "as_json", is_flag=True, help="Print machine-readable JSON.")
@@ -395,9 +303,10 @@ def report_cmd(run_dir, build, catalog_path, tables_dir, as_json):
     """Print a run report; --build reconstructs it from the artifacts."""
     run = Path(run_dir)
     if build:
-        if not (catalog_path and tables_dir):
-            raise click.UsageError("--build needs --catalog and --tables")
-        pl.write_report_from_run_dir(run, load_catalog(catalog_path), load_tables(tables_dir))
+        if not tables_dir:
+            raise click.UsageError("--build needs --tables")
+        config = pl.PipelineConfig(tables=tables_dir, out_dir=run_dir)
+        pl.call_stage(pl.STAGE_BY_NAME["report"], config)
     report_file = run / "report.json"
     if not report_file.exists():
         raise PlangenError(f"{report_file} does not exist (run the pipeline or pass --build)")

@@ -11,7 +11,6 @@ itself.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .catalog import Catalog, serialize_stats
 from .errors import PlangenError
+from .jsonl import read_jsonl, write_jsonl
 from .plans import bracket_to_tree, render_response
 from .sql import QuerySpec, QueryTemplate, parse_sql, render_sql, template_of
 
@@ -225,31 +225,20 @@ def build_sft_dataset(
 
 
 def write_dataset(records: Sequence[InstructionRecord], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {"query_id": r.query_id, "prompt": r.prompt, "response": r.response},
-            sort_keys=True,
-            ensure_ascii=True,
-        )
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(
+        ({"query_id": r.query_id, "prompt": r.prompt, "response": r.response} for r in records),
+        path,
+    )
 
 
 def load_dataset(path: str | Path) -> list[InstructionRecord]:
     """Read a dataset file, recovering templates from the prompts."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        template = template_of(parse_sql(extract_input_sql(raw["prompt"])))
-        records.append(
-            InstructionRecord(
-                query_id=raw["query_id"],
-                prompt=raw["prompt"],
-                response=raw["response"],
-                template=template,
-            )
+    return [
+        InstructionRecord(
+            query_id=raw["query_id"],
+            prompt=raw["prompt"],
+            response=raw["response"],
+            template=template_of(parse_sql(extract_input_sql(raw["prompt"]))),
         )
-    return records
+        for raw in read_jsonl(path, ("query_id", "prompt", "response"))
+    ]

@@ -1,0 +1,42 @@
+"""JSON Lines artifacts: the one reader and writer every dataset goes through.
+
+Records are written one sorted-key, ASCII-escaped JSON object per line with
+a trailing newline, so equal records always give equal bytes. The reader
+reports malformed input as a PlangenError naming ``path:line``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterable, Sequence
+
+from .errors import PlangenError
+
+
+class JsonlError(PlangenError):
+    pass
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    lines = [json.dumps(r, sort_keys=True, ensure_ascii=True) for r in records]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def read_jsonl(path: str | Path, keys: Sequence[str]) -> list[dict]:
+    """Every non-blank line as a JSON object that holds at least ``keys``."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise JsonlError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+        if not isinstance(row, dict):
+            raise JsonlError(f"{path}:{lineno}: expected a JSON object")
+        missing = [key for key in keys if key not in row]
+        if missing:
+            raise JsonlError(f"{path}:{lineno}: missing key {missing[0]!r}")
+        rows.append(row)
+    return rows

@@ -89,15 +89,6 @@ class TokenModel:
         rows = self.theta[encoded.contexts]
         return float(np.sum(_log_softmax(rows)[np.arange(len(encoded.ids)), encoded.ids]))
 
-    def log_prob_grad(self, encoded: "EncodedSequence") -> np.ndarray:
-        """d log p(y|x) / d theta as a dense array (onehot minus softmax rows)."""
-        grad = np.zeros_like(self.theta)
-        rows = self.theta[encoded.contexts]
-        probs = _softmax(rows)
-        probs[np.arange(len(encoded.ids)), encoded.ids] -= 1.0
-        np.add.at(grad, encoded.contexts, -probs)
-        return grad
-
     def accumulate_nll_grad(self, encoded: "EncodedSequence", grad: np.ndarray, scale: float) -> float:
         """Add scale * d(-log p)/d theta into grad; returns -log p."""
         nll, delta = self.nll_and_row_grad(encoded)
@@ -192,8 +183,13 @@ def load_model(path: str | Path) -> TokenModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"unreadable checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ModelError(f"checkpoint {path} is not a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ModelError(f"unsupported checkpoint format {payload.get('format')!r}")
+    for key in ("n_contexts", "vocab", "rows"):
+        if key not in payload:
+            raise ModelError(f"checkpoint {path} has no {key!r}")
     vocab = Vocabulary(tuple(payload["vocab"]))
     n_contexts = payload["n_contexts"]
     theta = np.zeros((n_contexts, len(vocab)), dtype=np.float64)

@@ -1,9 +1,13 @@
 """End-to-end pipeline: workload, plan logs, datasets, training, report.
 
-Stages run in order, each guarded by a content hash over its inputs and
-parameters, so re-running an unchanged configuration touches nothing and
-reports every stage as cached. All artifacts are deterministic functions of
-the input files and the configured seeds.
+The pipeline is the table ``STAGES``: one declaration per stage naming the
+config values it reads, the files it reads and writes, and the library
+function that does its work. ``run_pipeline`` runs the stages in order, each
+guarded by a content hash over everything its declaration names, so
+re-running an unchanged configuration touches nothing and reports every
+stage as cached. The CLI subcommands call the same stage functions. All
+artifacts are deterministic functions of the input files and the configured
+seeds.
 
 Stage layout inside the run directory:
 
@@ -17,6 +21,7 @@ Stage layout inside the run directory:
     responses_qit.jsonl       {query_id, response} on the test split
     responses_qdpo.jsonl      same, stage-two model
     report.json               dataset sizes, validity, timing quantiles
+    stages.json               the stage hashes of the last run
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
-from . import validator
+from . import __version__, validator
 from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
@@ -40,12 +47,14 @@ from .dataset import (
     write_dataset,
 )
 from .errors import PlangenError
-from .executor import micro_execute
+from .executor import PlanTiming, micro_execute
+from .jsonl import read_jsonl, write_jsonl
 from .model import load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
-from .plans import tree_to_bracket
+from .plans import bracket_to_tree, tree_to_bracket
 from .preferences import (
     PreferenceConfig,
+    extend_dataset,
     generate_preferences,
     load_preference_file,
     sort_triples,
@@ -117,7 +126,10 @@ class PipelineConfig:
             if key not in known:
                 raise PipelineError(f"unknown config key {key!r} on line {lineno}")
             values[key] = value
-        return cls().with_overrides(**values)
+        try:
+            return cls().with_overrides(**values)
+        except PipelineError as exc:
+            raise PipelineError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "PipelineConfig":
         coerced = {}
@@ -126,7 +138,11 @@ class PipelineConfig:
                 continue
             value = overrides[f.name]
             if isinstance(value, str) and f.type in ("int", "float"):
-                value = int(value) if f.type == "int" else float(value)
+                try:
+                    value = int(value) if f.type == "int" else float(value)
+                except ValueError:
+                    message = f"config key {f.name}: expected {f.type}, got {value!r}"
+                    raise PipelineError(message) from None
             coerced[f.name] = value
         leftovers = set(overrides) - {f.name for f in fields(self)}
         if leftovers:
@@ -135,6 +151,9 @@ class PipelineConfig:
 
 
 # --- small file helpers ---
+
+PLAN_KEYS = ("query_id", "optimizer", "bracket", "time_units")
+RESPONSE_KEYS = ("query_id", "response")
 
 
 def read_workload(path: str | Path) -> list:
@@ -154,26 +173,16 @@ def write_workload(queries, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _write_jsonl(records: list[dict], path: str | Path) -> None:
-    lines = [json.dumps(r, sort_keys=True, ensure_ascii=True) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def _read_jsonl(path: str | Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-
-
-# --- stage implementations (shared by run_pipeline and the CLI) ---
+# --- library functions the stages are built from ---
 
 
 def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: int, seed: int):
     """Mixed workload: the count splits evenly across the join counts."""
     graph = load_join_graph(join_graph_path)
-    join_counts = [int(part) for part in str(joins_spec).split(",") if part.strip() != ""]
+    try:
+        join_counts = [int(part) for part in str(joins_spec).split(",") if part.strip() != ""]
+    except ValueError:
+        raise PipelineError(f"join counts must be integers, got {joins_spec!r}") from None
     if not join_counts:
         raise PipelineError(f"no join counts in {joins_spec!r}")
     queries = []
@@ -257,11 +266,15 @@ def plan_log_by_query(records: list[dict]) -> dict[str, list[dict]]:
     return grouped
 
 
+def _plan_timings(records: list[dict]) -> list[PlanTiming]:
+    return [
+        PlanTiming(r["optimizer"], bracket_to_tree(r["bracket"]), r["time_units"])
+        for r in records
+    ]
+
+
 def build_preferences_from_logs(sft_records, plan_records, r0: float):
     """Preference triples for every query with at least two logged plans."""
-    from .executor import PlanTiming
-    from .plans import bracket_to_tree
-
     config = PreferenceConfig(r0)
     grouped = plan_log_by_query(plan_records)
     prompts = {r.query_id: r.prompt for r in sft_records}
@@ -269,29 +282,32 @@ def build_preferences_from_logs(sft_records, plan_records, r0: float):
     for query_id in sorted(grouped):
         if query_id not in prompts:
             continue
-        timings = [
-            PlanTiming(r["optimizer"], bracket_to_tree(r["bracket"]), r["time_units"])
-            for r in grouped[query_id]
-        ]
-        triples.extend(
-            generate_preferences(timings, prompts[query_id], config, query_id)
-        )
+        timings = _plan_timings(grouped[query_id])
+        triples.extend(generate_preferences(timings, prompts[query_id], config, query_id))
     return sort_triples(triples)
+
+
+def decode_query(
+    model, query, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int, label: str
+) -> str:
+    """Greedy-decode one query; ``label`` seeds its demonstration choice."""
+    sql = render_sql(query)
+    candidates = [r for r in pool if extract_input_sql(r.prompt) != sql]
+    rng = _random.Random(f"{demo_seed}:infer:{label}")
+    demo_record = select_demonstration(query, candidates, demo_mode, rng=rng)
+    demo = demonstration_from_record(demo_record) if demo_record else None
+    return model.greedy_decode(build_prompt(query, catalog, demo), max_len)
 
 
 def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int):
     """Greedy-decode a response for each query; returns {query_id, response} rows."""
-    rows = []
-    for index, query in enumerate(queries):
-        qid = f"q{index + 1:04d}"
-        sql = render_sql(query)
-        candidates = [r for r in pool if extract_input_sql(r.prompt) != sql]
-        rng = _random.Random(f"{demo_seed}:infer:{qid}")
-        demo_record = select_demonstration(query, candidates, demo_mode, rng=rng)
-        demo = demonstration_from_record(demo_record) if demo_record else None
-        prompt = build_prompt(query, catalog, demo)
-        rows.append({"query_id": qid, "response": model.greedy_decode(prompt, max_len)})
-    return rows
+    return [
+        {
+            "query_id": qid,
+            "response": decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, qid),
+        }
+        for qid, query in zip(query_ids(queries), queries)
+    ]
 
 
 def nearest_rank(sorted_values, percentile: float):
@@ -314,31 +330,7 @@ def timing_summary(values) -> dict:
     }
 
 
-def write_report_from_run_dir(run_dir: Path, catalog: Catalog, tables) -> dict:
-    """Assemble report.json from a run directory's standard artifact layout."""
-    run_dir = Path(run_dir)
-    test_queries = read_workload(run_dir / "test.sql")
-    responses = {
-        "qit": _read_jsonl(run_dir / "responses_qit.jsonl"),
-        "qdpo": _read_jsonl(run_dir / "responses_qdpo.jsonl"),
-    }
-    report = build_report(
-        test_queries, _read_jsonl(run_dir / "plans_test.jsonl"), responses, catalog, tables
-    )
-    report["datasets"] = {
-        "workload": len(read_workload(run_dir / "workload.sql")),
-        "train": len(read_workload(run_dir / "train.sql")),
-        "test": len(test_queries),
-        "sft_records": len(load_dataset(run_dir / "sft.jsonl")),
-        "dpo_triples": len(load_preference_file(run_dir / "dpo.jsonl")),
-    }
-    (run_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    return report
-
-
-def build_report(test_queries, plans_test, model_responses, catalog: Catalog, tables) -> dict:
+def build_report(test_queries, plans_test, model_responses, tables) -> dict:
     """Validity and timing quantiles per plan source over the test split."""
     ids = query_ids(test_queries)
     by_id = dict(zip(ids, test_queries))
@@ -378,7 +370,214 @@ def build_report(test_queries, plans_test, model_responses, catalog: Catalog, ta
     }
 
 
-# --- orchestration with content-hash caching ---
+# --- stage functions: plain paths in, files out (shared with the CLI) ---
+#
+# Each takes its input paths, then its output paths, then its config values,
+# in the order its declaration in STAGES lists them.
+
+
+def workload_stage(catalog, join_graph, out, joins: str, count: int, seed: int):
+    queries = stage_workload(load_catalog(catalog), join_graph, joins, count, seed)
+    write_workload(queries, out)
+    return queries
+
+
+def split_stage(workload, train_out, test_out, ratio: float, seed: int, mode: str):
+    train, test = split_workload(read_workload(workload), ratio, seed, mode)
+    write_workload(train, train_out)
+    write_workload(test, test_out)
+    return train, test
+
+
+def plans_stage(workload, catalog, tables, out, random_seed: int):
+    records = run_optimizers(
+        read_workload(workload), load_catalog(catalog), load_tables(tables), random_seed
+    )
+    write_jsonl(records, out)
+    return records
+
+
+def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
+    logs = {
+        qid: [(r["bracket"], r["time_units"]) for r in records]
+        for qid, records in plan_log_by_query(read_jsonl(plans, PLAN_KEYS)).items()
+    }
+    queries = read_workload(workload)
+    records = build_sft_dataset(queries, logs, load_catalog(catalog), demo_mode, seed)
+    write_dataset(records, out)
+    return records
+
+
+def dpo_stage(plans, sft, out, r0: float):
+    triples = build_preferences_from_logs(load_dataset(sft), read_jsonl(plans, PLAN_KEYS), r0)
+    write_preference_file(triples, out)
+    return triples
+
+
+def qit_stage(sft, out, trace_out, lr: float, steps: int, batch_size: int, seed: int, contexts: int):
+    pairs = [(r.prompt, r.response) for r in load_dataset(sft)]
+    config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
+    model, trace = fit_qit_from_records(pairs, config, contexts)
+    save_model(model, out)
+    if trace_out:
+        write_trace(trace, trace_out)
+    return trace
+
+
+def qdpo_stage(
+    dpo, init, out, trace_out, lr: float, steps: int, batch_size: int, beta: float, seed: int
+):
+    triples = [(t.prompt, t.chosen, t.rejected) for t in load_preference_file(dpo)]
+    config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, beta=beta, seed=seed)
+    model, trace = train_qdpo(load_model(init), triples, config)
+    save_model(model, out)
+    if trace_out:
+        write_trace(trace, trace_out)
+    return trace
+
+
+def infer_stage(model, workload, catalog, pool, out, demo_mode: str, demo_seed: int, max_len: int):
+    """Batch inference; ``pool`` may be None when ``demo_mode`` is none."""
+    rows = infer_responses(
+        load_model(model),
+        read_workload(workload),
+        load_catalog(catalog),
+        load_dataset(pool) if pool else [],
+        demo_mode,
+        demo_seed,
+        max_len,
+    )
+    write_jsonl(rows, out)
+    return rows
+
+
+def report_stage(
+    workload, train, test, plans_test, sft, dpo, responses_qit, responses_qdpo, tables, out
+):
+    test_queries = read_workload(test)
+    responses = {
+        "qit": read_jsonl(responses_qit, RESPONSE_KEYS),
+        "qdpo": read_jsonl(responses_qdpo, RESPONSE_KEYS),
+    }
+    report = build_report(
+        test_queries, read_jsonl(plans_test, PLAN_KEYS), responses, load_tables(tables)
+    )
+    report["datasets"] = {
+        "workload": len(read_workload(workload)),
+        "train": len(read_workload(train)),
+        "test": len(test_queries),
+        "sft_records": len(load_dataset(sft)),
+        "dpo_triples": len(load_preference_file(dpo)),
+    }
+    Path(out).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    return report
+
+
+def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
+    """Extend a preference file with one new optimizer's plan log.
+
+    Returns (triples written, triples added). The result equals
+    build_preferences_from_logs over the old and new plan logs together.
+    """
+    config = PreferenceConfig(r0)
+    prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
+    old_by_query = plan_log_by_query(read_jsonl(plans, PLAN_KEYS))
+    new_by_query = plan_log_by_query(read_jsonl(plans_new, PLAN_KEYS))
+    existing_by_query: dict[str, list] = {}
+    for triple in load_preference_file(dpo):
+        existing_by_query.setdefault(triple.query_id, []).append(triple)
+
+    updated = []
+    added_count = 0
+    for query_id in sorted(old_by_query):
+        if query_id not in prompts:
+            continue
+        existing = existing_by_query.get(query_id, [])
+        new_records = new_by_query.get(query_id, [])
+        if not new_records:
+            updated.extend(existing)
+            continue
+        if len(new_records) != 1:
+            raise PipelineError(f"expected one new plan for {query_id}, got {len(new_records)}")
+        merged, added = extend_dataset(
+            existing,
+            _plan_timings(new_records)[0],
+            _plan_timings(old_by_query[query_id]),
+            prompts[query_id],
+            config,
+            query_id,
+        )
+        updated.extend(merged)
+        added_count += len(added)
+    write_preference_file(updated, out)
+    return updated, added_count
+
+
+# --- the stage table and its content-hash cache ---
+
+CONFIG_PATHS = ("catalog", "tables", "join_graph")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
+
+    ``inputs`` name config path fields (CONFIG_PATHS; a directory is hashed
+    by content) or files an earlier stage wrote; ``outputs`` name files in
+    the run directory; ``params`` name the PipelineConfig values passed on.
+    """
+
+    name: str
+    fn: Callable
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    params: tuple[str, ...] = ()
+
+
+_INFER = ("demo_mode", "demo_seed", "max_len")
+
+STAGES = (
+    Stage("workload", workload_stage, ("catalog", "join_graph"), ("workload.sql",),
+          ("workload_joins", "workload_count", "workload_seed")),
+    Stage("split", split_stage, ("workload.sql",), ("train.sql", "test.sql"),
+          ("split_ratio", "split_seed", "split_mode")),
+    Stage("plans-train", plans_stage, ("train.sql", "catalog", "tables"), ("plans_train.jsonl",),
+          ("random_opt_seed",)),
+    Stage("plans-test", plans_stage, ("test.sql", "catalog", "tables"), ("plans_test.jsonl",),
+          ("random_opt_seed",)),
+    Stage("sft", sft_stage, ("train.sql", "plans_train.jsonl", "catalog"), ("sft.jsonl",),
+          ("demo_mode", "demo_seed")),
+    Stage("dpo", dpo_stage, ("plans_train.jsonl", "sft.jsonl"), ("dpo.jsonl",), ("r0",)),
+    Stage("train-qit", qit_stage, ("sft.jsonl",), ("qit.ckpt", "qit_trace.csv"),
+          ("qit_lr", "qit_steps", "batch_size", "qit_seed", "n_contexts")),
+    Stage("train-qdpo", qdpo_stage, ("dpo.jsonl", "qit.ckpt"), ("qdpo.ckpt", "qdpo_trace.csv"),
+          ("qdpo_lr", "qdpo_steps", "batch_size", "beta", "qdpo_seed")),
+    Stage("infer-qit", infer_stage, ("qit.ckpt", "test.sql", "catalog", "sft.jsonl"),
+          ("responses_qit.jsonl",), _INFER),
+    Stage("infer-qdpo", infer_stage, ("qdpo.ckpt", "test.sql", "catalog", "sft.jsonl"),
+          ("responses_qdpo.jsonl",), _INFER),
+    Stage("report", report_stage,
+          ("workload.sql", "train.sql", "test.sql", "plans_test.jsonl", "sft.jsonl", "dpo.jsonl",
+           "responses_qit.jsonl", "responses_qdpo.jsonl", "tables"),
+          ("report.json",)),
+)
+STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+
+
+def stage_paths(names, config: PipelineConfig) -> list[Path]:
+    return [
+        Path(getattr(config, name)) if name in CONFIG_PATHS else Path(config.out_dir) / name
+        for name in names
+    ]
+
+
+def call_stage(stage: Stage, config: PipelineConfig):
+    """Run one stage's function on config.out_dir, without the cache."""
+    return stage.fn(
+        *stage_paths(stage.inputs, config),
+        *stage_paths(stage.outputs, config),
+        *(getattr(config, name) for name in stage.params),
+    )
 
 
 @dataclass
@@ -390,237 +589,89 @@ class RunReport:
         return [name for name, status in self.stages if status == "cached"]
 
 
-def _hash_inputs(params: dict, input_paths: list[Path]) -> str:
-    digest = hashlib.sha256()
-    digest.update(json.dumps(params, sort_keys=True).encode())
-    for path in input_paths:
-        digest.update(path.name.encode())
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
-    return digest.hexdigest()
-
-
 class _StageRunner:
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.manifest_path = out_dir / "stages.json"
+    """Runs declared stages, skipping those whose hash matches stages.json."""
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.manifest_path = Path(config.out_dir) / "stages.json"
         self.manifest = {}
         if self.manifest_path.exists():
             self.manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         self.statuses: list[tuple[str, str]] = []
+        self._digests: dict[Path, bytes] = {}
 
-    def run(self, name: str, params: dict, inputs: list[Path], outputs: list[Path], action):
-        stage_hash = _hash_inputs(params, inputs)
+    def _digest(self, path: Path) -> bytes:
+        """sha256 of a file, or of a directory's relative names and contents."""
+        if path not in self._digests:
+            if path.is_dir():
+                digest = hashlib.sha256()
+                for child in sorted(p for p in path.rglob("*") if p.is_file()):
+                    digest.update(child.relative_to(path).as_posix().encode() + b"\0")
+                    digest.update(hashlib.sha256(child.read_bytes()).digest())
+                self._digests[path] = digest.digest()
+            else:
+                self._digests[path] = hashlib.sha256(path.read_bytes()).digest()
+        return self._digests[path]
+
+    def _stage_hash(self, stage: Stage) -> str:
+        declaration = {
+            "version": __version__,
+            "stage": stage.name,
+            "function": stage.fn.__name__,
+            "inputs": stage.inputs,
+            "outputs": stage.outputs,
+            "params": {name: getattr(self.config, name) for name in stage.params},
+        }
+        digest = hashlib.sha256(json.dumps(declaration, sort_keys=True).encode())
+        for path in stage_paths(stage.inputs, self.config):
+            digest.update(self._digest(path))
+        return digest.hexdigest()
+
+    def _save_manifest(self) -> None:
+        partial = self.manifest_path.with_name("stages.json.tmp")
+        partial.write_text(json.dumps(self.manifest, sort_keys=True, indent=1), encoding="utf-8")
+        os.replace(partial, self.manifest_path)
+
+    def run(self, name: str) -> None:
+        stage = STAGE_BY_NAME[name]
+        stage_hash = self._stage_hash(stage)
+        outputs = stage_paths(stage.outputs, self.config)
         entry = self.manifest.get(name)
         if entry and entry.get("hash") == stage_hash and all(p.exists() for p in outputs):
             self.statuses.append((name, "cached"))
             return
+        # Forget the stage before its outputs change, so an interrupted run
+        # never leaves a manifest entry over partial files.
+        if self.manifest.pop(name, None) is not None:
+            self._save_manifest()
+        for path in outputs:
+            self._digests.pop(path, None)
         try:
-            action()
+            call_stage(stage, self.config)
         except PlangenError as exc:
             raise PipelineError(f"stage {name}: {exc}") from exc
         for path in outputs:
             if not path.exists():
                 raise PipelineError(f"stage {name} did not produce {path.name}")
-        self.manifest[name] = {"hash": stage_hash, "outputs": [p.name for p in outputs]}
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        self.manifest[name] = {"hash": stage_hash, "outputs": list(stage.outputs)}
+        self._save_manifest()
         self.statuses.append((name, "computed"))
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
-    for field_name in ("catalog", "tables", "join_graph", "out_dir"):
+    for field_name in (*CONFIG_PATHS, "out_dir"):
         if not getattr(config, field_name):
             raise PipelineError(f"config is missing {field_name}")
-    catalog_path = Path(config.catalog)
-    tables_dir = Path(config.tables)
-    join_graph_path = Path(config.join_graph)
-    for path in (catalog_path, tables_dir, join_graph_path):
+    for path in stage_paths(CONFIG_PATHS, config):
         if not path.exists():
             raise PipelineError(f"stage inputs: missing path {path}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    catalog = load_catalog(catalog_path)
-    tables = load_tables(tables_dir)
-    runner = _StageRunner(out)
-
-    workload_path = out / "workload.sql"
-    train_path, test_path = out / "train.sql", out / "test.sql"
-    plans_train_path = out / "plans_train.jsonl"
-    plans_test_path = out / "plans_test.jsonl"
-    sft_path = out / "sft.jsonl"
-    dpo_path = out / "dpo.jsonl"
-    qit_path, qit_trace_path = out / "qit.ckpt", out / "qit_trace.csv"
-    qdpo_path, qdpo_trace_path = out / "qdpo.ckpt", out / "qdpo_trace.csv"
-    responses_paths = {"qit": out / "responses_qit.jsonl", "qdpo": out / "responses_qdpo.jsonl"}
-    report_path = out / "report.json"
-
-    runner.run(
-        "workload",
-        {"count": config.workload_count, "joins": config.workload_joins, "seed": config.workload_seed},
-        [catalog_path, join_graph_path],
-        [workload_path],
-        lambda: write_workload(
-            stage_workload(
-                catalog, join_graph_path, config.workload_joins, config.workload_count, config.workload_seed
-            ),
-            workload_path,
-        ),
-    )
-
-    def do_split():
-        queries = read_workload(workload_path)
-        train, test = split_workload(queries, config.split_ratio, config.split_seed, config.split_mode)
-        write_workload(train, train_path)
-        write_workload(test, test_path)
-
-    runner.run(
-        "split",
-        {"ratio": config.split_ratio, "seed": config.split_seed, "mode": config.split_mode},
-        [workload_path],
-        [train_path, test_path],
-        do_split,
-    )
-
-    def do_plans(source_path: Path, out_path: Path):
-        queries = read_workload(source_path)
-        records = run_optimizers(queries, catalog, tables, config.random_opt_seed)
-        _write_jsonl(records, out_path)
-
-    runner.run(
-        "plans-train",
-        {"random_seed": config.random_opt_seed},
-        [train_path, catalog_path],
-        [plans_train_path],
-        lambda: do_plans(train_path, plans_train_path),
-    )
-    runner.run(
-        "plans-test",
-        {"random_seed": config.random_opt_seed},
-        [test_path, catalog_path],
-        [plans_test_path],
-        lambda: do_plans(test_path, plans_test_path),
-    )
-
-    def do_sft():
-        queries = read_workload(train_path)
-        logs = {
-            qid: [(r["bracket"], r["time_units"]) for r in records]
-            for qid, records in plan_log_by_query(_read_jsonl(plans_train_path)).items()
-        }
-        records = build_sft_dataset(
-            queries, logs, catalog, demo_mode=config.demo_mode, seed=config.demo_seed
-        )
-        write_dataset(records, sft_path)
-
-    runner.run(
-        "sft",
-        {"demo_mode": config.demo_mode, "seed": config.demo_seed},
-        [train_path, plans_train_path, catalog_path],
-        [sft_path],
-        do_sft,
-    )
-
-    def do_dpo():
-        triples = build_preferences_from_logs(
-            load_dataset(sft_path), _read_jsonl(plans_train_path), config.r0
-        )
-        write_preference_file(triples, dpo_path)
-
-    runner.run(
-        "dpo",
-        {"r0": config.r0},
-        [sft_path, plans_train_path],
-        [dpo_path],
-        do_dpo,
-    )
-
-    def do_qit():
-        records = load_dataset(sft_path)
-        pairs = [(r.prompt, r.response) for r in records]
-        train_config = TrainConfig(
-            learning_rate=config.qit_lr,
-            steps=config.qit_steps,
-            batch_size=config.batch_size,
-            beta=config.beta,
-            seed=config.qit_seed,
-        )
-        model, trace = fit_qit_from_records(pairs, train_config, config.n_contexts)
-        save_model(model, qit_path)
-        write_trace(trace, qit_trace_path)
-
-    runner.run(
-        "train-qit",
-        {
-            "lr": config.qit_lr,
-            "steps": config.qit_steps,
-            "batch": config.batch_size,
-            "seed": config.qit_seed,
-            "contexts": config.n_contexts,
-        },
-        [sft_path],
-        [qit_path, qit_trace_path],
-        do_qit,
-    )
-
-    def do_qdpo():
-        policy = load_model(qit_path)
-        triples = [
-            (t.prompt, t.chosen, t.rejected) for t in load_preference_file(dpo_path)
-        ]
-        train_config = TrainConfig(
-            learning_rate=config.qdpo_lr,
-            steps=config.qdpo_steps,
-            batch_size=config.batch_size,
-            beta=config.beta,
-            seed=config.qdpo_seed,
-        )
-        model, trace = train_qdpo(policy, triples, train_config)
-        save_model(model, qdpo_path)
-        write_trace(trace, qdpo_trace_path)
-
-    runner.run(
-        "train-qdpo",
-        {
-            "lr": config.qdpo_lr,
-            "steps": config.qdpo_steps,
-            "batch": config.batch_size,
-            "beta": config.beta,
-            "seed": config.qdpo_seed,
-        },
-        [qit_path, dpo_path],
-        [qdpo_path, qdpo_trace_path],
-        do_qdpo,
-    )
-
-    def do_infer(ckpt: Path, out_path: Path):
-        model = load_model(ckpt)
-        queries = read_workload(test_path)
-        pool = load_dataset(sft_path)
-        rows = infer_responses(
-            model, queries, catalog, pool, config.demo_mode, config.demo_seed, config.max_len
-        )
-        _write_jsonl(rows, out_path)
-
-    for source, ckpt in (("qit", qit_path), ("qdpo", qdpo_path)):
-        runner.run(
-            f"infer-{source}",
-            {"max_len": config.max_len, "demo_mode": config.demo_mode, "seed": config.demo_seed},
-            [ckpt, test_path, sft_path, catalog_path],
-            [responses_paths[source]],
-            lambda ckpt=ckpt, source=source: do_infer(ckpt, responses_paths[source]),
-        )
-
-    runner.run(
-        "report",
-        {},
-        [test_path, plans_test_path, *responses_paths.values(), catalog_path],
-        [report_path],
-        lambda: write_report_from_run_dir(out, catalog, tables),
-    )
-
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    runner = _StageRunner(config)
+    for stage in STAGES:
+        runner.run(stage.name)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     return RunReport(report=report, stages=runner.statuses)
 
 

@@ -16,13 +16,13 @@ dispreferred partner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import PlangenError
 from .executor import PlanTiming
+from .jsonl import read_jsonl, write_jsonl
 from .plans import render_response, tree_to_bracket
 
 
@@ -54,8 +54,11 @@ class PreferenceTriple:
     chosen_optimizer: str
     rejected_optimizer: str
 
-    def pair_key(self) -> tuple[str, str, str]:
-        return (self.query_id, self.chosen, self.rejected)
+    def key(self) -> tuple[str, str, str, str]:
+        """Identity for de-duplication. It includes the rejected optimizer, so
+        two optimizers that logged the same plan each keep their triple, as a
+        from-scratch run does."""
+        return (self.query_id, self.chosen, self.rejected, self.rejected_optimizer)
 
 
 def _pick_best(timings: Sequence[PlanTiming]) -> PlanTiming:
@@ -105,12 +108,12 @@ def extend_preferences(
 ) -> list[PreferenceTriple]:
     """Triples added by one new optimizer for one query.
 
-    Never duplicates an existing (chosen, rejected) pair.
+    Never duplicates an existing triple.
     """
     if any(t.optimizer_id == new_timing.optimizer_id for t in old_timings):
         raise PreferenceError(f"optimizer {new_timing.optimizer_id!r} already present")
 
-    seen = {t.pair_key() for t in existing}
+    seen = {t.key() for t in existing}
     incumbent = _pick_best(list(old_timings))
     # The new plan takes over under the same (time, bracket) order the
     # from-scratch generator uses, so tie-breaks stay consistent.
@@ -132,7 +135,7 @@ def extend_preferences(
                     chosen_optimizer=new_timing.optimizer_id,
                     rejected_optimizer=timing.optimizer_id,
                 )
-                if triple.pair_key() not in seen:
+                if triple.key() not in seen:
                     added.append(triple)
     else:
         if incumbent.time / new_timing.time < config.ratio_threshold:
@@ -146,7 +149,7 @@ def extend_preferences(
                 chosen_optimizer=incumbent.optimizer_id,
                 rejected_optimizer=new_timing.optimizer_id,
             )
-            if triple.pair_key() not in seen:
+            if triple.key() not in seen:
                 added.append(triple)
     return added
 
@@ -178,8 +181,8 @@ def sort_triples(triples: Sequence[PreferenceTriple]) -> list[PreferenceTriple]:
 
 
 def write_preference_file(triples: Sequence[PreferenceTriple], path: str | Path) -> None:
-    lines = [
-        json.dumps(
+    write_jsonl(
+        (
             {
                 "query_id": t.query_id,
                 "prompt": t.prompt,
@@ -189,31 +192,25 @@ def write_preference_file(triples: Sequence[PreferenceTriple], path: str | Path)
                 "t_rejected": t.t_rejected,
                 "chosen_optimizer": t.chosen_optimizer,
                 "rejected_optimizer": t.rejected_optimizer,
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-        )
-        for t in sort_triples(triples)
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+            }
+            for t in sort_triples(triples)
+        ),
+        path,
+    )
 
 
 def load_preference_file(path: str | Path) -> list[PreferenceTriple]:
-    triples = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        triples.append(
-            PreferenceTriple(
-                query_id=raw["query_id"],
-                prompt=raw["prompt"],
-                chosen=raw["chosen"],
-                rejected=raw["rejected"],
-                t_chosen=raw["t_star"],
-                t_rejected=raw["t_rejected"],
-                chosen_optimizer=raw.get("chosen_optimizer", ""),
-                rejected_optimizer=raw.get("rejected_optimizer", ""),
-            )
+    keys = ("query_id", "prompt", "chosen", "rejected", "t_star", "t_rejected")
+    return [
+        PreferenceTriple(
+            query_id=raw["query_id"],
+            prompt=raw["prompt"],
+            chosen=raw["chosen"],
+            rejected=raw["rejected"],
+            t_chosen=raw["t_star"],
+            t_rejected=raw["t_rejected"],
+            chosen_optimizer=raw.get("chosen_optimizer", ""),
+            rejected_optimizer=raw.get("rejected_optimizer", ""),
         )
-    return triples
+        for raw in read_jsonl(path, keys)
+    ]

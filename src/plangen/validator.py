@@ -15,13 +15,13 @@ recovers the mentioned tables so count/set mismatches surface alongside E3.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import plans
+from .jsonl import read_jsonl
 from .plans import PlanTree
 from .sql import QuerySpec, parse_sql
 
@@ -154,16 +154,7 @@ def classify_corpus(responses: Iterable[tuple[str, QuerySpec]]) -> CorpusSummary
 
 def classify_corpus_file(path: str | Path) -> CorpusSummary:
     """Classify a JSON Lines file of {query_sql, response} records."""
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        pairs.append((record["response"], parse_sql(record["query_sql"])))
-    return classify_corpus(pairs)
-
-
-def classify_paired_files(queries: Sequence[QuerySpec], responses: Sequence[str]) -> CorpusSummary:
-    if len(queries) != len(responses):
-        raise ValueError(f"{len(queries)} queries but {len(responses)} responses")
-    return classify_corpus(zip(responses, queries))
+    return classify_corpus(
+        (record["response"], parse_sql(record["query_sql"]))
+        for record in read_jsonl(path, ("query_sql", "response"))
+    )

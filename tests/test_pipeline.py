@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,50 @@ def test_pipeline_stage_invalidation(tmp_path):
     assert statuses["infer-qdpo"] == "computed"
     # Caching is content-addressed: the report only recomputes if the decoded
     # responses actually changed.
+
+
+def test_table_edit_recomputes_plans_and_report(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    paths = dict(
+        catalog=fixtures / "catalog.txt", tables=fixtures / "tables", join_graph=fixtures / "joins.txt"
+    )
+    first = run_pipeline(fast_config(tmp_path / "run", **paths))
+    title = fixtures / "tables" / "title.tbl"
+    text = title.read_text(encoding="utf-8")
+    assert "\n1,3,1928\n" in text
+    title.write_text(text.replace("\n1,3,1928\n", "\n0,3,1928\n"), encoding="utf-8")
+
+    rerun = run_pipeline(fast_config(tmp_path / "run", **paths))
+    statuses = dict(rerun.stages)
+    for name in ("plans-train", "plans-test", "report"):
+        assert statuses[name] == "computed", name
+    run_pipeline(fast_config(tmp_path / "fresh", **paths))
+    assert rerun.report != first.report
+    assert (tmp_path / "run" / "report.json").read_bytes() == (
+        tmp_path / "fresh" / "report.json"
+    ).read_bytes()
+
+
+def test_interrupted_stage_is_recomputed(tmp_path, monkeypatch):
+    import plangen.pipeline as pipeline
+
+    config = fast_config(tmp_path / "run")
+    run_pipeline(config)
+    complete = (tmp_path / "run" / "dpo.jsonl").read_bytes()
+
+    def crash_mid_write(triples, path):
+        Path(path).write_text('{"query_id": "q0', encoding="utf-8")
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "write_preference_file", crash_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(fast_config(tmp_path / "run", r0=0.5))
+
+    result = run_pipeline(config)
+    assert dict(result.stages)["dpo"] == "computed"
+    assert (tmp_path / "run" / "dpo.jsonl").read_bytes() == complete
 
 
 def test_report_shape(tmp_path):
@@ -286,6 +331,88 @@ def test_cli_chain_equals_run_pipeline(tmp_path):
     ]
     for name in artifacts:
         assert (chain / name).read_bytes() == (pipe_dir / name).read_bytes(), name
+
+
+def test_cli_extend_dpo_equals_generation_over_all_optimizers(tmp_path):
+    pipe_dir = tmp_path / "run"
+    config = fast_config(pipe_dir)
+    run_pipeline(config)
+    records = [json.loads(line) for line in (pipe_dir / "plans_train.jsonl").read_text().splitlines()]
+    old = [r for r in records if r["optimizer"] != "random"]
+    new = [r for r in records if r["optimizer"] == "random"]
+    for name, rows in (("old.jsonl", old), ("new.jsonl", new)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+    r = invoke(
+        "gen-dpo", "--plans", tmp_path / "old.jsonl", "--sft", pipe_dir / "sft.jsonl",
+        "--r0", config.r0, "--out", tmp_path / "dpo_old.jsonl",
+    )
+    assert r.exit_code == 0, r.output
+    r = invoke(
+        "extend-dpo", "--plans-new", tmp_path / "new.jsonl", "--plans", tmp_path / "old.jsonl",
+        "--sft", pipe_dir / "sft.jsonl", "--dpo", tmp_path / "dpo_old.jsonl",
+        "--r0", config.r0, "--out", tmp_path / "dpo_extended.jsonl",
+    )
+    assert r.exit_code == 0, r.output
+    assert (tmp_path / "dpo_old.jsonl").read_bytes() != (pipe_dir / "dpo.jsonl").read_bytes()
+    # dpo.jsonl is build_preferences_from_logs over all three optimizers.
+    assert (tmp_path / "dpo_extended.jsonl").read_bytes() == (pipe_dir / "dpo.jsonl").read_bytes()
+
+
+def _fixture_config_text(run_dir) -> str:
+    return (
+        f"catalog = {FIXTURES / 'catalog.txt'}\n"
+        f"tables = {FIXTURES / 'tables'}\n"
+        f"join_graph = {FIXTURES / 'joins.txt'}\n"
+        f"out_dir = {run_dir}\n"
+    )
+
+
+def _bad_config_value(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "workload_count = abc\n", encoding="utf-8")
+    return ["run", "--config", cfg], "workload_count"
+
+
+def _bad_join_counts(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
+    return ["run", "--config", cfg, "--workload-joins", "1,x"], "1,x"
+
+
+def _checkpoint_without_vocab(tmp_path):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(
+        json.dumps({"format": "plangen-token-model/1", "n_contexts": 4, "rows": {}}),
+        encoding="utf-8",
+    )
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;")
+    return ["infer", "--model", ckpt, "--sql", sql, "--catalog", FIXTURES / "catalog.txt"], "'vocab'"
+
+
+def _corpus_without_response(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"query_sql": "SELECT * FROM a;", "response": "x"}\n{"query_sql": "x"}\n')
+    return ["validate", "--corpus", corpus], "corpus.jsonl:2: missing key 'response'"
+
+
+def _corpus_not_json(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("not json\n")
+    return ["validate", "--corpus", corpus], "corpus.jsonl:1: not valid JSON"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_bad_config_value, _bad_join_counts, _checkpoint_without_vocab, _corpus_without_response,
+     _corpus_not_json],
+)
+def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
+    args, where = case(tmp_path)
+    result = invoke(*args)
+    assert result.exit_code == 1, result.output
+    assert where in result.output
 
 
 def test_cli_infer_single_query(tmp_path):
