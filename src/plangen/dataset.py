@@ -233,12 +233,13 @@ def write_dataset(records: Sequence[InstructionRecord], path: str | Path) -> Non
 
 def load_dataset(path: str | Path) -> list[InstructionRecord]:
     """Read a dataset file, recovering templates from the prompts."""
-    return [
-        InstructionRecord(
+    return read_jsonl(
+        path,
+        ("query_id", "prompt", "response"),
+        lambda raw: InstructionRecord(
             query_id=raw["query_id"],
             prompt=raw["prompt"],
             response=raw["response"],
             template=template_of(parse_sql(extract_input_sql(raw["prompt"]))),
-        )
-        for raw in read_jsonl(path, ("query_id", "prompt", "response"))
-    ]
+        ),
+    )

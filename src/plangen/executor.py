@@ -1,20 +1,26 @@
 """Deterministic micro-executor supplying work-unit execution times.
 
-Plans run bottom-up over real rows. Scans apply the query's selections and
-cost one touch per base row; joins cost touches by operator:
+A plan's time is the sum of its scans' base row counts plus, at each join,
+a touch count computed from the true row counts of its two inputs:
 
   HashJoin       build + probe, |left| + |right|
   MergeJoin      sort charge n*ceil(log2 n) per input plus one scan of both
   NestLoopJoin   |outer| * |inner|
 
+Those row counts do not depend on join order or operator: the rows of every
+intermediate result come from one hash-join path over the query's filtered
+scans, and the operator only selects the touch formula. Results are kept in
+a memo keyed by the set of tables they cover, so plans of one query that
+share a memo build each subset's rows once.
+
 The total touch count stands in for wall-clock time, so threshold
-comparisons downstream are exactly reproducible. All three join operators
-produce the same result multiset for any valid plan of a query.
+comparisons downstream are exactly reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .catalog import MicroTable
@@ -52,16 +58,17 @@ class Relation:
             raise ExecutionError(f"column {table}.{column} not in intermediate result") from None
 
 
+# Results of one query keyed by the tables they cover; valid for that query
+# and those tables only.
+Memo = dict[frozenset[str], Relation]
+
+
 def execute_plan(
-    plan: PlanTree, query: QuerySpec, data: dict[str, MicroTable]
+    plan: PlanTree, query: QuerySpec, data: dict[str, MicroTable], memo: Memo | None = None
 ) -> tuple[Relation, int]:
     """Run the plan; returns the result relation and total row touches."""
-    if isinstance(plan, Leaf):
-        return _scan(plan.table, query, data)
-    left, left_touches = execute_plan(plan.left, query, data)
-    right, right_touches = execute_plan(plan.right, query, data)
-    joined, touches = _join(plan.op, left, right, query)
-    return joined, left_touches + right_touches + touches
+    _, relation, touches = _execute(plan, query, data, {} if memo is None else memo)
+    return relation, touches
 
 
 def micro_execute(
@@ -69,36 +76,41 @@ def micro_execute(
     query: QuerySpec,
     data: dict[str, MicroTable],
     optimizer_id: str = "micro",
+    memo: Memo | None = None,
 ) -> PlanTiming:
-    _, touches = execute_plan(plan, query, data)
+    _, touches = execute_plan(plan, query, data, memo)
     return PlanTiming(optimizer_id=optimizer_id, plan=plan, time=touches)
 
 
-def _scan(table_name: str, query: QuerySpec, data: dict[str, MicroTable]) -> tuple[Relation, int]:
+def _execute(plan, query, data, memo) -> tuple[frozenset[str], Relation, int]:
+    if isinstance(plan, Leaf):
+        covered = frozenset([plan.table])
+        if covered not in memo:
+            memo[covered] = _scan(plan.table, query, data)
+        return covered, memo[covered], len(data[plan.table].rows)
+    left_tables, left, left_touches = _execute(plan.left, query, data, memo)
+    right_tables, right, right_touches = _execute(plan.right, query, data, memo)
+    touches = _join_touches(plan.op, len(left.rows), len(right.rows))
+    covered = left_tables | right_tables
+    if covered not in memo:
+        memo[covered] = _hash_join(left, right, query)
+    return covered, memo[covered], left_touches + right_touches + touches
+
+
+def _scan(table_name: str, query: QuerySpec, data: dict[str, MicroTable]) -> Relation:
     if table_name not in data:
         raise ExecutionError(f"missing table {table_name!r}")
     table = data[table_name]
     predicates = [
-        (table.column_index(s.column), s.op, s.literal)
+        (table.column_index(s.column), _COMPARE[s.op], s.literal)
         for s in query.selections
         if s.table == table_name
     ]
-    rows = [row for row in table.rows if _passes(row, predicates)]
-    columns = [(table_name, c) for c in table.columns]
-    return Relation(columns, rows), len(table.rows)
+    rows = [row for row in table.rows if all(cmp(row[i], lit) for i, cmp, lit in predicates)]
+    return Relation([(table_name, c) for c in table.columns], rows)
 
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _passes(row: tuple[int, ...], predicates: list[tuple[int, str, int]]) -> bool:
-    return all(_OPS[op](row[idx], literal) for idx, op, literal in predicates)
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def _join_keys(left: Relation, right: Relation, query: QuerySpec):
@@ -114,64 +126,34 @@ def _join_keys(left: Relation, right: Relation, query: QuerySpec):
     return pairs
 
 
-def _join(op: str, left: Relation, right: Relation, query: QuerySpec) -> tuple[Relation, int]:
+def _hash_join(left: Relation, right: Relation, query: QuerySpec) -> Relation:
+    """Equi-join on every predicate linking the sides (a cross product if none)."""
     keys = _join_keys(left, right, query)
     columns = left.columns + right.columns
+    if not keys:
+        return Relation(columns, [lrow + rrow for lrow in left.rows for rrow in right.rows])
+    # itemgetter of one index yields the bare value, of several a tuple;
+    # both sides use the same number of indices, so their keys compare.
+    left_key = operator.itemgetter(*[li for li, _ in keys])
+    right_key = operator.itemgetter(*[ri for _, ri in keys])
+    table: dict = {}
+    for lrow in left.rows:
+        table.setdefault(left_key(lrow), []).append(lrow)
+    rows = [lrow + rrow for rrow in right.rows for lrow in table.get(right_key(rrow), ())]
+    return Relation(columns, rows)
+
+
+def _join_touches(op: str, left_rows: int, right_rows: int) -> int:
+    if op == "HashJoin":
+        return left_rows + right_rows
+    if op == "MergeJoin":
+        return _sort_charge(left_rows) + _sort_charge(right_rows) + left_rows + right_rows
     if op == "NestLoopJoin":
-        rows = [
-            lrow + rrow
-            for lrow in left.rows
-            for rrow in right.rows
-            if all(lrow[li] == rrow[ri] for li, ri in keys)
-        ]
-        touches = len(left.rows) * len(right.rows)
-    elif op == "HashJoin":
-        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for lrow in left.rows:
-            table.setdefault(tuple(lrow[li] for li, _ in keys), []).append(lrow)
-        rows = [
-            lrow + rrow
-            for rrow in right.rows
-            for lrow in table.get(tuple(rrow[ri] for _, ri in keys), ())
-        ]
-        touches = len(left.rows) + len(right.rows)
-    elif op == "MergeJoin":
-        lsorted = sorted(left.rows, key=lambda r: tuple(r[li] for li, _ in keys))
-        rsorted = sorted(right.rows, key=lambda r: tuple(r[ri] for _, ri in keys))
-        rows = _merge(lsorted, rsorted, keys)
-        touches = _sort_charge(len(left.rows)) + _sort_charge(len(right.rows))
-        touches += len(left.rows) + len(right.rows)
-    else:
-        raise ExecutionError(f"unknown join operator {op!r}")
-    return Relation(columns, rows), touches
+        return left_rows * right_rows
+    raise ExecutionError(f"unknown join operator {op!r}")
 
 
 def _sort_charge(n: int) -> int:
     if n <= 1:
         return 0
     return n * math.ceil(math.log2(n))
-
-
-def _merge(lrows, rrows, keys) -> list[tuple[int, ...]]:
-    lkey = lambda r: tuple(r[li] for li, _ in keys)
-    rkey = lambda r: tuple(r[ri] for _, ri in keys)
-    rows = []
-    i = j = 0
-    while i < len(lrows) and j < len(rrows):
-        lk, rk = lkey(lrows[i]), rkey(rrows[j])
-        if lk < rk:
-            i += 1
-        elif lk > rk:
-            j += 1
-        else:
-            i_end = i
-            while i_end < len(lrows) and lkey(lrows[i_end]) == lk:
-                i_end += 1
-            j_end = j
-            while j_end < len(rrows) and rkey(rrows[j_end]) == rk:
-                j_end += 1
-            for lrow in lrows[i:i_end]:
-                for rrow in rrows[j:j_end]:
-                    rows.append(lrow + rrow)
-            i, j = i_end, j_end
-    return rows

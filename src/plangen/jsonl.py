@@ -2,14 +2,15 @@
 
 Records are written one sorted-key, ASCII-escaped JSON object per line with
 a trailing newline, so equal records always give equal bytes. The reader
-reports malformed input as a PlangenError naming ``path:line``.
+reports malformed input, and errors in converting a row, as a PlangenError
+naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PlangenError
 
@@ -23,8 +24,11 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path, keys: Sequence[str]) -> list[dict]:
-    """Every non-blank line as a JSON object that holds at least ``keys``."""
+def read_jsonl(
+    path: str | Path, keys: Sequence[str], convert: Callable[[dict], Any] = lambda row: row
+) -> list:
+    """``convert`` of every non-blank line, a JSON object that holds at least
+    ``keys``. A PlangenError that ``convert`` raises names the row's line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -38,5 +42,8 @@ def read_jsonl(path: str | Path, keys: Sequence[str]) -> list[dict]:
         missing = [key for key in keys if key not in row]
         if missing:
             raise JsonlError(f"{path}:{lineno}: missing key {missing[0]!r}")
-        rows.append(row)
+        try:
+            rows.append(convert(row))
+        except PlangenError as exc:
+            raise JsonlError(f"{path}:{lineno}: {exc}") from None
     return rows

@@ -73,11 +73,12 @@ def dp_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
     if len(tables) == 1:
         return Leaf(tables[0])
 
-    # best[subset] = (cost, bracket, plan); cost counts intermediates only.
-    best: dict[frozenset[str], tuple[float, str, PlanTree]] = {}
+    # best[subset] = (cost, bracket, plan, estimated rows); cost counts
+    # intermediates only.
+    best: dict[frozenset[str], tuple[float, str, PlanTree, float]] = {}
     for t in tables:
-        leaf = Leaf(t)
-        best[frozenset([t])] = (0.0, t, leaf)
+        subset = frozenset([t])
+        best[subset] = (0.0, t, Leaf(t), model.subset_cardinality(subset, query))
 
     for size in range(2, len(tables) + 1):
         for combo in itertools.combinations(tables, size):
@@ -85,21 +86,17 @@ def dp_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
             if not _connected(subset, query):
                 continue
             out_card = model.subset_cardinality(subset, query)
-            candidate: tuple[float, str, PlanTree] | None = None
+            candidate: tuple[float, str, PlanTree, float] | None = None
             for left in _proper_subsets(combo):
                 right = subset - left
                 if left not in best or right not in best:
                     continue
                 if not _linked(left, right, query):
                     continue
-                lcost, _, lplan = best[left]
-                rcost, _, rplan = best[right]
-                op = _pick_operator(
-                    model.subset_cardinality(left, query),
-                    model.subset_cardinality(right, query),
-                )
-                plan = Join(op, lplan, rplan)
-                entry = (lcost + rcost + out_card, tree_to_bracket(plan), plan)
+                lcost, _, lplan, lcard = best[left]
+                rcost, _, rplan, rcard = best[right]
+                plan = Join(_pick_operator(lcard, rcard), lplan, rplan)
+                entry = (lcost + rcost + out_card, tree_to_bracket(plan), plan, out_card)
                 if candidate is None or entry[:2] < candidate[:2]:
                     candidate = entry
             if candidate is not None:

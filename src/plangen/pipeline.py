@@ -245,8 +245,9 @@ def run_optimizers(queries, catalog: Catalog, tables, random_seed_base: int = 0)
             "greedy": greedy_optimize(query, model),
             "random": random_optimize(query, seed=random_seed_base + index),
         }
+        memo = {}  # the three plans share the query's subset results
         for name in OPTIMIZER_NAMES:
-            timing = micro_execute(produced[name], query, tables, name)
+            timing = micro_execute(produced[name], query, tables, name, memo)
             records.append(
                 {
                     "query_id": qid,
@@ -463,14 +464,19 @@ def report_stage(
         test_queries, read_jsonl(plans_test, PLAN_KEYS), responses, load_tables(tables)
     )
     report["datasets"] = {
-        "workload": len(read_workload(workload)),
-        "train": len(read_workload(train)),
+        "workload": _count_records(workload),
+        "train": _count_records(train),
         "test": len(test_queries),
-        "sft_records": len(load_dataset(sft)),
-        "dpo_triples": len(load_preference_file(dpo)),
+        "sft_records": _count_records(sft),
+        "dpo_triples": _count_records(dpo),
     }
     Path(out).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return report
+
+
+def _count_records(path) -> int:
+    """Records in a one-per-line artifact, counted without parsing them."""
+    return sum(1 for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip())
 
 
 def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):

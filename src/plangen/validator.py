@@ -155,6 +155,9 @@ def classify_corpus(responses: Iterable[tuple[str, QuerySpec]]) -> CorpusSummary
 def classify_corpus_file(path: str | Path) -> CorpusSummary:
     """Classify a JSON Lines file of {query_sql, response} records."""
     return classify_corpus(
-        (record["response"], parse_sql(record["query_sql"]))
-        for record in read_jsonl(path, ("query_sql", "response"))
+        read_jsonl(
+            path,
+            ("query_sql", "response"),
+            lambda record: (record["response"], parse_sql(record["query_sql"])),
+        )
     )

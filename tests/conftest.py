@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
-from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree
+from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves
 from plangen.sql import parse_sql
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -120,3 +122,97 @@ def random_plan(rng: random.Random, tables: list[str]) -> PlanTree:
         nodes = [n for k, n in enumerate(nodes) if k not in (i, j)]
         nodes.append(merged)
     return nodes[0]
+
+
+_COMPARE = {"<": operator.lt, ">": operator.gt, "=": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+
+def brute_force_join(query, data, tables=None):
+    """Reference result of ``query`` over ``tables`` (default: all of its
+    tables), computed without the executor.
+
+    Enumerates the cross product of the filtered base rows and keeps the
+    combinations that satisfy every join predicate among ``tables``. Tables
+    are bound one at a time, join partners first, and each predicate is
+    tested as soon as both of its tables are bound, so a combination that
+    already fails is not extended. Returns the (table, column) labels in
+    sorted order and the Counter of result rows in that column order.
+    """
+    names = sorted(query.tables if tables is None else tables)
+    filtered = {}
+    for name in names:
+        table = data[name]
+        tests = [
+            (table.column_index(s.column), _COMPARE[s.op], s.literal)
+            for s in query.selections
+            if s.table == name
+        ]
+        filtered[name] = [r for r in table.rows if all(cmp(r[i], lit) for i, cmp, lit in tests)]
+    predicates = [j for j in query.joins if j.table_a in names and j.table_b in names]
+
+    order = [names[0]]
+    while len(order) < len(names):
+        rest = [t for t in names if t not in order]
+        partners = [t for t in rest if any(set(j.tables()) == {t, u} for j in predicates for u in order)]
+        order.append((partners or rest)[0])
+    position = {t: k for k, t in enumerate(order)}
+    checks = [[] for _ in order]  # checks[k]: (earlier position, its column, column of order[k])
+    for j in predicates:
+        a = (position[j.table_a], data[j.table_a].column_index(j.column_a))
+        b = (position[j.table_b], data[j.table_b].column_index(j.column_b))
+        early, late = sorted((a, b))
+        checks[late[0]].append((early[0], early[1], late[1]))
+
+    labels = [(order[k], c, k, i) for k in range(len(order)) for i, c in enumerate(data[order[k]].columns)]
+    labels.sort()
+    result = Counter()
+
+    def extend(bound):
+        k = len(bound)
+        if k == len(order):
+            result[tuple(bound[pos][i] for _, _, pos, i in labels)] += 1
+            return
+        for row in filtered[order[k]]:
+            if all(bound[pos][ci] == row[cj] for pos, ci, cj in checks[k]):
+                extend(bound + [row])
+
+    extend([])
+    return [(t, c) for t, c, _, _ in labels], result
+
+
+def canonical_multiset(relation):
+    """Reorder the relation's columns to sorted order for comparison."""
+    order = sorted(range(len(relation.columns)), key=lambda i: relation.columns[i])
+    cols = [relation.columns[i] for i in order]
+    rows = Counter(tuple(row[i] for i in order) for row in relation.rows)
+    return cols, rows
+
+
+def reference_time(plan: PlanTree, data, subset_rows) -> int:
+    """The executor's touch formula, priced from ``subset_rows(frozenset)``."""
+    if isinstance(plan, Leaf):
+        return len(data[plan.table].rows)
+    left = subset_rows(frozenset(leaves(plan.left)))
+    right = subset_rows(frozenset(leaves(plan.right)))
+    join = {
+        "HashJoin": left + right,
+        "MergeJoin": _sort_charge(left) + _sort_charge(right) + left + right,
+        "NestLoopJoin": left * right,
+    }[plan.op]
+    return reference_time(plan.left, data, subset_rows) + reference_time(plan.right, data, subset_rows) + join
+
+
+def _sort_charge(n: int) -> int:
+    return n * (n - 1).bit_length() if n > 1 else 0  # n * ceil(log2 n)
+
+
+def brute_force_counts(query, data):
+    """subset -> brute-force result row count, each subset counted once."""
+    counts = {}
+
+    def subset_rows(subset):
+        if subset not in counts:
+            counts[subset] = sum(brute_force_join(query, data, subset)[1].values())
+        return counts[subset]
+
+    return subset_rows

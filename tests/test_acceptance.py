@@ -4,10 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Every tolerance is pinned here; nothing defers to later calibration.
 """
 
+import hashlib
 import itertools
 import math
 import random
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,13 @@ from plangen.training import (
 )
 from plangen.validator import validate
 from plangen.workload import gen_workload, load_join_graph
-from tests.conftest import random_plan
+from tests.conftest import (
+    brute_force_counts,
+    brute_force_join,
+    canonical_multiset,
+    random_plan,
+    reference_time,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -320,25 +326,25 @@ def test_criterion_6_executor_semantics():
     joins = " AND ".join(f"hub.k = {name}.k" for name in ("s1", "s2", "s3", "s4"))
     query = parse_sql(f"SELECT * FROM hub, s1, s2, s3, s4 WHERE {joins} AND s1.w < 8;")
 
-    def canonical(relation):
-        order = sorted(range(len(relation.columns)), key=lambda i: relation.columns[i])
-        return Counter(tuple(row[i] for i in order) for row in relation.rows)
-
-    reference = None
+    # The reference never calls the executor: rows from a brute-force
+    # filtered cross product, times from the touch formula over its counts.
+    reference = brute_force_join(query, tables)
+    subset_rows = brute_force_counts(query, tables)
     plans_checked = 0
     for shape in _all_shapes(sorted(query.tables), query):
         joins_in_shape = sum(1 for _ in _join_nodes(shape))
         for ops in itertools.product(("HashJoin", "MergeJoin", "NestLoopJoin"), repeat=joins_in_shape):
             plan = _with_ops(shape, list(ops))
             relation, touches = execute_plan(plan, query, tables)
-            assert touches > 0
-            key = canonical(relation)
-            if reference is None:
-                reference = key
-            assert key == reference
+            assert canonical_multiset(relation) == reference
+            assert touches == reference_time(plan, tables, subset_rows)
             plans_checked += 1
-    assert plans_checked > 100
-    passed(6, f"{plans_checked} valid plans all produce the identical result multiset")
+    assert plans_checked >= 31104
+    passed(
+        6,
+        f"{plans_checked} valid plans: rows equal a brute-force filtered cross product, "
+        "times equal the touch formula over brute-force subset counts",
+    )
 
 
 def _join_nodes(plan):
@@ -527,6 +533,15 @@ def test_criterion_9_two_stage_training(preference_fixture, fixture_catalog):
     passed(9, "overfit reproduction; margins rise on >=95% of 50 triples; beta controls divergence")
 
 
+# Golden digests of the fixture run: a change that alters how plans are
+# timed or reported must show up here, not only as a self-consistent rerun.
+FIXTURE_RUN_SHA256 = {
+    "plans_train.jsonl": "a88f6e20b3c1c690682ba574a5bf1bb3f0cdfa82d0b8ebdfd16a12003a2dbeda",
+    "plans_test.jsonl": "bde8a05b0904c298874a46e8bd9377edbcdd4ae5160a32233cb41b0914201be9",
+    "report.json": "cde08c992c3ce03cf40d288843fc120bf6a7de0e380f3b7577b228321d8db5d2",
+}
+
+
 def test_criterion_10_end_to_end_determinism(tmp_path):
     config = PipelineConfig.from_file(FIXTURES / "pipeline.cfg")
     results = []
@@ -542,6 +557,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+    for name, digest in FIXTURE_RUN_SHA256.items():
+        assert hashlib.sha256((tmp_path / "one" / name).read_bytes()).hexdigest() == digest, name
 
     report = results[0].report
     for source, summary in report["timings"].items():
@@ -555,7 +572,11 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     table = format_report(report)
     for column in ("Mean", "Median", "75th", "95th", "99th"):
         assert column in table
-    passed(10, f"two runs byte-identical; quantile columns for {len(sources_with_quantiles)} sources")
+    passed(
+        10,
+        "two runs byte-identical and equal to the golden digests; "
+        f"quantile columns for {len(sources_with_quantiles)} sources",
+    )
 
 
 def test_criterion_11_hint_round_trip():

@@ -1,7 +1,8 @@
 import itertools
-from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plangen.catalog import MicroTable, catalog_from_tables
 from plangen.costs import CostModel
@@ -15,6 +16,7 @@ from plangen.optimizers import (
 from plangen.plans import Join, Leaf, leaves, tree_to_bracket
 from plangen.sql import parse_sql
 from plangen.workload import WorkloadError, gen_workload, load_join_graph
+from tests.conftest import brute_force_counts, brute_force_join, canonical_multiset, reference_time
 
 
 def all_bushy_plans(tables, query):
@@ -228,55 +230,6 @@ def test_merge_join_touches():
     assert timing.time == 5 + 6 + sort + (5 + 6)
 
 
-def naive_join_oracle(query, data):
-    """Independent executor: filter scans, then one nested-loop pass
-    applying every join predicate over the full cartesian product."""
-    names = sorted(query.tables)
-    filtered = {}
-    for name in names:
-        table = data[name]
-        rows = []
-        for row in table.rows:
-            ok = True
-            for sel in query.selections:
-                if sel.table != name:
-                    continue
-                value = row[table.column_index(sel.column)]
-                ok = ok and {
-                    "<": value < sel.literal,
-                    ">": value > sel.literal,
-                    "=": value == sel.literal,
-                    "<=": value <= sel.literal,
-                    ">=": value >= sel.literal,
-                }[sel.op]
-            if ok:
-                rows.append(row)
-        filtered[name] = rows
-
-    columns = []
-    for name in names:
-        columns.extend((name, c) for c in data[name].columns)
-    result = []
-    for combo in itertools.product(*(filtered[n] for n in names)):
-        row = tuple(v for part in combo for v in part)
-        ok = True
-        for j in query.joins:
-            ai = columns.index((j.table_a, j.column_a))
-            bi = columns.index((j.table_b, j.column_b))
-            ok = ok and row[ai] == row[bi]
-        if ok:
-            result.append(row)
-    return Counter(result), columns
-
-
-def canonical_multiset(relation):
-    """Reorder the relation's columns to sorted order for comparison."""
-    order = sorted(range(len(relation.columns)), key=lambda i: relation.columns[i])
-    cols = [relation.columns[i] for i in order]
-    rows = Counter(tuple(row[i] for i in order) for row in relation.rows)
-    return cols, rows
-
-
 def test_executor_matches_naive_oracle(micro_db, micro_catalog):
     query = parse_sql(
         "SELECT * FROM movie_companies, title, movie_info_idx "
@@ -289,14 +242,7 @@ def test_executor_matches_naive_oracle(micro_db, micro_catalog):
         Join("HashJoin", Leaf("movie_companies"), Leaf("title")),
     )
     relation, _ = execute_plan(plan, query, micro_db)
-    oracle_rows, oracle_cols = naive_join_oracle(query, micro_db)
-    cols, rows = canonical_multiset(relation)
-    order = sorted(range(len(oracle_cols)), key=lambda i: oracle_cols[i])
-    oracle_sorted = Counter(
-        tuple(row[i] for i in order) for row in oracle_rows.elements()
-    )
-    assert [oracle_cols[i] for i in order] == cols
-    assert oracle_sorted == rows
+    assert canonical_multiset(relation) == brute_force_join(query, micro_db)
 
 
 def test_all_plans_same_result_multiset(micro_db, micro_catalog):
@@ -305,18 +251,55 @@ def test_all_plans_same_result_multiset(micro_db, micro_catalog):
         "WHERE title.movie_id = movie_companies.movie_id "
         "AND title.movie_id = cast_info.movie_id AND cast_info.role_id < 6;"
     )
-    reference = None
+    reference = brute_force_join(query, micro_db)
+    subset_rows = brute_force_counts(query, micro_db)
     count = 0
     for shape in all_bushy_plans(query.tables, query):
         for ops in itertools.product(("HashJoin", "MergeJoin", "NestLoopJoin"), repeat=2):
             plan = _assign_ops(shape, list(ops))
-            relation, _ = execute_plan(plan, query, micro_db)
-            key = canonical_multiset(relation)
-            if reference is None:
-                reference = key
-            assert key == reference
+            relation, touches = execute_plan(plan, query, micro_db)
+            assert canonical_multiset(relation) == reference
+            assert touches == reference_time(plan, micro_db, subset_rows)
             count += 1
     assert count > 10
+
+
+@st.composite
+def micro_subqueries(draw, micro_db, join_lines):
+    """A connected subquery of the micro database with random selections."""
+    edges = [tuple(side.split(".")[0] for side in line.split(" = ")) for line in join_lines]
+    tables = [draw(st.sampled_from(sorted(micro_db)))]
+    for _ in range(draw(st.integers(0, 5))):
+        frontier = sorted({b if a in tables else a for a, b in edges if (a in tables) != (b in tables)})
+        tables.append(draw(st.sampled_from(frontier)))
+    joins = [line for line, (a, b) in zip(join_lines, edges) if a in tables and b in tables]
+    selections = []
+    for name in tables:
+        if draw(st.booleans()):
+            table = micro_db[name]
+            column = draw(st.sampled_from(table.columns))
+            values = [row[table.column_index(column)] for row in table.rows]
+            literal = draw(st.integers(min(values) - 1, max(values) + 1))
+            op = draw(st.sampled_from(("<", ">", "=", "<=", ">=")))
+            selections.append(f"{name}.{column} {op} {literal}")
+    where = " AND ".join(joins + selections)
+    return parse_sql(f"SELECT * FROM {', '.join(tables)}" + (f" WHERE {where};" if where else ";"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_micro_execute_time_is_formula_over_true_counts(micro_db, micro_join_lines, data):
+    query = data.draw(micro_subqueries(micro_db, micro_join_lines))
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    plans = [random_optimize(query, seed) for seed in seeds]
+    subset_rows = brute_force_counts(query, micro_db)
+    alone = [micro_execute(plan, query, micro_db).time for plan in plans]
+    assert alone == [reference_time(plan, micro_db, subset_rows) for plan in plans]
+
+    order = data.draw(st.permutations(range(len(plans))))
+    memo = {}
+    shared = {i: micro_execute(plans[i], query, micro_db, memo=memo).time for i in order}
+    assert [shared[i] for i in range(len(plans))] == alone
 
 
 def _assign_ops(plan, ops):

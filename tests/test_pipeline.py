@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shutil
@@ -6,13 +7,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from plangen.catalog import load_catalog, load_tables
 from plangen.cli import cli
+from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
     PipelineConfig,
     PipelineError,
     nearest_rank,
+    run_optimizers,
     run_pipeline,
     split_workload,
+    stage_workload,
     timing_summary,
 )
 
@@ -178,6 +183,17 @@ def test_interrupted_stage_is_recomputed(tmp_path, monkeypatch):
     result = run_pipeline(config)
     assert dict(result.stages)["dpo"] == "computed"
     assert (tmp_path / "run" / "dpo.jsonl").read_bytes() == complete
+
+
+def test_run_optimizers_log_matches_golden_digest(tmp_path):
+    # 60 queries over 3-5 joins: every personality on the bushy shapes where
+    # plan timing does the most work. The digest pins the log bytes.
+    catalog = load_catalog(FIXTURES / "catalog.txt")
+    queries = stage_workload(catalog, FIXTURES / "joins.txt", "3,4,5", 60, 7)
+    records = run_optimizers(queries, catalog, load_tables(FIXTURES / "tables"), 11)
+    write_jsonl(records, tmp_path / "plans.jsonl")
+    digest = hashlib.sha256((tmp_path / "plans.jsonl").read_bytes()).hexdigest()
+    assert digest == "14f48d875f76664ce715f057b5f56604517a342effe56629595ed64663bf27d1"
 
 
 def test_report_shape(tmp_path):
@@ -403,10 +419,25 @@ def _corpus_not_json(tmp_path):
     return ["validate", "--corpus", corpus], "corpus.jsonl:1: not valid JSON"
 
 
+def _corpus_with_bad_sql(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"query_sql": "SELECT * FROM a;", "response": "x"}\n'
+                      '{"query_sql": "SELEC nonsense", "response": "x"}\n')
+    return ["validate", "--corpus", corpus], "corpus.jsonl:2: expected SELECT"
+
+
+def _sft_prompt_without_input(tmp_path):
+    sft = tmp_path / "sft.jsonl"
+    sft.write_text('{"query_id": "q0001", "prompt": "no input here", "response": "x"}\n')
+    return ["train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt"], (
+        "sft.jsonl:1: prompt has no INPUT section"
+    )
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _checkpoint_without_vocab, _corpus_without_response,
-     _corpus_not_json],
+     _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
