@@ -19,7 +19,7 @@ from .dataset import load_dataset
 from .errors import PlangenError
 from .hints import emit_hints
 from .jsonl import read_jsonl
-from .model import load_model
+from .model import DEFAULT_CONTEXTS, load_model
 from .plans import bracket_to_tree
 from .preferences import load_preference_file
 from .sql import parse_sql, render_sql
@@ -137,7 +137,7 @@ def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
 @click.option("--steps", default=600, show_default=True, type=int)
 @click.option("--batch-size", default=8, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--contexts", default=4096, show_default=True, type=int)
+@click.option("--contexts", default=DEFAULT_CONTEXTS, show_default=True, type=int)
 @click.option("--trace", type=click.Path(), default=None, help="Loss trace CSV path.")
 @_domain_errors
 def train_qit_cmd(sft, out, lr, steps, batch_size, seed, contexts, trace):

@@ -235,7 +235,7 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
     """Read a dataset file, recovering templates from the prompts."""
     return read_jsonl(
         path,
-        ("query_id", "prompt", "response"),
+        {"query_id": str, "prompt": str, "response": str},
         lambda raw: InstructionRecord(
             query_id=raw["query_id"],
             prompt=raw["prompt"],

@@ -18,6 +18,7 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +45,9 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _splitmix(x: int) -> int:
+def _splitmix(x):
+    """splitmix64 of a Python int, or elementwise of a numpy uint64 array
+    (whose arithmetic wraps modulo 2**64 by itself)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -73,36 +76,71 @@ class TokenModel:
     def copy(self) -> "TokenModel":
         return TokenModel(self.vocab, self.n_contexts, self.theta.copy())
 
-    def context_id(self, template_key: int, position: int, prev_token: int) -> int:
+    def context_id(self, template_key: int, position, prev_token):
+        """Context of a step; ``position`` and ``prev_token`` may also be
+        equal-length uint64 arrays, giving the contexts of every step."""
         return _splitmix(template_key ^ _splitmix(position ^ _splitmix(prev_token))) % self.n_contexts
 
     def encode_response(self, prompt_or_key: str | int, response: str) -> "EncodedSequence":
         key = prompt_or_key if isinstance(prompt_or_key, int) else prompt_key(prompt_or_key)
         ids = tokenize(response, self.vocab, response=True)
-        prev = [self.vocab.bos_id, *ids[:-1]]
-        ctx = [self.context_id(key, t, p) for t, p in enumerate(prev)]
-        return EncodedSequence(
-            np.asarray(ctx, dtype=np.int64), np.asarray(ids, dtype=np.int64)
-        )
+        prev = np.array([self.vocab.bos_id, *ids[:-1]], dtype=np.uint64)
+        ctx = self.context_id(key, np.arange(len(ids), dtype=np.uint64), prev)
+        return EncodedSequence(ctx.astype(np.int32), np.asarray(ids, dtype=np.int32))
 
     def log_prob(self, encoded: "EncodedSequence") -> float:
-        rows = self.theta[encoded.contexts]
-        return float(np.sum(_log_softmax(rows)[np.arange(len(encoded.ids)), encoded.ids]))
+        return float(self.log_probs(PackedSequences.pack([encoded]))[0])
 
-    def accumulate_nll_grad(self, encoded: "EncodedSequence", grad: np.ndarray, scale: float) -> float:
-        """Add scale * d(-log p)/d theta into grad; returns -log p."""
-        nll, delta = self.nll_and_row_grad(encoded)
-        np.add.at(grad, encoded.contexts, scale * delta)
-        return nll
+    def log_probs(self, packed: "PackedSequences") -> np.ndarray:
+        """log p of every packed sequence: each distinct context's row max and
+        log-sum-exp is computed once, a token's log-prob is (theta[c, y] -
+        max_c) - lse_c, and each equal-length group is summed along axis 1."""
+        row_max, lse = np.empty(len(packed.rows)), np.empty(len(packed.rows))
+        for first in range(0, len(packed.rows), 512):  # small blocks keep the peak memory low
+            span = slice(first, first + 512)
+            block = self.theta[packed.rows[span]]
+            row_max[span] = block.max(axis=1)
+            block -= row_max[span, np.newaxis]
+            lse[span] = np.log(np.exp(block, out=block).sum(axis=1))
+        out = np.empty(len(packed))
+        for length, seqs in packed.groups:
+            first = packed.starts[seqs[0]]
+            span = slice(first, first + len(seqs) * length)
+            slots = packed.slots[span]
+            token = self.theta[packed.rows[slots], packed.ids[span]]
+            token -= row_max[slots]
+            token -= lse[slots]
+            out[seqs] = token.reshape(-1, length).sum(axis=1)
+        return out
 
-    def nll_and_row_grad(self, encoded: "EncodedSequence") -> tuple[float, np.ndarray]:
-        """-log p plus its per-step row gradient (softmax minus onehot)."""
-        rows = self.theta[encoded.contexts]
-        log_probs = _log_softmax(rows)
-        picked = log_probs[np.arange(len(encoded.ids)), encoded.ids]
-        delta = np.exp(log_probs)
-        delta[np.arange(len(encoded.ids)), encoded.ids] -= 1.0
-        return -float(np.sum(picked)), delta
+    def row_grads(self, packed: "PackedSequences", seqs: np.ndarray, nll: bool = False) -> tuple:
+        """(log p of each of the packed sequences ``seqs``, the contexts of
+        their tokens in order, d log p / d row of each token) from one gather
+        and one softmax; with ``nll``, d(-log p) / d row. Stage two takes the
+        softmax as exp / row sum, stage one as exp(log-softmax): they differ
+        in the last bit, and each keeps its own so checkpoints do not move."""
+        lengths = packed.lengths[seqs]
+        ends = np.cumsum(lengths)
+        tokens = np.arange(ends[-1]) + np.repeat(packed.starts[seqs] - (ends - lengths), lengths)
+        contexts = packed.rows[packed.slots[tokens]]
+        at = (np.arange(len(tokens)), packed.ids[tokens])
+        grad = self.theta[contexts]  # worked on in place to keep the peak small
+        grad -= grad.max(axis=1, keepdims=True)
+        total = np.exp(grad).sum(axis=1, keepdims=True)
+        if nll:
+            grad -= np.log(total)
+            picked = grad[at]
+            np.exp(grad, out=grad)
+            grad[at] -= 1.0
+        else:
+            picked = grad[at] - np.log(total[:, 0])
+            np.exp(grad, out=grad)
+            grad /= total
+            np.negative(grad, out=grad)
+            grad[at] += 1.0
+        ends = ends.tolist()
+        log_p = np.array([np.add.reduce(picked[a:b]) for a, b in zip([0, *ends], ends)])
+        return log_p, contexts, grad
 
     def greedy_decode(self, prompt: str, max_len: int) -> str:
         if max_len <= 0:
@@ -144,8 +182,51 @@ class EncodedSequence:
     contexts: np.ndarray
     ids: np.ndarray
 
+
+@dataclass(frozen=True)
+class PackedSequences:
+    """Encoded sequences in compact arrays, tokens grouped by sequence length
+    so each group is one block of equal-length rows. A token names its
+    context by its slot in ``rows``, the distinct contexts."""
+
+    rows: np.ndarray  # (n_rows,) distinct context ids, ascending
+    slots: np.ndarray  # (n_tokens,) index into rows
+    ids: np.ndarray  # (n_tokens,) target token ids
+    starts: np.ndarray  # (n_seqs,) first token of each sequence
+    lengths: np.ndarray  # (n_seqs,)
+    groups: tuple[tuple[int, np.ndarray], ...]  # (length, its sequences)
+
+    @classmethod
+    def pack(cls, seqs: Sequence[EncodedSequence]) -> "PackedSequences":
+        # Counting and lookup tables, not sorts: the first np.unique call
+        # alone adds over a megabyte to a run's peak memory.
+        lengths = np.array([len(seq.ids) for seq in seqs], dtype=np.int32)
+        groups = tuple((int(n), np.flatnonzero(lengths == n)) for n in np.flatnonzero(np.bincount(lengths)))
+        order = np.concatenate([members for _, members in groups])
+        sizes = lengths[order]
+        starts = np.empty(len(seqs), dtype=np.int64)
+        starts[order] = np.cumsum(sizes) - sizes
+        contexts = np.concatenate([seqs[i].contexts for i in order])
+        slot_of = np.zeros(contexts.max() + 1, dtype=np.int32)
+        slot_of[contexts] = 1
+        rows = np.flatnonzero(slot_of).astype(np.int32)
+        slot_of[rows] = np.arange(len(rows), dtype=np.int32)
+        slots = slot_of[contexts]
+        ids = np.concatenate([seqs[i].ids for i in order])
+        return cls(rows, slots, ids, starts, lengths, groups)
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.lengths)
+
+
+def add_rows(target: np.ndarray, contexts: np.ndarray, rows: np.ndarray) -> None:
+    """target[c] += row for every (c, row) in order, as np.add.at over the
+    rows would, but as one several times faster flat np.add.at."""
+    if not target.flags.c_contiguous:
+        raise ModelError("add_rows needs a C-contiguous table")
+    width = target.shape[1]
+    flat = np.add.outer(contexts.astype(np.intp) * width, np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), flat, rows.ravel())
 
 
 def _softmax(rows: np.ndarray) -> np.ndarray:
@@ -154,14 +235,9 @@ def _softmax(rows: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def save_model(model: TokenModel, path: str | Path) -> None:
     """Write a checkpoint, storing only rows that left their zero init."""
-    nonzero = np.flatnonzero(np.any(model.theta != 0.0, axis=1))
+    nonzero = np.flatnonzero(model.theta.any(axis=1))
     rows = {
         str(int(ctx)): base64.b64encode(
             np.ascontiguousarray(model.theta[ctx], dtype="<f8").tobytes()
@@ -175,7 +251,8 @@ def save_model(model: TokenModel, path: str | Path) -> None:
         "dtype": "<f8",
         "rows": rows,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:  # streamed, never one string
+        json.dump(payload, out, sort_keys=True)
 
 
 def load_model(path: str | Path) -> TokenModel:

@@ -48,8 +48,8 @@ from .dataset import (
 )
 from .errors import PlangenError
 from .executor import PlanTiming, micro_execute
-from .jsonl import read_jsonl, write_jsonl
-from .model import load_model, save_model
+from .jsonl import NUMBER, read_jsonl, write_jsonl
+from .model import DEFAULT_CONTEXTS, load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
 from .plans import bracket_to_tree, tree_to_bracket
 from .preferences import (
@@ -102,7 +102,7 @@ class PipelineConfig:
     qdpo_lr: float = 5e-6
     qdpo_steps: int = 200
     qdpo_seed: int = 5
-    n_contexts: int = 4096
+    n_contexts: int = DEFAULT_CONTEXTS
     max_len: int = 256
     random_opt_seed: int = 6
 
@@ -152,8 +152,8 @@ class PipelineConfig:
 
 # --- small file helpers ---
 
-PLAN_KEYS = ("query_id", "optimizer", "bracket", "time_units")
-RESPONSE_KEYS = ("query_id", "response")
+PLAN_KEYS = {"query_id": str, "optimizer": str, "bracket": str, "time_units": NUMBER}
+RESPONSE_KEYS = {"query_id": str, "response": str}
 
 
 def read_workload(path: str | Path) -> list:

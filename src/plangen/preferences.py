@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import PlangenError
 from .executor import PlanTiming
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import NUMBER, read_jsonl, write_jsonl
 from .plans import render_response, tree_to_bracket
 
 
@@ -200,7 +200,10 @@ def write_preference_file(triples: Sequence[PreferenceTriple], path: str | Path)
 
 
 def load_preference_file(path: str | Path) -> list[PreferenceTriple]:
-    keys = ("query_id", "prompt", "chosen", "rejected", "t_star", "t_rejected")
+    fields = {
+        "query_id": str, "prompt": str, "chosen": str, "rejected": str,
+        "t_star": NUMBER, "t_rejected": NUMBER,
+    }
     return [
         PreferenceTriple(
             query_id=raw["query_id"],
@@ -212,5 +215,5 @@ def load_preference_file(path: str | Path) -> list[PreferenceTriple]:
             chosen_optimizer=raw.get("chosen_optimizer", ""),
             rejected_optimizer=raw.get("rejected_optimizer", ""),
         )
-        for raw in read_jsonl(path, keys)
+        for raw in read_jsonl(path, fields)
     ]

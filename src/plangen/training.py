@@ -11,10 +11,18 @@ logistic preference loss
 against the frozen stage-one model as the reference. Both loops are plain
 minibatch gradient descent, deterministic given their seeds. Stage one
 reshuffles every epoch; stage two shuffles once and then cycles.
+
+Both loops, the objectives and both gradient checks run on one packed kernel
+(model.py): whole-set log-probs come from each distinct context's softmax row,
+and a step does one gather, one softmax and one np.add.at over its batch's
+rows, in the order a sequence-at-a-time loop adds them. Each row's softmax is
+computed on its own and each log p sums exactly its own tokens, so parameters,
+traces and checkpoints are bit for bit those of that loop (kept in the tests).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PlangenError
-from .model import EncodedSequence, TokenModel, prompt_key
+from .model import DEFAULT_CONTEXTS, PackedSequences, TokenModel, add_rows, prompt_key
 from .tokenizer import build_vocab
 
 QIT_LEARNING_RATE = 2e-4
@@ -58,13 +66,11 @@ class TrainConfig:
 
 
 def qit_config(**overrides) -> TrainConfig:
-    base = TrainConfig(learning_rate=QIT_LEARNING_RATE, steps=QIT_STEPS)
-    return replace(base, **overrides)
+    return replace(TrainConfig(learning_rate=QIT_LEARNING_RATE, steps=QIT_STEPS), **overrides)
 
 
 def qdpo_config(**overrides) -> TrainConfig:
-    base = TrainConfig(learning_rate=QDPO_LEARNING_RATE, steps=QDPO_STEPS)
-    return replace(base, **overrides)
+    return replace(TrainConfig(learning_rate=QDPO_LEARNING_RATE, steps=QDPO_STEPS), **overrides)
 
 
 # --- objectives ---
@@ -79,41 +85,21 @@ def sft_loss(model: TokenModel, batch: Sequence[tuple[str, str]]) -> float:
     """Mean negative log-likelihood over (prompt, response) pairs."""
     if not batch:
         raise TrainingError("empty batch")
-    total = 0.0
-    for prompt, response in batch:
-        total -= sequence_log_prob(model, prompt, response)
-    return total / len(batch)
+    return _sft_loss_grad(model, _encode_pairs(model, batch), np.arange(len(batch)))[0]
 
 
 def dpo_reward_diff(
-    policy: TokenModel,
-    reference: TokenModel,
-    prompt: str,
-    chosen: str,
-    rejected: str,
-    beta: float,
+    policy: TokenModel, reference: TokenModel, prompt: str, chosen: str, rejected: str, beta: float
 ) -> float:
     """Reference-normalized, beta-scaled log-likelihood-ratio difference."""
-    u = beta * (
-        (sequence_log_prob(policy, prompt, chosen) - sequence_log_prob(reference, prompt, chosen))
-        - (
-            sequence_log_prob(policy, prompt, rejected)
-            - sequence_log_prob(reference, prompt, rejected)
-        )
-    )
-    return u
+    encoded = encode_triples(reference, [(prompt, chosen, rejected)])
+    return _rewards(policy.log_probs(encoded.sequences), encoded.reference, beta)[0]
 
 
 def dpo_loss(
-    policy: TokenModel,
-    reference: TokenModel,
-    prompt: str,
-    chosen: str,
-    rejected: str,
-    beta: float,
+    policy: TokenModel, reference: TokenModel, prompt: str, chosen: str, rejected: str, beta: float
 ) -> float:
-    u = dpo_reward_diff(policy, reference, prompt, chosen, rejected, beta)
-    return _softplus(-u)
+    return _softplus(-dpo_reward_diff(policy, reference, prompt, chosen, rejected, beta))
 
 
 def _softplus(x: float) -> float:
@@ -141,81 +127,89 @@ class TraceRow:
 
 
 def train_qit(
-    model: TokenModel,
-    pairs: Sequence[tuple[str, str]],
-    config: TrainConfig,
+    model: TokenModel, pairs: Sequence[tuple[str, str]], config: TrainConfig
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Minibatch gradient descent on the mean NLL; reshuffles every epoch."""
     if not pairs:
         raise TrainingError("empty training dataset")
     trained = model.copy()
-    encoded = [trained.encode_response(prompt, response) for prompt, response in pairs]
+    packed = _encode_pairs(trained, pairs)
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    epochs = (rng.permutation(len(pairs)) for _ in itertools.count())  # a shuffle per epoch
+    size = config.batch_size
+    batches = (order[i:i + size] for order in epochs for i in range(0, len(order), size))
     trace: list[TraceRow] = []
-    step = 0
-    while step < config.steps:
-        order = rng.permutation(len(encoded))
-        for start in range(0, len(order), config.batch_size):
-            if step >= config.steps:
-                break
-            batch = [encoded[i] for i in order[start:start + config.batch_size]]
-            # Gradients are read off the pre-update parameters for the whole
-            # batch, then applied row-sparsely (the table is large).
-            loss = 0.0
-            updates = []
-            for seq in batch:
-                nll, delta = trained.nll_and_row_grad(seq)
-                loss += nll
-                updates.append((seq.contexts, delta))
-            loss /= len(batch)
-            for contexts, delta in updates:
-                np.add.at(
-                    trained.theta, contexts, -(config.learning_rate / len(batch)) * delta
-                )
-            trace.append(TraceRow(step=step, loss=loss))
-            step += 1
+    for step, batch in zip(range(config.steps), batches):
+        # Gradients are read off the pre-update parameters for the whole
+        # batch, then applied row-sparsely (the table is large).
+        loss, contexts, delta = _sft_loss_grad(trained, packed, batch)
+        delta *= -(config.learning_rate / len(batch))
+        add_rows(trained.theta, contexts, delta)
+        trace.append(TraceRow(step=step, loss=loss))
     return trained, trace
+
+
+def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray) -> tuple:
+    """(mean NLL of the sequences ``batch``, their contexts, rows of d(summed NLL)/d theta)."""
+    log_p, contexts, delta = model.row_grads(packed, batch, nll=True)
+    loss = 0.0
+    for lp in log_p.tolist():
+        loss -= lp
+    return loss / len(batch), contexts, delta
+
+
+def _encode_pairs(model: TokenModel, pairs: Sequence[tuple[str, str]]) -> PackedSequences:
+    """Pack the responses, parsing each distinct prompt once."""
+    if not pairs:
+        raise TrainingError("nothing to encode")
+    keys = {prompt: prompt_key(prompt) for prompt in {prompt for prompt, _ in pairs}}
+    return PackedSequences.pack([model.encode_response(keys[p], response) for p, response in pairs])
 
 
 # --- stage two: preference optimization ---
 
 
 @dataclass(frozen=True)
-class EncodedTriple:
-    chosen: EncodedSequence
-    rejected: EncodedSequence
+class EncodedTriples:
+    """Preference triples packed as sequences chosen 0, rejected 0, chosen 1,
+    ..., with their log-probs under the frozen model that encoded them."""
+
+    sequences: PackedSequences
+    reference: np.ndarray
 
 
 def encode_triples(
-    model: TokenModel, triples: Sequence[tuple[str, str, str]]
-) -> list[EncodedTriple]:
-    encoded = []
-    for prompt, chosen, rejected in triples:
-        key = prompt_key(prompt)
-        chosen_seq = model.encode_response(key, chosen)
-        rejected_seq = model.encode_response(key, rejected)
-        if len(chosen_seq) <= 1 or len(rejected_seq) <= 1:
-            raise TrainingError("preference responses must tokenize to at least one token")
-        encoded.append(EncodedTriple(chosen_seq, rejected_seq))
-    return encoded
+    reference: TokenModel, triples: Sequence[tuple[str, str, str]]
+) -> EncodedTriples:
+    pairs = [(prompt, response) for prompt, *responses in triples for response in responses]
+    packed = _encode_pairs(reference, pairs)
+    if np.any(packed.lengths <= 1):
+        raise TrainingError("preference responses must tokenize to at least one token")
+    return EncodedTriples(packed, reference.log_probs(packed))
 
 
-def _triple_terms(
-    policy: TokenModel, reference: TokenModel, triple: EncodedTriple, beta: float
-) -> tuple[float, float, float]:
-    """(u, loss, margin) for one encoded triple."""
-    lp_w = policy.log_prob(triple.chosen)
-    lp_l = policy.log_prob(triple.rejected)
-    ref_w = reference.log_prob(triple.chosen)
-    ref_l = reference.log_prob(triple.rejected)
-    u = beta * ((lp_w - ref_w) - (lp_l - ref_l))
-    return u, _softplus(-u), lp_w - lp_l
+def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, batch, beta: float) -> tuple:
+    """(mean preference loss over the triples ``batch``, contexts, rows of d(loss)/d theta)."""
+    seqs = (2 * np.asarray(batch)[:, np.newaxis] + [0, 1]).ravel()
+    log_p, contexts, grad = policy.row_grads(encoded.sequences, seqs)
+    loss, weights = 0.0, []
+    for u in _rewards(log_p, encoded.reference[seqs], beta):
+        loss += _softplus(-u)
+        # dL/dtheta = -sigmoid(-u) * beta * (dlogp(y_w) - dlogp(y_l))
+        scale = -_sigmoid(-u) * beta / len(batch)
+        weights += [scale, -scale]
+    grad *= np.repeat(weights, encoded.sequences.lengths[seqs])[:, np.newaxis]
+    return loss / len(batch), contexts, grad
+
+
+def _rewards(log_p: np.ndarray, reference: np.ndarray, beta: float) -> list[float]:
+    """u of each (chosen, rejected) pair of sequences."""
+    lp, ref = log_p.tolist(), reference.tolist()
+    return [beta * ((lp[k] - ref[k]) - (lp[k + 1] - ref[k + 1])) for k in range(0, len(lp), 2)]
 
 
 def train_qdpo(
-    policy_init: TokenModel,
-    triples: Sequence[tuple[str, str, str]],
-    config: TrainConfig,
+    policy_init: TokenModel, triples: Sequence[tuple[str, str, str]], config: TrainConfig,
     trace_margin: bool = True,
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Preference optimization against the frozen initial model.
@@ -225,63 +219,33 @@ def train_qdpo(
     """
     if not triples:
         raise TrainingError("empty preference dataset")
-    reference = policy_init
+    encoded = encode_triples(policy_init, triples)
     policy = policy_init.copy()
-    encoded = encode_triples(policy, triples)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    order = list(rng.permutation(len(encoded)))
+    order = rng.permutation(len(triples))
+    size = min(config.batch_size, len(triples))
     trace: list[TraceRow] = []
-    cursor = 0
     for step in range(config.steps):
-        batch = []
-        for _ in range(min(config.batch_size, len(encoded))):
-            batch.append(encoded[order[cursor]])
-            cursor = (cursor + 1) % len(order)
-        # First pass reads every gradient off the pre-update parameters;
-        # the row-sparse updates are applied only afterwards.
-        loss = 0.0
-        updates = []
-        for triple in batch:
-            u, triple_loss, _ = _triple_terms(policy, reference, triple, config.beta)
-            loss += triple_loss
-            # dL/dtheta = -sigmoid(-u) * beta * (dlogp(y_w) - dlogp(y_l))
-            scale = -_sigmoid(-u) * config.beta / len(batch)
-            updates.append((triple.chosen.contexts, scale * _log_prob_row_grad(policy, triple.chosen)))
-            updates.append((triple.rejected.contexts, -scale * _log_prob_row_grad(policy, triple.rejected)))
-        loss /= len(batch)
-        for contexts, delta in updates:
-            np.add.at(policy.theta, contexts, -config.learning_rate * delta)
+        batch = order.take(range(step * size, (step + 1) * size), mode="wrap")
+        loss, contexts, rows = _dpo_loss_grad(policy, encoded, batch, config.beta)
+        rows *= -config.learning_rate
+        add_rows(policy.theta, contexts, rows)
         margin = mean_margin(policy, encoded) if trace_margin else None
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
     return policy, trace
 
 
-def _log_prob_row_grad(model: TokenModel, seq: EncodedSequence) -> np.ndarray:
-    """d log p(y|x) / d rows: onehot minus softmax, one row per step."""
-    rows = model.theta[seq.contexts]
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs = -probs
-    probs[np.arange(len(seq.ids)), seq.ids] += 1.0
-    return probs
-
-
-def _accumulate_log_prob_grad(
-    model: TokenModel, seq: EncodedSequence, grad: np.ndarray, scale: float
-) -> None:
-    np.add.at(grad, seq.contexts, scale * _log_prob_row_grad(model, seq))
-
-
-def mean_margin(policy: TokenModel, encoded: Sequence[EncodedTriple]) -> float:
+def mean_margin(policy: TokenModel, encoded: EncodedTriples) -> float:
+    margins = triple_margins(policy, encoded)
     total = 0.0
-    for triple in encoded:
-        total += policy.log_prob(triple.chosen) - policy.log_prob(triple.rejected)
-    return total / len(encoded)
+    for margin in margins:
+        total += margin
+    return total / len(margins)
 
 
-def triple_margins(policy: TokenModel, encoded: Sequence[EncodedTriple]) -> list[float]:
-    return [policy.log_prob(t.chosen) - policy.log_prob(t.rejected) for t in encoded]
+def triple_margins(policy: TokenModel, encoded: EncodedTriples) -> list[float]:
+    log_p = policy.log_probs(encoded.sequences)
+    return (log_p[0::2] - log_p[1::2]).tolist()
 
 
 # --- gradient verification ---
@@ -296,37 +260,35 @@ class GradCheckReport:
 
 
 def grad_check(
-    loss_fn: Callable[[np.ndarray], float],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    theta: np.ndarray,
-    h: float = 1e-5,
-    tolerance: float = 1e-5,
-    n_params: int = 200,
-    seed: int = 0,
-    candidate_rows: Sequence[int] | None = None,
+    terms: Callable[[TokenModel], tuple], model: TokenModel, candidate_rows: Sequence[int],
+    h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
-    """Central finite differences against the analytic gradient.
+    """Central finite differences of the loss against the analytic gradient.
 
-    Samples parameter entries (biased toward the given candidate rows so the
-    check is not vacuous) and reports the worst relative error.
+    ``terms(model)`` gives the loss and its gradient as rows with their
+    contexts, as a training step applies it. Samples parameter entries from
+    the candidate rows (so the check is not vacuous) and reports the worst
+    relative error.
     """
     if h <= 0:
         raise TrainingError("finite-difference step must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_rows, n_cols = theta.shape
-    rows = list(candidate_rows) if candidate_rows else list(range(n_rows))
+    n_cols = model.theta.shape[1]
     entries = set()
-    while len(entries) < min(n_params, len(rows) * n_cols):
-        entries.add((rows[rng.integers(len(rows))], int(rng.integers(n_cols))))
-    analytic = grad_fn(theta)
+    while len(entries) < min(n_params, len(candidate_rows) * n_cols):
+        entries.add((candidate_rows[rng.integers(len(candidate_rows))], int(rng.integers(n_cols))))
+    _, contexts, rows = terms(model)
+    analytic = np.zeros(model.theta.shape)
+    add_rows(analytic, contexts, rows)
     max_rel = 0.0
-    work = theta.copy()
+    probe = model.copy()
+    work = probe.theta
     for r, c in sorted(entries):
         original = work[r, c]
         work[r, c] = original + h
-        up = loss_fn(work)
+        up = terms(probe)[0]
         work[r, c] = original - h
-        down = loss_fn(work)
+        down = terms(probe)[0]
         work[r, c] = original
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(analytic[r, c]))
@@ -334,85 +296,44 @@ def grad_check(
         # (shared chosen/rejected prefixes cancel to an exact analytic zero).
         if denom >= 1e-8:
             max_rel = max(max_rel, abs(numeric - analytic[r, c]) / denom)
-    return GradCheckReport(
-        max_rel_error=max_rel, checked=len(entries), passed=max_rel <= tolerance
-    )
+    return GradCheckReport(max_rel_error=max_rel, checked=len(entries), passed=max_rel <= tolerance)
 
 
 def sft_grad_check(
-    model: TokenModel,
-    pairs: Sequence[tuple[str, str]],
-    h: float = 1e-5,
-    tolerance: float = 1e-5,
-    n_params: int = 200,
-    seed: int = 0,
+    model: TokenModel, pairs: Sequence[tuple[str, str]],
+    h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
-    encoded = [model.encode_response(p, r) for p, r in pairs]
-    touched = sorted({int(c) for seq in encoded for c in seq.contexts})
+    packed = _encode_pairs(model, pairs)
+    everything = np.arange(len(pairs))
 
-    def loss_at(theta: np.ndarray) -> float:
-        probe = TokenModel(model.vocab, model.n_contexts, theta)
-        return sum(-probe.log_prob(seq) for seq in encoded) / len(encoded)
+    def terms(probe: TokenModel):
+        loss, contexts, delta = _sft_loss_grad(probe, packed, everything)
+        return loss, contexts, delta / len(pairs)
 
-    def grad_at(theta: np.ndarray) -> np.ndarray:
-        probe = TokenModel(model.vocab, model.n_contexts, theta)
-        grad = np.zeros_like(theta)
-        for seq in encoded:
-            probe.accumulate_nll_grad(seq, grad, 1.0 / len(encoded))
-        return grad
-
-    return grad_check(loss_at, grad_at, model.theta, h, tolerance, n_params, seed, touched)
+    return grad_check(terms, model, packed.rows.tolist(), h, tolerance, n_params, seed)
 
 
 def dpo_grad_check(
-    policy: TokenModel,
-    reference: TokenModel,
-    triples: Sequence[tuple[str, str, str]],
-    beta: float,
-    h: float = 1e-5,
-    tolerance: float = 1e-5,
-    n_params: int = 200,
-    seed: int = 0,
+    policy: TokenModel, reference: TokenModel, triples: Sequence[tuple[str, str, str]], beta: float,
+    h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
-    encoded = encode_triples(policy, triples)
-    touched = sorted(
-        {int(c) for t in encoded for c in (*t.chosen.contexts, *t.rejected.contexts)}
+    if (policy.vocab, policy.n_contexts) != (reference.vocab, reference.n_contexts):
+        raise TrainingError("policy and reference differ in vocabulary or context count")
+    encoded = encode_triples(reference, triples)
+    report = grad_check(
+        lambda probe: _dpo_loss_grad(probe, encoded, range(len(triples)), beta),
+        policy, encoded.sequences.rows.tolist(), h, tolerance, n_params, seed,
     )
-
-    def loss_at(theta: np.ndarray) -> float:
-        probe = TokenModel(policy.vocab, policy.n_contexts, theta)
-        return sum(_triple_terms(probe, reference, t, beta)[1] for t in encoded) / len(encoded)
-
-    def grad_at(theta: np.ndarray) -> np.ndarray:
-        probe = TokenModel(policy.vocab, policy.n_contexts, theta)
-        grad = np.zeros_like(theta)
-        for t in encoded:
-            u, _, _ = _triple_terms(probe, reference, t, beta)
-            scale = -_sigmoid(-u) * beta / len(encoded)
-            _accumulate_log_prob_grad(probe, t.chosen, grad, scale)
-            _accumulate_log_prob_grad(probe, t.rejected, grad, -scale)
-        return grad
-
-    report = grad_check(loss_at, grad_at, policy.theta, h, tolerance, n_params, seed, touched)
     # The reference is frozen: its parameters get no gradient by definition.
-    return GradCheckReport(
-        max_rel_error=report.max_rel_error,
-        checked=report.checked,
-        passed=report.passed,
-        reference_grad_zero=True,
-    )
+    return replace(report, reference_grad_zero=True)
 
 
 # --- inference and dataset-level helpers ---
 
 
 def infer(
-    model: TokenModel,
-    prompt: str,
-    max_len: int = 256,
-    mode: str = "greedy",
-    temperature: float = 1.0,
-    seed: int = 0,
+    model: TokenModel, prompt: str, max_len: int = 256, mode: str = "greedy",
+    temperature: float = 1.0, seed: int = 0,
 ) -> str:
     if mode == "greedy":
         return model.greedy_decode(prompt, max_len)
@@ -422,9 +343,7 @@ def infer(
 
 
 def fit_qit_from_records(
-    pairs: Sequence[tuple[str, str]],
-    config: TrainConfig,
-    n_contexts: int = 4096,
+    pairs: Sequence[tuple[str, str]], config: TrainConfig, n_contexts: int = DEFAULT_CONTEXTS
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Build a fresh model (vocabulary from the responses) and train it."""
     vocab = build_vocab(response for _, response in pairs)

@@ -157,7 +157,7 @@ def classify_corpus_file(path: str | Path) -> CorpusSummary:
     return classify_corpus(
         read_jsonl(
             path,
-            ("query_sql", "response"),
+            {"query_sql": str, "response": str},
             lambda record: (record["response"], parse_sql(record["query_sql"])),
         )
     )

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
+from plangen.model import prompt_key
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves
 from plangen.sql import parse_sql
+from plangen.tokenizer import tokenize
+from plangen.training import TraceRow
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -216,3 +222,136 @@ def brute_force_counts(query, data):
         return counts[subset]
 
     return subset_rows
+
+
+# --- sequence-at-a-time training reference ---
+#
+# The training loops as they ran before the packed kernel: one sequence at a
+# time, scalar context ids, one np.add.at per sequence. The packed kernel
+# must reproduce them bit for bit (tests/test_training.py).
+
+
+@dataclass(frozen=True)
+class RefSequence:
+    contexts: np.ndarray
+    ids: np.ndarray
+
+
+def ref_encode_response(model, key: int, response: str) -> RefSequence:
+    ids = tokenize(response, model.vocab, response=True)
+    prev = [model.vocab.bos_id, *ids[:-1]]
+    ctx = [model.context_id(key, t, p) for t, p in enumerate(prev)]
+    return RefSequence(np.asarray(ctx, dtype=np.int64), np.asarray(ids, dtype=np.int64))
+
+
+def _ref_log_softmax(rows):
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def ref_log_prob(theta, encoded: RefSequence) -> float:
+    rows = theta[encoded.contexts]
+    return float(np.sum(_ref_log_softmax(rows)[np.arange(len(encoded.ids)), encoded.ids]))
+
+
+def ref_nll_and_row_grad(theta, encoded: RefSequence):
+    """-log p plus its per-step row gradient (softmax minus onehot)."""
+    rows = theta[encoded.contexts]
+    log_probs = _ref_log_softmax(rows)
+    picked = log_probs[np.arange(len(encoded.ids)), encoded.ids]
+    delta = np.exp(log_probs)
+    delta[np.arange(len(encoded.ids)), encoded.ids] -= 1.0
+    return -float(np.sum(picked)), delta
+
+
+def ref_log_prob_row_grad(theta, seq: RefSequence):
+    """d log p(y|x) / d rows: onehot minus softmax, one row per step."""
+    rows = theta[seq.contexts]
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs = -probs
+    probs[np.arange(len(seq.ids)), seq.ids] += 1.0
+    return probs
+
+
+def _ref_softplus(x: float) -> float:
+    if x > 0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def _ref_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def reference_train_qit(model, pairs, config):
+    trained = model.copy()
+    encoded = [ref_encode_response(trained, prompt_key(prompt), response) for prompt, response in pairs]
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    trace = []
+    step = 0
+    while step < config.steps:
+        order = rng.permutation(len(encoded))
+        for start in range(0, len(order), config.batch_size):
+            if step >= config.steps:
+                break
+            batch = [encoded[i] for i in order[start:start + config.batch_size]]
+            loss = 0.0
+            updates = []
+            for seq in batch:
+                nll, delta = ref_nll_and_row_grad(trained.theta, seq)
+                loss += nll
+                updates.append((seq.contexts, delta))
+            loss /= len(batch)
+            for contexts, delta in updates:
+                np.add.at(
+                    trained.theta, contexts, -(config.learning_rate / len(batch)) * delta
+                )
+            trace.append(TraceRow(step=step, loss=loss))
+            step += 1
+    return trained, trace
+
+
+def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
+    reference = policy_init
+    policy = policy_init.copy()
+    encoded = []
+    for prompt, chosen, rejected in triples:
+        key = prompt_key(prompt)
+        encoded.append((ref_encode_response(policy, key, chosen), ref_encode_response(policy, key, rejected)))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    order = list(rng.permutation(len(encoded)))
+    trace = []
+    cursor = 0
+    for step in range(config.steps):
+        batch = []
+        for _ in range(min(config.batch_size, len(encoded))):
+            batch.append(encoded[order[cursor]])
+            cursor = (cursor + 1) % len(order)
+        loss = 0.0
+        updates = []
+        for chosen, rejected in batch:
+            lp_w = ref_log_prob(policy.theta, chosen)
+            lp_l = ref_log_prob(policy.theta, rejected)
+            ref_w = ref_log_prob(reference.theta, chosen)
+            ref_l = ref_log_prob(reference.theta, rejected)
+            u = config.beta * ((lp_w - ref_w) - (lp_l - ref_l))
+            loss += _ref_softplus(-u)
+            scale = -_ref_sigmoid(-u) * config.beta / len(batch)
+            updates.append((chosen.contexts, scale * ref_log_prob_row_grad(policy.theta, chosen)))
+            updates.append((rejected.contexts, -scale * ref_log_prob_row_grad(policy.theta, rejected)))
+        loss /= len(batch)
+        for contexts, delta in updates:
+            np.add.at(policy.theta, contexts, -config.learning_rate * delta)
+        margin = None
+        if trace_margin:
+            total = 0.0
+            for chosen, rejected in encoded:
+                total += ref_log_prob(policy.theta, chosen) - ref_log_prob(policy.theta, rejected)
+            margin = total / len(encoded)
+        trace.append(TraceRow(step=step, loss=loss, margin=margin))
+    return policy, trace

@@ -434,10 +434,36 @@ def _sft_prompt_without_input(tmp_path):
     )
 
 
+def _corpus_with_numeric_sql(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"query_sql": 5, "response": "x"}\n')
+    return ["validate", "--corpus", corpus], "corpus.jsonl:1: 'query_sql' must be a string, not int"
+
+
+def _dpo_with_numeric_chosen(tmp_path):
+    dpo = tmp_path / "dpo.jsonl"
+    dpo.write_text(json.dumps({"query_id": "q0001", "prompt": "p", "chosen": 5, "rejected": "x",
+                               "t_star": 1.0, "t_rejected": 2.0}) + "\n")
+    init = tmp_path / "qit.ckpt"
+    init.write_text("{}")
+    return ["train-qdpo", "--dpo", dpo, "--init", init, "--out", tmp_path / "qdpo.ckpt"], (
+        "dpo.jsonl:1: 'chosen' must be a string, not int"
+    )
+
+
+def _sft_with_list_response(tmp_path):
+    sft = tmp_path / "sft.jsonl"
+    sft.write_text('{"query_id": "q0001", "prompt": "p", "response": ["x"]}\n')
+    return ["train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt"], (
+        "sft.jsonl:1: 'response' must be a string, not list"
+    )
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _checkpoint_without_vocab, _corpus_without_response,
-     _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input],
+     _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input, _corpus_with_numeric_sql,
+     _dpo_with_numeric_chosen, _sft_with_list_response],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from plangen.dataset import build_prompt
-from plangen.model import TokenModel
+from plangen.dataset import build_prompt, load_dataset
+from plangen.model import (
+    EncodedSequence, ModelError, PackedSequences, TokenModel, add_rows, prompt_key,
+)
+from plangen.pipeline import PipelineConfig, run_pipeline
+from plangen.preferences import load_preference_file
 from plangen.plans import parse_response, render_response
 from plangen.sql import parse_sql
-from plangen.tokenizer import build_vocab
+from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab
 from plangen.training import (
     TrainConfig,
     TrainingError,
@@ -23,6 +29,16 @@ from plangen.training import (
     train_qit,
     triple_margins,
     write_trace,
+)
+from tests.conftest import (
+    FIXTURES_DIR,
+    RefSequence,
+    ref_encode_response,
+    ref_log_prob,
+    ref_log_prob_row_grad,
+    ref_nll_and_row_grad,
+    reference_train_qdpo,
+    reference_train_qit,
 )
 
 
@@ -231,3 +247,119 @@ def test_qdpo_margin_oracle_consistency(micro_catalog):
     ]
     assert margins == pytest.approx(want, abs=1e-10)
     assert mean_margin(policy, encoded) == pytest.approx(sum(want) / len(want), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def fixture_datasets(tmp_path_factory):
+    """The instruction pairs and preference triples of the shipped fixture
+    config (its training cut to one step each)."""
+    out = tmp_path_factory.mktemp("fixture_run")
+    config = PipelineConfig.from_file(FIXTURES_DIR / "pipeline.cfg").with_overrides(
+        out_dir=str(out),
+        catalog=str(FIXTURES_DIR / "catalog.txt"),
+        tables=str(FIXTURES_DIR / "tables"),
+        join_graph=str(FIXTURES_DIR / "joins.txt"),
+        qit_steps="1",
+        qdpo_steps="1",
+    )
+    run_pipeline(config)
+    pairs = [(r.prompt, r.response) for r in load_dataset(out / "sft.jsonl")]
+    triples = [(t.prompt, t.chosen, t.rejected) for t in load_preference_file(out / "dpo.jsonl")]
+    return pairs, triples
+
+
+def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
+    pairs, triples = fixture_datasets
+    vocab = build_vocab([r for _, r in pairs] + [t[1] for t in triples] + [t[2] for t in triples])
+    # 509 contexts (not a power of two) make sequences collide on rows.
+    model = TokenModel.create(vocab, 509)
+    qit = TrainConfig(learning_rate=0.05, steps=40, batch_size=8, seed=3)
+    first = np.random.Generator(np.random.PCG64(qit.seed)).permutation(len(pairs))[: qit.batch_size]
+    batch_contexts = np.concatenate(
+        [ref_encode_response(model, prompt_key(pairs[i][0]), pairs[i][1]).contexts for i in first]
+    )
+    assert len(np.unique(batch_contexts)) < len(batch_contexts)  # a batch repeats a context
+
+    got, got_trace = train_qit(model, pairs, qit)
+    want, want_trace = reference_train_qit(model, pairs, qit)
+    assert np.array_equal(got.theta, want.theta)
+    assert got_trace == want_trace
+
+    # A triple's two responses share their first context, so every batch
+    # repeats one.
+    prompt, chosen, rejected = triples[0]
+    key = prompt_key(prompt)
+    first_contexts = {ref_encode_response(model, key, r).contexts[0] for r in (chosen, rejected)}
+    assert len(first_contexts) == 1
+    qdpo = TrainConfig(learning_rate=0.05, steps=30, batch_size=8, beta=0.1, seed=4)
+    got, got_trace = train_qdpo(want, triples, qdpo)
+    want, want_trace = reference_train_qdpo(want, triples, qdpo)
+    assert np.array_equal(got.theta, want.theta)
+    assert got_trace == want_trace
+    assert len({row.margin for row in got_trace}) > 1
+
+
+def _vocab(size: int) -> Vocabulary:
+    return Vocabulary((BOS, EOS, UNK, *(f"w{i}" for i in range(size - 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_equals_per_sequence_formulas(data):
+    n_contexts = data.draw(st.integers(1, 40), label="n_contexts")
+    width = data.draw(st.integers(3, 30), label="vocabulary size")
+    lengths = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=10), label="lengths")
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    theta = rng.normal(0.0, data.draw(st.sampled_from([0.01, 1.0, 50.0])), size=(n_contexts, width))
+    # Few contexts, so sequences repeat contexts within and across themselves.
+    refs = [RefSequence(rng.integers(0, n_contexts, n), rng.integers(0, width, n)) for n in lengths]
+    model = TokenModel(_vocab(width), n_contexts, theta)
+    packed = PackedSequences.pack(
+        [EncodedSequence(r.contexts.astype(np.int32), r.ids.astype(np.int32)) for r in refs]
+    )
+    assert np.array_equal(model.log_probs(packed), [ref_log_prob(theta, r) for r in refs])
+
+    order = data.draw(st.permutations(range(len(refs))), label="order")
+    seqs = np.array(order[: data.draw(st.integers(1, len(refs)), label="batch size")])
+    contexts = np.concatenate([refs[i].contexts for i in seqs])
+    log_p, got_contexts, grad = model.row_grads(packed, seqs)
+    assert np.array_equal(got_contexts, contexts)
+    assert np.array_equal(log_p, [ref_log_prob(theta, refs[i]) for i in seqs])
+    assert np.array_equal(grad, np.concatenate([ref_log_prob_row_grad(theta, refs[i]) for i in seqs]))
+    log_p, _, delta = model.row_grads(packed, seqs, nll=True)
+    nll = [ref_nll_and_row_grad(theta, refs[i]) for i in seqs]
+    assert np.array_equal(-log_p, [n for n, _ in nll])
+    assert np.array_equal(delta, np.concatenate([d for _, d in nll]))
+
+    target, want = theta.copy(), theta.copy()
+    add_rows(target, got_contexts, grad)
+    np.add.at(want, contexts, grad)
+    assert np.array_equal(target, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.integers(0, 2**64 - 1),
+    n_contexts=st.integers(1, 2**31 - 1),
+    steps=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=40),
+)
+@example(key=2**64 - 1, n_contexts=131072, steps=[(0, 0), (255, 2**64 - 1)])
+@example(key=0, n_contexts=4095, steps=[(2**63, 1)])
+def test_vectorized_context_ids_equal_scalar(key, n_contexts, steps):
+    model = TokenModel(_vocab(3), n_contexts, np.zeros((0, 3)))
+    positions = np.array([p for p, _ in steps], dtype=np.uint64)
+    prev = np.array([t for _, t in steps], dtype=np.uint64)
+    want = [model.context_id(key, p, t) for p, t in steps]
+    assert model.context_id(key, positions, prev).tolist() == want
+
+
+def test_add_rows_rejects_a_non_contiguous_table():
+    with pytest.raises(ModelError, match="contiguous"):
+        add_rows(np.zeros((4, 3)).T, np.array([0]), np.ones((1, 4)))
+
+
+def test_dpo_grad_check_rejects_a_mismatched_reference(micro_catalog):
+    triples = _toy_triples(micro_catalog)
+    vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
+    with pytest.raises(TrainingError, match="context count"):
+        dpo_grad_check(TokenModel.create(vocab, 512), TokenModel.create(vocab, 256), triples, beta=0.1)
