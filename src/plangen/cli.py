@@ -197,7 +197,7 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
         click.echo(f"wrote {len(rows)} responses to {out}")
         return
     query = parse_sql(Path(sql_file).read_text(encoding="utf-8"))
-    pool = load_dataset(demo_pool) if demo_pool else []
+    pool = pl.keyed_pool(load_dataset(demo_pool)) if demo_pool else []
     model, catalog = load_model(model_path), load_catalog(catalog_path)
     click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, "single"))
 
@@ -339,7 +339,7 @@ def run_cmd(config_path, **flags):
     config = config.with_overrides(**overrides)
     result = pl.run_pipeline(config)
     for name, status in result.stages:
-        click.echo(f"stage {name}: {status}")
+        click.echo(f"stage {name}: {status} in {result.seconds[name]:.3f} s")
     click.echo(pl.format_report(result.report))
 
 

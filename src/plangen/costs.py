@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import plans
 from .catalog import Catalog, ColumnStats
-from .sql import QuerySpec, Selection
+from .sql import JoinPredicate, QuerySpec, Selection
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,54 @@ class CostModel:
                 card *= self.selection_selectivity(sel)
         return card
 
-    def join_selectivity(self, table_a: str, column_a: str, table_b: str, column_b: str) -> float:
-        da = self.catalog.column_stats(table_a, column_a).distinct_count
-        db = self.catalog.column_stats(table_b, column_b).distinct_count
+    def join_selectivity(self, join: JoinPredicate) -> float:
+        da = self.catalog.column_stats(join.table_a, join.column_a).distinct_count
+        db = self.catalog.column_stats(join.table_b, join.column_b).distinct_count
         return 1.0 / max(da, db, 1)
+
+    def estimates(self, query: QuerySpec) -> "QueryEstimates":
+        """The query's estimate operands, computed once: sorted table i is bit i."""
+        tables = tuple(sorted(query.tables))
+        bit = {table: 1 << i for i, table in enumerate(tables)}
+        joins = [(bit[j.table_a] | bit[j.table_b], self.join_selectivity(j)) for j in sorted(query.joins)]
+        return QueryEstimates(tables, tuple(self.leaf_cardinality(t, query) for t in tables), tuple(joins))
 
     def subset_cardinality(self, tables: Iterable[str], query: QuerySpec) -> float:
         """Estimated result size of joining a connected table subset."""
-        subset = set(tables)
-        card = 1.0
-        for table in sorted(subset):
-            card *= self.leaf_cardinality(table, query)
-        for join in sorted(query.joins):
-            if join.table_a in subset and join.table_b in subset:
-                card *= self.join_selectivity(
-                    join.table_a, join.column_a, join.table_b, join.column_b
-                )
-        return card
+        estimates = self.estimates(query)
+        return estimates.cardinality(estimates.mask(tables))
 
     def plan_cost(self, plan: plans.PlanTree, query: QuerySpec) -> float:
         """Sum of estimated intermediate cardinalities over the join nodes."""
-        if isinstance(plan, plans.Leaf):
-            return 0.0
+        estimates = self.estimates(query)
         total = 0.0
         for node in _join_nodes(plan):
-            total += self.subset_cardinality(plans.leaves(node), query)
+            total += estimates.cardinality(estimates.mask(plans.leaves(node)))
         return total
+
+
+@dataclass(frozen=True)
+class QueryEstimates:
+    """Leaf estimates of a query's sorted tables, and its sorted joins'
+    selectivities with their two-bit masks."""
+
+    tables: tuple[str, ...]
+    leaves: tuple[float, ...]
+    joins: tuple[tuple[int, float], ...]
+
+    def mask(self, tables: Iterable[str]) -> int:
+        return sum(1 << self.tables.index(table) for table in set(tables))
+
+    def cardinality(self, mask: int) -> float:
+        """Product over the subset's tables ascending, then its sorted joins."""
+        card = 1.0
+        for i, leaf in enumerate(self.leaves):
+            if mask >> i & 1:
+                card *= leaf
+        for pair, selectivity in self.joins:
+            if mask & pair == pair:
+                card *= selectivity
+        return card
 
 
 def _join_nodes(plan: plans.PlanTree):

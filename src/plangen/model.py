@@ -157,25 +157,6 @@ class TokenModel:
             prev = token
         return detokenize(self.vocab.decode(out))
 
-    def sample_decode(self, prompt: str, max_len: int, temperature: float, seed: int) -> str:
-        if max_len <= 0:
-            raise ModelError(f"max_len must be positive, got {max_len}")
-        if temperature <= 0:
-            raise ModelError("temperature must be positive")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        key = prompt_key(prompt)
-        out: list[int] = []
-        prev = self.vocab.bos_id
-        for position in range(max_len):
-            row = self.theta[self.context_id(key, position, prev)] / temperature
-            probs = _softmax(row[np.newaxis, :])[0]
-            token = int(rng.choice(len(probs), p=probs))
-            if token == self.vocab.eos_id:
-                break
-            out.append(token)
-            prev = token
-        return detokenize(self.vocab.decode(out))
-
 
 @dataclass(frozen=True)
 class EncodedSequence:
@@ -227,12 +208,6 @@ def add_rows(target: np.ndarray, contexts: np.ndarray, rows: np.ndarray) -> None
     width = target.shape[1]
     flat = np.add.outer(contexts.astype(np.intp) * width, np.arange(width)).ravel()
     np.add.at(target.reshape(-1), flat, rows.ravel())
-
-
-def _softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def save_model(model: TokenModel, path: str | Path) -> None:

@@ -9,9 +9,20 @@ greedy_optimize   repeatedly joins the predicate-connected pair of sub-plans
 random_optimize   seeded uniformly random connected bushy tree with random
                   operators
 
+Table sets are bitmasks: the query's sorted table i is bit i, and each table
+has a neighbour mask of the tables it shares a predicate with, so disjoint
+sets are linked when one's neighbour mask meets the other. The DP is DPsub:
+it visits masks in ascending order, so every proper submask comes first,
+walks each subset's splits with ``sub = (sub - 1) & rest``, and prices both
+orders of every split whose sides are connected and linked; a subset with
+no such split is not connected.
+
 All three are deterministic functions of their inputs (plus the seed for the
-random personality); ties break on the lexicographically smallest bracket
-form so results never depend on iteration order.
+random personality). Candidates compare on (cost, bracket form), a total
+order, since the bracket form encodes the whole plan: ties break on the
+lexicographically smallest bracket, so results never depend on iteration
+order. Sub-plans carry their bracket strings, so a candidate's is one
+concatenation.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import random
 
 from .costs import CostModel
 from .errors import PlangenError
-from .plans import Join, Leaf, PlanTree, tree_to_bracket
+from .plans import Join, Leaf, PlanTree
 from .sql import QuerySpec
 
 NEST_LOOP_THRESHOLD = 100.0
@@ -32,31 +43,15 @@ class TooManyTables(PlangenError):
     pass
 
 
-def _connected(tables: frozenset[str], query: QuerySpec) -> bool:
-    if len(tables) <= 1:
-        return True
-    adjacency = {t: set() for t in tables}
+def _tables(query: QuerySpec) -> list[tuple[int, int, str]]:
+    """(bit, neighbour mask, name) of each table, in sorted order."""
+    tables = sorted(query.tables)
+    bit = {table: 1 << i for i, table in enumerate(tables)}
+    neighbours = dict.fromkeys(tables, 0)
     for j in query.joins:
-        if j.table_a in tables and j.table_b in tables:
-            adjacency[j.table_a].add(j.table_b)
-            adjacency[j.table_b].add(j.table_a)
-    start = next(iter(tables))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for other in adjacency[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen == tables
-
-
-def _linked(left: frozenset[str], right: frozenset[str], query: QuerySpec) -> bool:
-    return any(
-        (j.table_a in left and j.table_b in right)
-        or (j.table_a in right and j.table_b in left)
-        for j in query.joins
-    )
+        neighbours[j.table_a] |= bit[j.table_b]
+        neighbours[j.table_b] |= bit[j.table_a]
+    return [(bit[table], neighbours[table], table) for table in tables]
 
 
 def _pick_operator(left_rows: float, right_rows: float) -> str:
@@ -67,94 +62,79 @@ def _pick_operator(left_rows: float, right_rows: float) -> str:
 
 def dp_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
     """Exact dynamic programming over connected table subsets."""
-    tables = sorted(query.tables)
-    if len(tables) > MAX_DP_TABLES:
-        raise TooManyTables(f"{len(tables)} tables exceeds the DP limit of {MAX_DP_TABLES}")
-    if len(tables) == 1:
-        return Leaf(tables[0])
+    if len(query.tables) > MAX_DP_TABLES:
+        raise TooManyTables(f"{len(query.tables)} tables exceeds the DP limit of {MAX_DP_TABLES}")
+    if len(query.tables) == 1:
+        return Leaf(next(iter(query.tables)))
+    estimates = model.estimates(query)
 
-    # best[subset] = (cost, bracket, plan, estimated rows); cost counts
-    # intermediates only.
-    best: dict[frozenset[str], tuple[float, str, PlanTree, float]] = {}
-    for t in tables:
-        subset = frozenset([t])
-        best[subset] = (0.0, t, Leaf(t), model.subset_cardinality(subset, query))
+    # best[mask] = (cost, bracket, plan, estimated rows, neighbour mask);
+    # cost counts intermediates only.
+    best: dict[int, tuple[float, str, PlanTree, float, int]] = {}
+    for (bit, neighbours, table), rows in zip(_tables(query), estimates.leaves):
+        best[bit] = (0.0, table, Leaf(table), rows, neighbours)
 
-    for size in range(2, len(tables) + 1):
-        for combo in itertools.combinations(tables, size):
-            subset = frozenset(combo)
-            if not _connected(subset, query):
-                continue
-            out_card = model.subset_cardinality(subset, query)
-            candidate: tuple[float, str, PlanTree, float] | None = None
-            for left in _proper_subsets(combo):
-                right = subset - left
-                if left not in best or right not in best:
-                    continue
-                if not _linked(left, right, query):
-                    continue
-                lcost, _, lplan, lcard = best[left]
-                rcost, _, rplan, rcard = best[right]
-                plan = Join(_pick_operator(lcard, rcard), lplan, rplan)
-                entry = (lcost + rcost + out_card, tree_to_bracket(plan), plan, out_card)
-                if candidate is None or entry[:2] < candidate[:2]:
-                    candidate = entry
-            if candidate is not None:
-                best[subset] = candidate
+    full = (1 << len(query.tables)) - 1
+    for mask in range(3, full + 1):
+        candidate = None
+        low = mask & -mask  # left holds the lowest table; both orders are priced
+        rest = sub = mask ^ low
+        while sub:
+            sub = (sub - 1) & rest
+            left, right = low | sub, rest ^ sub
+            if left in best and right in best and best[left][4] & right:
+                if candidate is None:
+                    out_card = estimates.cardinality(mask)
+                lcost, lbracket, _, lcard, _ = best[left]
+                rcost, rbracket, _, rcard, _ = best[right]
+                op = _pick_operator(lcard, rcard)
+                cost = lcost + rcost + out_card  # float + is commutative: same for both orders
+                for entry in ((cost, f"{op}({lbracket} {rbracket})", op, left, right),
+                              (cost, f"{op}({rbracket} {lbracket})", op, right, left)):
+                    if candidate is None or entry[:2] < candidate[:2]:
+                        candidate = entry
+        if candidate is not None:
+            cost, bracket, op, left, right = candidate
+            plan = Join(op, best[left][2], best[right][2])
+            best[mask] = (cost, bracket, plan, out_card, best[left][4] | best[right][4])
 
-    full = frozenset(tables)
     if full not in best:
         raise PlangenError("join graph is not connected")
     return best[full][2]
 
 
-def _proper_subsets(tables: tuple[str, ...]):
-    """Non-empty proper subsets, each paired once with its complement."""
-    n = len(tables)
-    for mask in range(1, (1 << n) - 1):
-        yield frozenset(tables[i] for i in range(n) if mask >> i & 1)
-
-
 def greedy_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
     """Smallest-output-first pairing over predicate-connected components."""
-    components: list[tuple[frozenset[str], PlanTree]] = [
-        (frozenset([t]), Leaf(t)) for t in sorted(query.tables)
-    ]
+    estimates = model.estimates(query)
+    # Components are (mask, neighbour mask, bracket, plan).
+    components = [(bit, neighbours, table, Leaf(table)) for bit, neighbours, table in _tables(query)]
     while len(components) > 1:
         choice = None
         for i, j in itertools.combinations(range(len(components)), 2):
-            set_i, plan_i = components[i]
-            set_j, plan_j = components[j]
-            if not _linked(set_i, set_j, query):
+            if not components[i][1] & components[j][0]:
                 continue
-            merged = set_i | set_j
-            out_card = model.subset_cardinality(merged, query)
-            for left, right in ((plan_i, plan_j), (plan_j, plan_i)):
-                plan = Join("MergeJoin", left, right)
-                entry = (out_card, tree_to_bracket(plan), plan, i, j)
+            out_card = estimates.cardinality(components[i][0] | components[j][0])
+            for left, right in ((i, j), (j, i)):
+                entry = (out_card, f"MergeJoin({components[left][2]} {components[right][2]})", left, right)
                 if choice is None or entry[:2] < choice[:2]:
                     choice = entry
         if choice is None:
             raise PlangenError("join graph is not connected")
-        _, _, plan, i, j = choice
-        merged = components[i][0] | components[j][0]
+        _, bracket, i, j = choice
+        (lmask, lnbrs, _, lplan), (rmask, rnbrs, _, rplan) = components[i], components[j]
         components = [c for k, c in enumerate(components) if k not in (i, j)]
-        components.append((merged, plan))
-    return components[0][1]
+        components.append((lmask | rmask, lnbrs | rnbrs, bracket, Join("MergeJoin", lplan, rplan)))
+    return components[0][3]
 
 
 def random_optimize(query: QuerySpec, seed: int) -> PlanTree:
     """Seeded random connected bushy tree with random operators."""
     rng = random.Random(seed)
-    components: list[tuple[frozenset[str], PlanTree]] = [
-        (frozenset([t]), Leaf(t)) for t in sorted(query.tables)
-    ]
+    # Components are (mask, neighbour mask, plan).
+    components = [(bit, neighbours, Leaf(table)) for bit, neighbours, table in _tables(query)]
     while len(components) > 1:
-        joinable = [
-            (i, j)
-            for i, j in itertools.combinations(range(len(components)), 2)
-            if _linked(components[i][0], components[j][0], query)
-        ]
+        pairs = itertools.combinations(range(len(components)), 2)
+        joinable = [(i, j) for i, j in pairs if components[i][1] & components[j][0]]
         if not joinable:
             raise PlangenError("join graph is not connected")
         i, j = joinable[rng.randrange(len(joinable))]
@@ -162,8 +142,6 @@ def random_optimize(query: QuerySpec, seed: int) -> PlanTree:
         left, right = components[i], components[j]
         if rng.random() < 0.5:
             left, right = right, left
-        plan = Join(op, left[1], right[1])
-        merged = components[i][0] | components[j][0]
         components = [c for k, c in enumerate(components) if k not in (i, j)]
-        components.append((merged, plan))
-    return components[0][1]
+        components.append((left[0] | right[0], left[1] | right[1], Join(op, left[2], right[2])))
+    return components[0][2]

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -185,6 +186,8 @@ def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: in
         raise PipelineError(f"join counts must be integers, got {joins_spec!r}") from None
     if not join_counts:
         raise PipelineError(f"no join counts in {joins_spec!r}")
+    if min(join_counts) < 1:
+        raise PipelineError(f"workload_joins needs join counts of at least 1, got {joins_spec!r}")
     queries = []
     base = count // len(join_counts)
     leftover = count - base * len(join_counts)
@@ -288,12 +291,18 @@ def build_preferences_from_logs(sft_records, plan_records, r0: float):
     return sort_triples(triples)
 
 
+def keyed_pool(pool):
+    """Pair each demonstration record with its prompt's INPUT SQL."""
+    return [(extract_input_sql(record.prompt), record) for record in pool]
+
+
 def decode_query(
     model, query, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int, label: str
 ) -> str:
-    """Greedy-decode one query; ``label`` seeds its demonstration choice."""
+    """Greedy-decode one query; ``pool`` comes from ``keyed_pool`` and
+    ``label`` seeds the demonstration choice."""
     sql = render_sql(query)
-    candidates = [r for r in pool if extract_input_sql(r.prompt) != sql]
+    candidates = [record for pool_sql, record in pool if pool_sql != sql]
     rng = _random.Random(f"{demo_seed}:infer:{label}")
     demo_record = select_demonstration(query, candidates, demo_mode, rng=rng)
     demo = demonstration_from_record(demo_record) if demo_record else None
@@ -302,10 +311,11 @@ def decode_query(
 
 def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int):
     """Greedy-decode a response for each query; returns {query_id, response} rows."""
+    keyed = keyed_pool(pool)
     return [
         {
             "query_id": qid,
-            "response": decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, qid),
+            "response": decode_query(model, query, catalog, keyed, demo_mode, demo_seed, max_len, qid),
         }
         for qid, query in zip(query_ids(queries), queries)
     ]
@@ -590,6 +600,7 @@ def call_stage(stage: Stage, config: PipelineConfig):
 class RunReport:
     report: dict
     stages: list[tuple[str, str]]
+    seconds: dict[str, float]  # wall time per stage; kept out of the run directory
 
     def cache_hits(self) -> list[str]:
         return [name for name, status in self.stages if status == "cached"]
@@ -675,10 +686,13 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _StageRunner(config)
+    seconds = {}
     for stage in STAGES:
+        start = time.perf_counter()
         runner.run(stage.name)
+        seconds[stage.name] = time.perf_counter() - start
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    return RunReport(report=report, stages=runner.statuses)
+    return RunReport(report=report, stages=runner.statuses, seconds=seconds)
 
 
 def format_report(report: dict) -> str:

@@ -328,18 +328,7 @@ def dpo_grad_check(
     return replace(report, reference_grad_zero=True)
 
 
-# --- inference and dataset-level helpers ---
-
-
-def infer(
-    model: TokenModel, prompt: str, max_len: int = 256, mode: str = "greedy",
-    temperature: float = 1.0, seed: int = 0,
-) -> str:
-    if mode == "greedy":
-        return model.greedy_decode(prompt, max_len)
-    if mode == "sample":
-        return model.sample_decode(prompt, max_len, temperature, seed)
-    raise TrainingError(f"unknown decoding mode {mode!r}")
+# --- dataset-level helpers ---
 
 
 def fit_qit_from_records(

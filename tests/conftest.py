@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
+from plangen.costs import CostModel
+from plangen.errors import PlangenError
 from plangen.model import prompt_key
-from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves
-from plangen.sql import parse_sql
+from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
+from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
+from plangen.sql import QuerySpec, parse_sql
 from plangen.tokenizer import tokenize
 from plangen.training import TraceRow
 
@@ -355,3 +359,158 @@ def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
             margin = total / len(encoded)
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
     return policy, trace
+
+
+# --- reference optimizers: the frozenset implementations the bitmask ones replaced ---
+
+
+class ReferenceCostModel(CostModel):
+    """The cost model with the per-call subset estimate the optimizers used
+    to call: leaf estimates ascending, then the subset's sorted joins."""
+
+    def subset_cardinality(self, tables, query) -> float:
+        subset = set(tables)
+        card = 1.0
+        for table in sorted(subset):
+            card *= self.leaf_cardinality(table, query)
+        for join in sorted(query.joins):
+            if join.table_a in subset and join.table_b in subset:
+                card *= self.join_selectivity(join)
+        return card
+
+
+def _ref_connected(tables: frozenset[str], query: QuerySpec) -> bool:
+    if len(tables) <= 1:
+        return True
+    adjacency = {t: set() for t in tables}
+    for j in query.joins:
+        if j.table_a in tables and j.table_b in tables:
+            adjacency[j.table_a].add(j.table_b)
+            adjacency[j.table_b].add(j.table_a)
+    start = next(iter(tables))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen == tables
+
+
+def _ref_linked(left: frozenset[str], right: frozenset[str], query: QuerySpec) -> bool:
+    return any(
+        (j.table_a in left and j.table_b in right)
+        or (j.table_a in right and j.table_b in left)
+        for j in query.joins
+    )
+
+
+def _ref_pick_operator(left_rows: float, right_rows: float) -> str:
+    if left_rows < NEST_LOOP_THRESHOLD and right_rows < NEST_LOOP_THRESHOLD:
+        return "NestLoopJoin"
+    return "HashJoin"
+
+
+def reference_dp_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
+    """Exact dynamic programming over connected table subsets."""
+    tables = sorted(query.tables)
+    if len(tables) > MAX_DP_TABLES:
+        raise TooManyTables(f"{len(tables)} tables exceeds the DP limit of {MAX_DP_TABLES}")
+    if len(tables) == 1:
+        return Leaf(tables[0])
+
+    # best[subset] = (cost, bracket, plan, estimated rows); cost counts
+    # intermediates only.
+    best: dict[frozenset[str], tuple[float, str, PlanTree, float]] = {}
+    for t in tables:
+        subset = frozenset([t])
+        best[subset] = (0.0, t, Leaf(t), model.subset_cardinality(subset, query))
+
+    for size in range(2, len(tables) + 1):
+        for combo in itertools.combinations(tables, size):
+            subset = frozenset(combo)
+            if not _ref_connected(subset, query):
+                continue
+            out_card = model.subset_cardinality(subset, query)
+            candidate: tuple[float, str, PlanTree, float] | None = None
+            for left in _ref_proper_subsets(combo):
+                right = subset - left
+                if left not in best or right not in best:
+                    continue
+                if not _ref_linked(left, right, query):
+                    continue
+                lcost, _, lplan, lcard = best[left]
+                rcost, _, rplan, rcard = best[right]
+                plan = Join(_ref_pick_operator(lcard, rcard), lplan, rplan)
+                entry = (lcost + rcost + out_card, tree_to_bracket(plan), plan, out_card)
+                if candidate is None or entry[:2] < candidate[:2]:
+                    candidate = entry
+            if candidate is not None:
+                best[subset] = candidate
+
+    full = frozenset(tables)
+    if full not in best:
+        raise PlangenError("join graph is not connected")
+    return best[full][2]
+
+
+def _ref_proper_subsets(tables: tuple[str, ...]):
+    """Non-empty proper subsets, each paired once with its complement."""
+    n = len(tables)
+    for mask in range(1, (1 << n) - 1):
+        yield frozenset(tables[i] for i in range(n) if mask >> i & 1)
+
+
+def reference_greedy_optimize(query: QuerySpec, model: CostModel) -> PlanTree:
+    """Smallest-output-first pairing over predicate-connected components."""
+    components: list[tuple[frozenset[str], PlanTree]] = [
+        (frozenset([t]), Leaf(t)) for t in sorted(query.tables)
+    ]
+    while len(components) > 1:
+        choice = None
+        for i, j in itertools.combinations(range(len(components)), 2):
+            set_i, plan_i = components[i]
+            set_j, plan_j = components[j]
+            if not _ref_linked(set_i, set_j, query):
+                continue
+            merged = set_i | set_j
+            out_card = model.subset_cardinality(merged, query)
+            for left, right in ((plan_i, plan_j), (plan_j, plan_i)):
+                plan = Join("MergeJoin", left, right)
+                entry = (out_card, tree_to_bracket(plan), plan, i, j)
+                if choice is None or entry[:2] < choice[:2]:
+                    choice = entry
+        if choice is None:
+            raise PlangenError("join graph is not connected")
+        _, _, plan, i, j = choice
+        merged = components[i][0] | components[j][0]
+        components = [c for k, c in enumerate(components) if k not in (i, j)]
+        components.append((merged, plan))
+    return components[0][1]
+
+
+def reference_random_optimize(query: QuerySpec, seed: int) -> PlanTree:
+    """Seeded random connected bushy tree with random operators."""
+    rng = random.Random(seed)
+    components: list[tuple[frozenset[str], PlanTree]] = [
+        (frozenset([t]), Leaf(t)) for t in sorted(query.tables)
+    ]
+    while len(components) > 1:
+        joinable = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(components)), 2)
+            if _ref_linked(components[i][0], components[j][0], query)
+        ]
+        if not joinable:
+            raise PlangenError("join graph is not connected")
+        i, j = joinable[rng.randrange(len(joinable))]
+        op = rng.choice(("HashJoin", "MergeJoin", "NestLoopJoin"))
+        left, right = components[i], components[j]
+        if rng.random() < 0.5:
+            left, right = right, left
+        plan = Join(op, left[1], right[1])
+        merged = components[i][0] | components[j][0]
+        components = [c for k, c in enumerate(components) if k not in (i, j)]
+        components.append((merged, plan))
+    return components[0][1]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plangen.catalog import MicroTable, catalog_from_tables
+from plangen.catalog import MicroTable, catalog_from_tables, load_catalog, load_tables
 from plangen.costs import CostModel
 from plangen.executor import ExecutionError, execute_plan, micro_execute
 from plangen.optimizers import (
@@ -16,7 +16,17 @@ from plangen.optimizers import (
 from plangen.plans import Join, Leaf, leaves, tree_to_bracket
 from plangen.sql import parse_sql
 from plangen.workload import WorkloadError, gen_workload, load_join_graph
-from tests.conftest import brute_force_counts, brute_force_join, canonical_multiset, reference_time
+from tests.conftest import (
+    FIXTURES_DIR,
+    ReferenceCostModel,
+    brute_force_counts,
+    brute_force_join,
+    canonical_multiset,
+    reference_dp_optimize,
+    reference_greedy_optimize,
+    reference_random_optimize,
+    reference_time,
+)
 
 
 def all_bushy_plans(tables, query):
@@ -300,6 +310,35 @@ def test_micro_execute_time_is_formula_over_true_counts(micro_db, micro_join_lin
     memo = {}
     shared = {i: micro_execute(plans[i], query, micro_db, memo=memo).time for i in order}
     assert [shared[i] for i in range(len(plans))] == alone
+
+
+@pytest.fixture(scope="module")
+def fixture_db():
+    join_lines = (FIXTURES_DIR / "joins.txt").read_text(encoding="utf-8").splitlines()
+    return load_tables(FIXTURES_DIR / "tables"), join_lines, load_catalog(FIXTURES_DIR / "catalog.txt")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bitmask_optimizers_equal_frozenset_references(fixture_db, data):
+    # Random connected subsets of the fixture join graph, random selections:
+    # the same plans as the frozenset implementations, and every table
+    # subset's estimate bit-equal to the per-call formula.
+    tables_by_name, join_lines, catalog = fixture_db
+    query = data.draw(micro_subqueries(tables_by_name, join_lines))
+    seed = data.draw(st.integers(0, 2**32))
+    model, reference = CostModel(catalog), ReferenceCostModel(catalog)
+    assert dp_optimize(query, model) == reference_dp_optimize(query, reference)
+    assert greedy_optimize(query, model) == reference_greedy_optimize(query, reference)
+    assert random_optimize(query, seed) == reference_random_optimize(query, seed)
+
+    estimates = model.estimates(query)
+    tables = sorted(query.tables)
+    for size in range(1, len(tables) + 1):
+        for subset in itertools.combinations(tables, size):
+            expected = reference.subset_cardinality(subset, query).hex()
+            assert estimates.cardinality(estimates.mask(subset)).hex() == expected
+            assert model.subset_cardinality(subset, query).hex() == expected
 
 
 def _assign_ops(plan, ops):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -124,6 +125,9 @@ def test_pipeline_rerun_all_cached(tmp_path):
     assert all(status == "cached" for _, status in second.stages)
     assert first.report == second.report
     assert second.cache_hits() == [name for name, _ in second.stages]
+    for result in (first, second):
+        assert list(result.seconds) == [name for name, _ in result.stages]
+        assert all(seconds >= 0 for seconds in result.seconds.values())
 
 
 def test_pipeline_stage_invalidation(tmp_path):
@@ -187,13 +191,18 @@ def test_interrupted_stage_is_recomputed(tmp_path, monkeypatch):
 
 def test_run_optimizers_log_matches_golden_digest(tmp_path):
     # 60 queries over 3-5 joins: every personality on the bushy shapes where
-    # plan timing does the most work. The digest pins the log bytes.
+    # plan timing does the most work; and 60 over 1-5 joins, so one- and
+    # two-join queries are pinned too. The digests pin the log bytes.
     catalog = load_catalog(FIXTURES / "catalog.txt")
-    queries = stage_workload(catalog, FIXTURES / "joins.txt", "3,4,5", 60, 7)
-    records = run_optimizers(queries, catalog, load_tables(FIXTURES / "tables"), 11)
-    write_jsonl(records, tmp_path / "plans.jsonl")
-    digest = hashlib.sha256((tmp_path / "plans.jsonl").read_bytes()).hexdigest()
-    assert digest == "14f48d875f76664ce715f057b5f56604517a342effe56629595ed64663bf27d1"
+    for joins, expected in (
+        ("3,4,5", "14f48d875f76664ce715f057b5f56604517a342effe56629595ed64663bf27d1"),
+        ("1,2,3,4,5", "e5c5ad5d42592caf0dbdf4b10628ed21fc05a887685858df73760eb72e13b6e1"),
+    ):
+        queries = stage_workload(catalog, FIXTURES / "joins.txt", joins, 60, 7)
+        records = run_optimizers(queries, catalog, load_tables(FIXTURES / "tables"), 11)
+        write_jsonl(records, tmp_path / "plans.jsonl")
+        digest = hashlib.sha256((tmp_path / "plans.jsonl").read_bytes()).hexdigest()
+        assert digest == expected, joins
 
 
 def test_report_shape(tmp_path):
@@ -396,6 +405,12 @@ def _bad_join_counts(tmp_path):
     return ["run", "--config", cfg, "--workload-joins", "1,x"], "1,x"
 
 
+def _zero_join_count(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
+    return ["run", "--config", cfg, "--workload-joins", "0,1"], "workload_joins"
+
+
 def _checkpoint_without_vocab(tmp_path):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text(
@@ -461,9 +476,9 @@ def _sft_with_list_response(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    [_bad_config_value, _bad_join_counts, _checkpoint_without_vocab, _corpus_without_response,
-     _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input, _corpus_with_numeric_sql,
-     _dpo_with_numeric_chosen, _sft_with_list_response],
+    [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
+     _corpus_without_response, _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input,
+     _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
@@ -525,6 +540,7 @@ def test_cli_run_and_report(tmp_path):
     result = invoke("run", "--config", cfg_file)
     assert result.exit_code == 0, result.output
     assert "stage workload: computed" in result.output
+    assert re.search(r"^stage report: computed in \d+\.\d{3} s$", result.output, re.MULTILINE)
     assert "Median" in result.output
 
     result = invoke("report", "--run-dir", run_dir, "--json")

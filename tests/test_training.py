@@ -20,7 +20,6 @@ from plangen.training import (
     dpo_grad_check,
     encode_triples,
     fit_qit_from_records,
-    infer,
     mean_margin,
     qdpo_config,
     qit_config,
@@ -210,15 +209,6 @@ def test_beta_controls_divergence(micro_catalog):
     disp_small = float(np.linalg.norm(small.theta - policy.theta))
     disp_large = float(np.linalg.norm(large.theta - policy.theta))
     assert disp_large < disp_small
-
-
-def test_infer_modes(overfit_pair):
-    model, _ = fit_qit_from_records([overfit_pair], qit_config(steps=30, seed=0))
-    assert infer(model, overfit_pair[0], max_len=5) == model.greedy_decode(overfit_pair[0], 5)
-    sampled = infer(model, overfit_pair[0], max_len=5, mode="sample", temperature=2.0, seed=1)
-    assert isinstance(sampled, str)
-    with pytest.raises(TrainingError):
-        infer(model, overfit_pair[0], mode="beam")
 
 
 def test_write_trace(tmp_path, overfit_pair):
