@@ -82,8 +82,8 @@ def split_workload_cmd(workload, ratio, seed, mode, out_train, out_test):
 @_domain_errors
 def run_optimizers_cmd(workload, catalog_path, tables_dir, random_seed, out):
     """Plan every query with the three personalities and micro-time the plans."""
-    records = pl.plans_stage(workload, catalog_path, tables_dir, out, random_seed)
-    click.echo(f"wrote {len(records)} plan records to {out}")
+    log = pl.plans_stage(workload, catalog_path, tables_dir, out, random_seed)
+    click.echo(f"wrote {sum(map(len, log.values()))} plan records to {out}")
 
 
 @cli.command("gen-sft")
@@ -293,13 +293,11 @@ def grad_check_cmd(model_path, loss, sft_path, dpo_path, reference, beta, step,
 @click.option("--run-dir", required=True, type=click.Path(exists=True))
 @click.option("--build", is_flag=True,
               help="Rebuild report.json from the run directory's artifacts.")
-@click.option("--catalog", "catalog_path", type=click.Path(exists=True), default=None,
-              help="Accepted for older command lines; the report does not read it.")
 @click.option("--tables", "tables_dir", type=click.Path(exists=True), default=None,
               help="Needed with --build.")
 @click.option("--json", "as_json", is_flag=True, help="Print machine-readable JSON.")
 @_domain_errors
-def report_cmd(run_dir, build, catalog_path, tables_dir, as_json):
+def report_cmd(run_dir, build, tables_dir, as_json):
     """Print a run report; --build reconstructs it from the artifacts."""
     run = Path(run_dir)
     if build:
@@ -310,7 +308,7 @@ def report_cmd(run_dir, build, catalog_path, tables_dir, as_json):
     report_file = run / "report.json"
     if not report_file.exists():
         raise PlangenError(f"{report_file} does not exist (run the pipeline or pass --build)")
-    report = json.loads(report_file.read_text(encoding="utf-8"))
+    report = pl.read_json(report_file)
     if as_json:
         click.echo(json.dumps(report, sort_keys=True))
     else:

@@ -12,14 +12,15 @@ itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import Catalog, serialize_stats
 from .errors import PlangenError
+from .executor import PlanLog, best_timing
 from .jsonl import read_jsonl, write_jsonl
-from .plans import bracket_to_tree, render_response
+from .plans import render_response
 from .sql import QuerySpec, QueryTemplate, parse_sql, render_sql, template_of
 
 INSTRUCTION_TEXT = (
@@ -156,70 +157,46 @@ def demonstration_from_record(record: InstructionRecord) -> Demonstration:
     )
 
 
-def best_plan(timings: Iterable[tuple[str, int]]) -> str:
-    """Pick the minimum-time bracket; ties break lexicographically."""
-    best_entry = None
-    for bracket, time in timings:
-        entry = (time, bracket)
-        if best_entry is None or entry < best_entry:
-            best_entry = entry
-    if best_entry is None:
-        raise DatasetError("no plan log records")
-    return best_entry[1]
+def query_ids(queries) -> list[str]:
+    """The id of each query of a workload, by its position: q0001, q0002, ..."""
+    return [f"q{i + 1:04d}" for i in range(len(queries))]
 
 
 def build_sft_dataset(
     workload: Sequence[QuerySpec],
-    plan_logs: dict[str, list[tuple[str, int]]],
+    plan_logs: PlanLog,
     catalog: Catalog,
     demo_mode: str = "strict",
     seed: int = 0,
-    query_ids: Sequence[str] | None = None,
 ) -> list[InstructionRecord]:
-    """One record per query; responses render each query's best logged plan.
-
-    ``plan_logs`` maps query_id to (bracket, time_units) pairs. Demonstration
-    choices are seeded per query so assembly order never matters.
+    """One record per query; each response renders the query's best logged
+    plan (``best_timing``). Demonstration choices are seeded per query so
+    assembly order never matters.
     """
-    if query_ids is None:
-        query_ids = [f"q{i + 1:04d}" for i in range(len(workload))]
-
-    entries = []
-    for query_id, query in zip(query_ids, workload):
-        if query_id not in plan_logs or not plan_logs[query_id]:
-            raise DatasetError(f"missing plan log for query {query_id}")
-        bracket = best_plan(plan_logs[query_id])
-        response = render_response(bracket_to_tree(bracket))
-        entries.append((query_id, query, response))
-
     # Phase one builds every response; phase two can then draw demonstrations
     # from sibling records.
-    pool = [
-        InstructionRecord(
-            query_id=query_id,
-            prompt=build_prompt(query, catalog),
-            response=response,
-            template=template_of(query),
-        )
-        for query_id, query, response in entries
-    ]
-
-    records = []
-    for (query_id, query, response), bare in zip(entries, pool):
-        # String seeding hashes with sha512, stable across processes.
-        rng = random.Random(f"{seed}:{query_id}")
-        demo_record = select_demonstration(
-            query, pool, demo_mode, rng=rng, exclude_query_id=query_id
-        )
-        demo = demonstration_from_record(demo_record) if demo_record else None
-        records.append(
+    pool = []
+    for query_id, query in zip(query_ids(workload), workload):
+        if not plan_logs.get(query_id):
+            raise DatasetError(f"missing plan log for query {query_id}")
+        pool.append(
             InstructionRecord(
                 query_id=query_id,
-                prompt=build_prompt(query, catalog, demo),
-                response=response,
-                template=bare.template,
+                prompt=build_prompt(query, catalog),
+                response=render_response(best_timing(plan_logs[query_id]).plan),
+                template=template_of(query),
             )
         )
+
+    records = []
+    for query, bare in zip(workload, pool):
+        # String seeding hashes with sha512, stable across processes.
+        rng = random.Random(f"{seed}:{bare.query_id}")
+        demo_record = select_demonstration(
+            query, pool, demo_mode, rng=rng, exclude_query_id=bare.query_id
+        )
+        demo = demonstration_from_record(demo_record) if demo_record else None
+        records.append(replace(bare, prompt=build_prompt(query, catalog, demo)))
     records.sort(key=lambda r: r.query_id)
     return records
 

@@ -15,6 +15,11 @@ share a memo build each subset's rows once.
 
 The total touch count stands in for wall-clock time, so threshold
 comparisons downstream are exactly reproducible.
+
+A plan log (``plans_*.jsonl``) holds one {query_id, optimizer, bracket,
+time_units} record per timed plan. ``read_plan_log`` is its one reader, and
+``best_timing`` the one rule for which of a query's plans is preferred: the
+instruction-tuning response and the chosen side of every preference triple.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 from .catalog import MicroTable
 from .errors import PlangenError
-from .plans import Leaf, PlanTree
+from .jsonl import NUMBER, read_jsonl, write_jsonl
+from .plans import Leaf, PlanTree, bracket_to_tree, tree_to_bracket
 from .sql import QuerySpec
 
 
@@ -42,6 +50,43 @@ class PlanTiming:
     def __post_init__(self):
         if self.time <= 0:
             raise ExecutionError(f"non-positive execution time {self.time}")
+
+
+# Each query's timed plans, keyed by query id.
+PlanLog = dict[str, list[PlanTiming]]
+
+
+def best_timing(timings: Sequence[PlanTiming]) -> PlanTiming:
+    """Least time; a tie goes to the smaller bracket, then to the earlier timing."""
+    return min(timings, key=lambda t: (t.time, tree_to_bracket(t.plan)))
+
+
+def write_plan_log(log: PlanLog, path: str | Path) -> None:
+    write_jsonl(
+        (
+            {"query_id": query_id, "optimizer": t.optimizer_id,
+             "bracket": tree_to_bracket(t.plan), "time_units": t.time}
+            for query_id in sorted(log)
+            for t in log[query_id]
+        ),
+        path,
+    )
+
+
+def read_plan_log(path: str | Path) -> PlanLog:
+    """Each query's timings in file order. A bad bracket, a non-positive time or
+    a query's second plan from one optimizer is reported as ``path:line``."""
+    log: PlanLog = {}
+
+    def add(row: dict) -> None:
+        timings = log.setdefault(row["query_id"], [])
+        if any(t.optimizer_id == row["optimizer"] for t in timings):
+            raise ExecutionError(f"second plan of {row['optimizer']!r} for {row['query_id']}")
+        timings.append(PlanTiming(row["optimizer"], bracket_to_tree(row["bracket"]), row["time_units"]))
+
+    fields = {"query_id": str, "optimizer": str, "bracket": str, "time_units": NUMBER}
+    read_jsonl(path, fields, add)
+    return log
 
 
 @dataclass

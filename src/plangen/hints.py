@@ -53,7 +53,6 @@ def _postorder_joins(plan: PlanTree):
 
 
 _HINT_RE = re.compile(r"^/\*\+\s*(.*?)\s*\*/$", re.DOTALL)
-_CLAUSE_RE = re.compile(r"(\w+)\(([^()]*(?:\([^()]*\))*[^()]*)\)")
 
 
 def parse_hints(text: str) -> PlanTree:

@@ -71,6 +71,8 @@ class TokenModel:
 
     @classmethod
     def create(cls, vocab: Vocabulary, n_contexts: int = DEFAULT_CONTEXTS) -> "TokenModel":
+        if not isinstance(n_contexts, int) or n_contexts < 1:
+            raise ModelError(f"n_contexts must be an integer of at least 1, got {n_contexts!r}")
         return cls(vocab, n_contexts, np.zeros((n_contexts, len(vocab)), dtype=np.float64))
 
     def copy(self) -> "TokenModel":
@@ -243,16 +245,23 @@ def load_model(path: str | Path) -> TokenModel:
         if key not in payload:
             raise ModelError(f"checkpoint {path} has no {key!r}")
     vocab = Vocabulary(tuple(payload["vocab"]))
-    n_contexts = payload["n_contexts"]
-    theta = np.zeros((n_contexts, len(vocab)), dtype=np.float64)
+    try:
+        model = TokenModel.create(vocab, payload["n_contexts"])
+    except ModelError as exc:
+        raise ModelError(f"checkpoint {path}: {exc}") from None
     for key, blob in payload["rows"].items():
-        ctx = int(key)
-        if not 0 <= ctx < n_contexts:
+        try:
+            ctx = int(key)
+        except ValueError:
+            raise ModelError(f"checkpoint {path}: row key {key!r} is not an integer") from None
+        if not 0 <= ctx < model.n_contexts:
             raise ModelError(f"checkpoint row {ctx} outside the context table")
+        if not isinstance(blob, str):
+            raise ModelError(f"checkpoint {path}: row {ctx} is not a base64 string")
         row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
         if len(row) != len(vocab):
             raise ModelError(f"checkpoint row {ctx} does not match the vocabulary size")
-        theta[ctx] = row
-    if not np.isfinite(theta).all():
+        model.theta[ctx] = row
+    if not np.isfinite(model.theta).all():
         raise ModelError("checkpoint contains non-finite parameters")
-    return TokenModel(vocab, n_contexts, theta)
+    return model

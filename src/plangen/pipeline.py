@@ -44,15 +44,15 @@ from .dataset import (
     demonstration_from_record,
     extract_input_sql,
     load_dataset,
+    query_ids,
     select_demonstration,
     write_dataset,
 )
 from .errors import PlangenError
-from .executor import PlanTiming, micro_execute
-from .jsonl import NUMBER, read_jsonl, write_jsonl
+from .executor import PlanLog, micro_execute, read_plan_log, write_plan_log
+from .jsonl import read_jsonl, write_jsonl
 from .model import DEFAULT_CONTEXTS, load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
-from .plans import bracket_to_tree, tree_to_bracket
 from .preferences import (
     PreferenceConfig,
     extend_dataset,
@@ -61,7 +61,7 @@ from .preferences import (
     sort_triples,
     write_preference_file,
 )
-from .sql import parse_sql, render_sql
+from .sql import parse_sql, render_sql, template_of
 from .training import (
     TrainConfig,
     fit_qit_from_records,
@@ -153,25 +153,34 @@ class PipelineConfig:
 
 # --- small file helpers ---
 
-PLAN_KEYS = {"query_id": str, "optimizer": str, "bracket": str, "time_units": NUMBER}
 RESPONSE_KEYS = {"query_id": str, "response": str}
 
 
 def read_workload(path: str | Path) -> list:
     queries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if line.strip():
-            queries.append(parse_sql(line))
+            try:
+                queries.append(parse_sql(line))
+            except PlangenError as exc:
+                raise PipelineError(f"{path}:{lineno}: {exc}") from None
     return queries
-
-
-def query_ids(queries) -> list[str]:
-    return [f"q{i + 1:04d}" for i in range(len(queries))]
 
 
 def write_workload(queries, path: str | Path) -> None:
     lines = [render_sql(q) for q in queries]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def read_json(path: Path) -> dict:
+    """A JSON object file of a run directory: stages.json or report.json."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # malformed JSON or bytes that are not UTF-8
+        raise PipelineError(f"{path}: not valid JSON") from None
+    if not isinstance(value, dict):
+        raise PipelineError(f"{path}: not a JSON object")
+    return value
 
 
 # --- library functions the stages are built from ---
@@ -211,83 +220,49 @@ def split_workload(queries, ratio: float, seed: int, mode: str = "random"):
         order = sorted(range(n), key=lambda i: (len(queries[i].joins), i))
         train_idx = sorted(order[:n_train])
     else:  # by-template
-        from .sql import template_of
-
-        keys = sorted({template_of(q).key() for q in queries})
+        query_keys = [template_of(q).key() for q in queries]
+        keys = sorted(set(query_keys))
         rng = _random.Random(f"split-templates:{seed}")
         rng.shuffle(keys)
         held = set()
         test_target = n - n_train
         picked = 0
         for key in keys:
-            members = [i for i, q in enumerate(queries) if template_of(q).key() == key]
-            if picked + len(members) > test_target and picked > 0:
+            members = query_keys.count(key)
+            if picked + members > test_target and picked > 0:
                 continue
             held.add(key)
-            picked += len(members)
+            picked += members
             if picked >= test_target:
                 break
-        train_idx = sorted(
-            i for i, q in enumerate(queries) if template_of(q).key() not in held
-        )
+        train_idx = [i for i, key in enumerate(query_keys) if key not in held]
     test_idx = sorted(set(range(n)) - set(train_idx))
     return [queries[i] for i in train_idx], [queries[i] for i in test_idx]
 
 
-OPTIMIZER_NAMES = ("dp", "greedy", "random")
-
-
-def run_optimizers(queries, catalog: Catalog, tables, random_seed_base: int = 0):
+def run_optimizers(queries, catalog: Catalog, tables, random_seed_base: int = 0) -> PlanLog:
     """Plan and micro-time every query under the three personalities."""
     model = CostModel(catalog)
-    records = []
-    for index, query in enumerate(queries):
-        qid = f"q{index + 1:04d}"
-        produced = {
-            "dp": dp_optimize(query, model),
-            "greedy": greedy_optimize(query, model),
-            "random": random_optimize(query, seed=random_seed_base + index),
-        }
+    log = {}
+    for index, (query_id, query) in enumerate(zip(query_ids(queries), queries)):
+        plans = (
+            ("dp", dp_optimize(query, model)),
+            ("greedy", greedy_optimize(query, model)),
+            ("random", random_optimize(query, seed=random_seed_base + index)),
+        )
         memo = {}  # the three plans share the query's subset results
-        for name in OPTIMIZER_NAMES:
-            timing = micro_execute(produced[name], query, tables, name, memo)
-            records.append(
-                {
-                    "query_id": qid,
-                    "optimizer": name,
-                    "bracket": tree_to_bracket(timing.plan),
-                    "time_units": timing.time,
-                }
-            )
-    records.sort(key=lambda r: (r["query_id"], r["optimizer"]))
-    return records
+        log[query_id] = [micro_execute(plan, query, tables, name, memo) for name, plan in plans]
+    return log
 
 
-def plan_log_by_query(records: list[dict]) -> dict[str, list[dict]]:
-    grouped: dict[str, list[dict]] = {}
-    for record in records:
-        grouped.setdefault(record["query_id"], []).append(record)
-    return grouped
-
-
-def _plan_timings(records: list[dict]) -> list[PlanTiming]:
-    return [
-        PlanTiming(r["optimizer"], bracket_to_tree(r["bracket"]), r["time_units"])
-        for r in records
-    ]
-
-
-def build_preferences_from_logs(sft_records, plan_records, r0: float):
-    """Preference triples for every query with at least two logged plans."""
+def build_preferences_from_logs(sft_records, log: PlanLog, r0: float):
+    """Preference triples for every query of the log that has an SFT prompt."""
     config = PreferenceConfig(r0)
-    grouped = plan_log_by_query(plan_records)
     prompts = {r.query_id: r.prompt for r in sft_records}
     triples = []
-    for query_id in sorted(grouped):
-        if query_id not in prompts:
-            continue
-        timings = _plan_timings(grouped[query_id])
-        triples.extend(generate_preferences(timings, prompts[query_id], config, query_id))
+    for query_id in sorted(log):
+        if query_id in prompts:
+            triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
     return sort_triples(triples)
 
 
@@ -341,31 +316,29 @@ def timing_summary(values) -> dict:
     }
 
 
-def build_report(test_queries, plans_test, model_responses, tables) -> dict:
+def build_report(test_queries, plans_test: PlanLog, model_responses, tables) -> dict:
     """Validity and timing quantiles per plan source over the test split."""
-    ids = query_ids(test_queries)
-    by_id = dict(zip(ids, test_queries))
-    timings: dict[str, list[int]] = {name: [] for name in OPTIMIZER_NAMES}
-    for record in plans_test:
-        timings[record["optimizer"]].append(record["time_units"])
+    by_id = dict(zip(query_ids(test_queries), test_queries))
+    timings: dict[str, list[int]] = {}
+    for query_timings in plans_test.values():
+        for timing in query_timings:
+            timings.setdefault(timing.optimizer_id, []).append(timing.time)
 
     validity = {}
     for source, rows in model_responses.items():
         counts = {"E1": 0, "E2": 0, "E3": 0}
-        valid = 0
-        times = []
+        times = []  # of the valid responses
         for row in rows:
             query = by_id[row["query_id"]]
             report = validator.validate(row["response"], query)
             if report.valid:
-                valid += 1
                 times.append(micro_execute(report.plan, query, tables, source).time)
             for code in report.errors:
                 counts[code] += 1
         validity[source] = {
             "total": len(rows),
-            "valid": valid,
-            "rate": valid / len(rows) if rows else 0.0,
+            "valid": len(times),
+            "rate": len(times) / len(rows) if rows else 0.0,
             "errors": counts,
         }
         if times:
@@ -376,7 +349,6 @@ def build_report(test_queries, plans_test, model_responses, tables) -> dict:
         "timings": {
             source: timing_summary(values)
             for source, values in sorted(timings.items())
-            if values
         },
     }
 
@@ -401,26 +373,22 @@ def split_stage(workload, train_out, test_out, ratio: float, seed: int, mode: st
 
 
 def plans_stage(workload, catalog, tables, out, random_seed: int):
-    records = run_optimizers(
+    log = run_optimizers(
         read_workload(workload), load_catalog(catalog), load_tables(tables), random_seed
     )
-    write_jsonl(records, out)
-    return records
+    write_plan_log(log, out)
+    return log
 
 
 def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
-    logs = {
-        qid: [(r["bracket"], r["time_units"]) for r in records]
-        for qid, records in plan_log_by_query(read_jsonl(plans, PLAN_KEYS)).items()
-    }
     queries = read_workload(workload)
-    records = build_sft_dataset(queries, logs, load_catalog(catalog), demo_mode, seed)
+    records = build_sft_dataset(queries, read_plan_log(plans), load_catalog(catalog), demo_mode, seed)
     write_dataset(records, out)
     return records
 
 
 def dpo_stage(plans, sft, out, r0: float):
-    triples = build_preferences_from_logs(load_dataset(sft), read_jsonl(plans, PLAN_KEYS), r0)
+    triples = build_preferences_from_logs(load_dataset(sft), read_plan_log(plans), r0)
     write_preference_file(triples, out)
     return triples
 
@@ -471,7 +439,7 @@ def report_stage(
         "qdpo": read_jsonl(responses_qdpo, RESPONSE_KEYS),
     }
     report = build_report(
-        test_queries, read_jsonl(plans_test, PLAN_KEYS), responses, load_tables(tables)
+        test_queries, read_plan_log(plans_test), responses, load_tables(tables)
     )
     report["datasets"] = {
         "workload": _count_records(workload),
@@ -497,28 +465,28 @@ def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
     """
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
-    old_by_query = plan_log_by_query(read_jsonl(plans, PLAN_KEYS))
-    new_by_query = plan_log_by_query(read_jsonl(plans_new, PLAN_KEYS))
+    old_log = read_plan_log(plans)
+    new_log = read_plan_log(plans_new)
     existing_by_query: dict[str, list] = {}
     for triple in load_preference_file(dpo):
         existing_by_query.setdefault(triple.query_id, []).append(triple)
 
     updated = []
     added_count = 0
-    for query_id in sorted(old_by_query):
+    for query_id in sorted(old_log):
         if query_id not in prompts:
             continue
         existing = existing_by_query.get(query_id, [])
-        new_records = new_by_query.get(query_id, [])
-        if not new_records:
+        new_timings = new_log.get(query_id, [])
+        if not new_timings:
             updated.extend(existing)
             continue
-        if len(new_records) != 1:
-            raise PipelineError(f"expected one new plan for {query_id}, got {len(new_records)}")
+        if len(new_timings) != 1:
+            raise PipelineError(f"expected one new plan for {query_id}, got {len(new_timings)}")
         merged, added = extend_dataset(
             existing,
-            _plan_timings(new_records)[0],
-            _plan_timings(old_by_query[query_id]),
+            new_timings[0],
+            old_log[query_id],
             prompts[query_id],
             config,
             query_id,
@@ -612,9 +580,7 @@ class _StageRunner:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.manifest_path = Path(config.out_dir) / "stages.json"
-        self.manifest = {}
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        self.manifest = read_json(self.manifest_path) if self.manifest_path.exists() else {}
         self.statuses: list[tuple[str, str]] = []
         self._digests: dict[Path, bytes] = {}
 
@@ -691,7 +657,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         start = time.perf_counter()
         runner.run(stage.name)
         seconds[stage.name] = time.perf_counter() - start
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    report = read_json(out / "report.json")
     return RunReport(report=report, stages=runner.statuses, seconds=seconds)
 
 

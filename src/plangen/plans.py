@@ -131,25 +131,13 @@ def tree_to_bracket(plan: PlanTree) -> str:
 _BRACKET_TOKEN_RE = re.compile(r"\s*([()]|[^\s()]+)")
 
 
-def _lex_bracket(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _BRACKET_TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
-
-
 def bracket_to_tree(text: str) -> PlanTree:
     """Total parser for the bracket grammar; inverse of tree_to_bracket.
 
     Raises the structured subclasses of BracketParseError so the validator
     can classify malformed responses.
     """
-    tokens = _lex_bracket(text)
+    tokens = _BRACKET_TOKEN_RE.findall(text)
     if not tokens:
         raise MissingOperand("empty bracket expression")
     plan, pos = _parse_node(tokens, 0)

@@ -2,9 +2,10 @@
 
 For one query, the fastest plan becomes the single preferred response; every
 other plan whose time ratio t_best / t_i falls strictly below the threshold
-becomes a dispreferred partner. Ties for the best plan break on the
-lexicographically smallest bracket so results never depend on optimizer
-iteration order. Queries yielding no dispreferred plan contribute nothing.
+becomes a dispreferred partner. ``executor.best_timing`` picks the fastest
+plan, as it does for the instruction-tuning response: ties break on the
+lexicographically smallest bracket. Queries yielding no dispreferred plan
+contribute nothing.
 
 When a new optimizer arrives, the dataset extends incrementally: if the new
 plan is a strict improvement it becomes the preferred side against every old
@@ -21,9 +22,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import PlangenError
-from .executor import PlanTiming
+from .executor import PlanTiming, best_timing
 from .jsonl import NUMBER, read_jsonl, write_jsonl
-from .plans import render_response, tree_to_bracket
+from .plans import render_response
 
 
 class PreferenceError(PlangenError):
@@ -61,8 +62,17 @@ class PreferenceTriple:
         return (self.query_id, self.chosen, self.rejected, self.rejected_optimizer)
 
 
-def _pick_best(timings: Sequence[PlanTiming]) -> PlanTiming:
-    return min(timings, key=lambda t: (t.time, tree_to_bracket(t.plan)))
+def _triple(query_id: str, prompt: str, chosen: PlanTiming, rejected: PlanTiming) -> PreferenceTriple:
+    return PreferenceTriple(
+        query_id=query_id,
+        prompt=prompt,
+        chosen=render_response(chosen.plan),
+        rejected=render_response(rejected.plan),
+        t_chosen=chosen.time,
+        t_rejected=rejected.time,
+        chosen_optimizer=chosen.optimizer_id,
+        rejected_optimizer=rejected.optimizer_id,
+    )
 
 
 def generate_preferences(
@@ -78,24 +88,12 @@ def generate_preferences(
     if len(set(ids)) != len(ids):
         raise PreferenceError(f"duplicate optimizer ids in {ids}")
 
-    best = _pick_best(timings)
-    chosen_text = render_response(best.plan)
-    triples = []
-    for timing in timings:
-        if best.time / timing.time < config.ratio_threshold:
-            triples.append(
-                PreferenceTriple(
-                    query_id=query_id,
-                    prompt=prompt,
-                    chosen=chosen_text,
-                    rejected=render_response(timing.plan),
-                    t_chosen=best.time,
-                    t_rejected=timing.time,
-                    chosen_optimizer=best.optimizer_id,
-                    rejected_optimizer=timing.optimizer_id,
-                )
-            )
-    return triples
+    best = best_timing(timings)
+    return [
+        _triple(query_id, prompt, best, timing)
+        for timing in timings
+        if best.time / timing.time < config.ratio_threshold
+    ]
 
 
 def extend_preferences(
@@ -114,44 +112,19 @@ def extend_preferences(
         raise PreferenceError(f"optimizer {new_timing.optimizer_id!r} already present")
 
     seen = {t.key() for t in existing}
-    incumbent = _pick_best(list(old_timings))
-    # The new plan takes over under the same (time, bracket) order the
-    # from-scratch generator uses, so tie-breaks stay consistent.
-    new_key = (new_timing.time, tree_to_bracket(new_timing.plan))
-    incumbent_key = (incumbent.time, tree_to_bracket(incumbent.plan))
-
-    added = []
-    if new_key < incumbent_key:
-        chosen_text = render_response(new_timing.plan)
-        for timing in old_timings:
-            if new_timing.time / timing.time < config.ratio_threshold:
-                triple = PreferenceTriple(
-                    query_id=query_id,
-                    prompt=prompt,
-                    chosen=chosen_text,
-                    rejected=render_response(timing.plan),
-                    t_chosen=new_timing.time,
-                    t_rejected=timing.time,
-                    chosen_optimizer=new_timing.optimizer_id,
-                    rejected_optimizer=timing.optimizer_id,
-                )
-                if triple.key() not in seen:
-                    added.append(triple)
+    incumbent = best_timing(old_timings)
+    # The new plan takes over under the order the from-scratch generator
+    # uses; on an exact tie the incumbent, listed first, stays.
+    if best_timing([incumbent, new_timing]) is new_timing:
+        pairs = [(new_timing, timing) for timing in old_timings]
     else:
-        if incumbent.time / new_timing.time < config.ratio_threshold:
-            triple = PreferenceTriple(
-                query_id=query_id,
-                prompt=prompt,
-                chosen=render_response(incumbent.plan),
-                rejected=render_response(new_timing.plan),
-                t_chosen=incumbent.time,
-                t_rejected=new_timing.time,
-                chosen_optimizer=incumbent.optimizer_id,
-                rejected_optimizer=new_timing.optimizer_id,
-            )
-            if triple.key() not in seen:
-                added.append(triple)
-    return added
+        pairs = [(incumbent, new_timing)]
+    triples = [
+        _triple(query_id, prompt, chosen, rejected)
+        for chosen, rejected in pairs
+        if chosen.time / rejected.time < config.ratio_threshold
+    ]
+    return [t for t in triples if t.key() not in seen]
 
 
 def extend_dataset(
@@ -169,7 +142,7 @@ def extend_dataset(
     over the union of optimizers.
     """
     added = extend_preferences(existing, new_timing, old_timings, prompt, config, query_id)
-    overall = _pick_best([*old_timings, new_timing])
+    overall = best_timing([*old_timings, new_timing])
     chosen_text = render_response(overall.plan)
     updated = [t for t in existing if t.chosen == chosen_text]
     updated.extend(added)

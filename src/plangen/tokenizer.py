@@ -18,7 +18,6 @@ BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
 
-_STANDALONE = "()[],:"
 _TOKEN_RE = re.compile(r"[()\[\],:]|[^\s()\[\],:]+")
 
 

@@ -19,7 +19,8 @@ from plangen.dataset import (
     write_dataset,
 )
 from plangen.catalog import serialize_stats
-from plangen.plans import parse_response
+from plangen.executor import PlanTiming
+from plangen.plans import bracket_to_tree, parse_response
 from plangen.sql import parse_sql, render_sql, template_of
 from plangen.validator import validate
 
@@ -147,16 +148,21 @@ def test_select_demonstration_fallback_max_jaccard(micro_catalog):
     assert got.query_id == best == "q2"
 
 
+def timed(optimizer: str, bracket: str, time: int) -> PlanTiming:
+    return PlanTiming(optimizer, bracket_to_tree(bracket), time)
+
+
 def test_build_sft_dataset_best_plan_and_tiebreak(micro_catalog):
     workload = [
         parse_sql("SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"),
         parse_sql("SELECT * FROM title, movie_keyword WHERE title.movie_id = movie_keyword.movie_id;"),
     ]
     logs = {
-        "q0001": [("HashJoin(cast_info title)", 100), ("MergeJoin(cast_info title)", 180)],
+        "q0001": [timed("dp", "HashJoin(cast_info title)", 100),
+                  timed("greedy", "MergeJoin(cast_info title)", 180)],
         "q0002": [
-            ("NestLoopJoin(movie_keyword title)", 70),
-            ("HashJoin(movie_keyword title)", 70),  # tie: lexicographically smaller wins
+            timed("dp", "NestLoopJoin(movie_keyword title)", 70),
+            timed("greedy", "HashJoin(movie_keyword title)", 70),  # tie: smaller bracket wins
         ],
     }
     records = build_sft_dataset(workload, logs, micro_catalog, demo_mode="fallback", seed=1)
@@ -175,7 +181,6 @@ def test_build_sft_dataset_responses_validate(micro_catalog, micro_join_lines):
     from plangen.costs import CostModel
     from plangen.executor import micro_execute
     from plangen.optimizers import dp_optimize, greedy_optimize, random_optimize
-    from plangen.plans import tree_to_bracket
     from plangen.workload import gen_workload
     from plangen.sql import JoinPredicate
     from tests.conftest import build_micro_db
@@ -194,15 +199,14 @@ def test_build_sft_dataset_responses_validate(micro_catalog, micro_join_lines):
     logs = {}
     for i, q in enumerate(workload):
         qid = f"q{i + 1:04d}"
-        entries = []
-        for name, plan in (
-            ("dp", dp_optimize(q, model)),
-            ("greedy", greedy_optimize(q, model)),
-            ("random", random_optimize(q, seed=i)),
-        ):
-            timing = micro_execute(plan, q, data, name)
-            entries.append((tree_to_bracket(plan), timing.time))
-        logs[qid] = entries
+        logs[qid] = [
+            micro_execute(plan, q, data, name)
+            for name, plan in (
+                ("dp", dp_optimize(q, model)),
+                ("greedy", greedy_optimize(q, model)),
+                ("random", random_optimize(q, seed=i)),
+            )
+        ]
 
     records = build_sft_dataset(workload, logs, micro_catalog, demo_mode="fallback", seed=5)
     assert len(records) == 50
@@ -224,8 +228,8 @@ def test_dataset_file_round_trip_and_determinism(tmp_path, micro_catalog):
         ),
     ]
     logs = {
-        "q0001": [("HashJoin(cast_info title)", 10)],
-        "q0002": [("MergeJoin(cast_info title)", 11)],
+        "q0001": [timed("dp", "HashJoin(cast_info title)", 10)],
+        "q0002": [timed("dp", "MergeJoin(cast_info title)", 11)],
     }
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -3,17 +3,23 @@ import json
 import random
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plangen.catalog import load_catalog, load_tables
 from plangen.cli import cli
+from plangen.dataset import build_sft_dataset
+from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
     PipelineConfig,
     PipelineError,
+    build_preferences_from_logs,
     nearest_rank,
     run_optimizers,
     run_pipeline,
@@ -21,6 +27,8 @@ from plangen.pipeline import (
     stage_workload,
     timing_summary,
 )
+from plangen.plans import JOIN_OPERATORS, Join, Leaf
+from plangen.sql import parse_sql
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -199,10 +207,67 @@ def test_run_optimizers_log_matches_golden_digest(tmp_path):
         ("1,2,3,4,5", "e5c5ad5d42592caf0dbdf4b10628ed21fc05a887685858df73760eb72e13b6e1"),
     ):
         queries = stage_workload(catalog, FIXTURES / "joins.txt", joins, 60, 7)
-        records = run_optimizers(queries, catalog, load_tables(FIXTURES / "tables"), 11)
-        write_jsonl(records, tmp_path / "plans.jsonl")
+        log = run_optimizers(queries, catalog, load_tables(FIXTURES / "tables"), 11)
+        write_plan_log(log, tmp_path / "plans.jsonl")
         digest = hashlib.sha256((tmp_path / "plans.jsonl").read_bytes()).hexdigest()
         assert digest == expected, joins
+
+
+def _plan_trees(tables):
+    """Join trees over ``tables``, split into contiguous runs, in both
+    orientations and with every operator at every join."""
+    if len(tables) == 1:
+        return [Leaf(tables[0])]
+    trees = []
+    for split in range(1, len(tables)):
+        for left in _plan_trees(tables[:split]):
+            for right in _plan_trees(tables[split:]):
+                trees.extend(Join(op, left, right) for op in JOIN_OPERATORS)
+                trees.extend(Join(op, right, left) for op in JOIN_OPERATORS)
+    return trees
+
+
+PLAN_CHOICES = _plan_trees(["cast_info", "movie_keyword", "title"])
+PROPERTY_QUERY = parse_sql(
+    "SELECT * FROM title, cast_info, movie_keyword WHERE title.movie_id = cast_info.movie_id "
+    "AND title.movie_id = movie_keyword.movie_id;"
+)
+
+
+@st.composite
+def plan_logs(draw):
+    """Logs of 1-6 queries; each query has 2-4 optimizers, and times drawn
+    from 1-4 so that ties, also between equal plans, are common."""
+    log = {}
+    for index in range(draw(st.integers(1, 6))):
+        names = draw(st.lists(st.sampled_from(["dp", "greedy", "random", "zeta"]),
+                              min_size=2, max_size=4, unique=True))
+        log[f"q{index + 1:04d}"] = [
+            PlanTiming(name, draw(st.sampled_from(PLAN_CHOICES)), draw(st.integers(1, 4)))
+            for name in names
+        ]
+    return log
+
+
+@settings(max_examples=80, deadline=None)
+@given(log=plan_logs(), r0=st.sampled_from([0.3, 0.8, 0.95]))
+def test_plan_log_round_trip_and_one_best_plan(log, r0):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plans.jsonl"
+        write_plan_log(log, path)
+        assert read_plan_log(path) == log
+    workload = [PROPERTY_QUERY] * len(log)
+    records = build_sft_dataset(workload, log, load_catalog(FIXTURES / "catalog.txt"), "none")
+    response = {record.query_id: record.response for record in records}
+    triples = build_preferences_from_logs(records, log, r0)
+    for triple in triples:
+        assert triple.chosen == response[triple.query_id]
+    # A query yields triples exactly when its fastest plan beats its slowest
+    # by the ratio threshold.
+    times = {qid: [t.time for t in timings] for qid, timings in log.items()}
+    assert {t.query_id for t in triples} == {
+        qid for qid, values in times.items() if min(values) / max(values) < r0
+    }
 
 
 def test_report_shape(tmp_path):
@@ -346,7 +411,7 @@ def test_cli_chain_equals_run_pipeline(tmp_path):
             "--max-len", config.max_len, "--out", chain / f"responses_{source}.jsonl",
         )
         assert r.exit_code == 0, r.output
-    r = invoke("report", "--run-dir", chain, "--build", "--catalog", catalog, "--tables", tables)
+    r = invoke("report", "--run-dir", chain, "--build", "--tables", tables)
     assert r.exit_code == 0, r.output
 
     artifacts = [
@@ -474,17 +539,128 @@ def _sft_with_list_response(tmp_path):
     )
 
 
+def _workload_with_bad_sql(tmp_path):
+    workload = tmp_path / "workload.sql"
+    workload.write_text("SELECT * FROM title;\nSELEC broken\n")
+    return ["split-workload", "--workload", workload, "--out-train", tmp_path / "train.sql",
+            "--out-test", tmp_path / "test.sql"], "workload.sql:2: expected SELECT"
+
+
+def _zero_contexts_in_config(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "n_contexts = 0\n", encoding="utf-8")
+    return ["run", "--config", cfg], "n_contexts"
+
+
+def _train_qit_with_contexts(tmp_path, contexts):
+    sft = tmp_path / "sft.jsonl"
+    prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
+    sft.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "title"}) + "\n")
+    return ["train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt", "--contexts", contexts], (
+        "n_contexts"
+    )
+
+
+def _train_qit_zero_contexts(tmp_path):
+    return _train_qit_with_contexts(tmp_path, 0)
+
+
+def _train_qit_negative_contexts(tmp_path):
+    return _train_qit_with_contexts(tmp_path, -3)
+
+
+def _infer_with_checkpoint(tmp_path, **fields):
+    ckpt = tmp_path / "bad.ckpt"
+    payload = {"format": "plangen-token-model/1", "n_contexts": 4,
+               "vocab": ["<bos>", "<eos>", "<unk>"], "rows": {}, **fields}
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT * FROM title;")
+    return ["infer", "--model", ckpt, "--sql", sql, "--catalog", FIXTURES / "catalog.txt"]
+
+
+def _checkpoint_with_fractional_contexts(tmp_path):
+    return _infer_with_checkpoint(tmp_path, n_contexts=4.5), "bad.ckpt: n_contexts"
+
+
+def _checkpoint_with_bad_row_key(tmp_path):
+    return _infer_with_checkpoint(tmp_path, rows={"x1": "AAAA"}), "bad.ckpt: row key 'x1'"
+
+
+def _checkpoint_with_numeric_row(tmp_path):
+    return _infer_with_checkpoint(tmp_path, rows={"1": 5}), "bad.ckpt: row 1 is not a base64"
+
+
+def _unreadable_stages_json(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "stages.json").write_text('{"workload": ')
+    return ["run", "--config", cfg], "stages.json: not valid JSON"
+
+
+def _unreadable_report_json(tmp_path):
+    (tmp_path / "report.json").write_text("validity: all\n")
+    return ["report", "--run-dir", tmp_path], "report.json: not valid JSON"
+
+
+def _plan_log_case(tmp_path, second_record):
+    train = tmp_path / "train.sql"
+    train.write_text("SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;\n")
+    plans = tmp_path / "plans_train.jsonl"
+    first = {"query_id": "q0001", "optimizer": "dp", "bracket": "HashJoin(cast_info title)",
+             "time_units": 70}
+    plans.write_text(json.dumps(first) + "\n" + json.dumps({**first, **second_record}) + "\n")
+    return ["gen-sft", "--workload", train, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+            "--demo-mode", "none", "--out", tmp_path / "sft.jsonl"]
+
+
+def _plan_log_with_zero_time(tmp_path):
+    args = _plan_log_case(tmp_path, {"optimizer": "greedy", "time_units": 0})
+    return args, "plans_train.jsonl:2: non-positive execution time 0"
+
+
+def _plan_log_with_bad_bracket(tmp_path):
+    args = _plan_log_case(tmp_path, {"optimizer": "greedy", "bracket": "HashJoin(cast_info",
+                                     "time_units": 900})
+    return args, "plans_train.jsonl:2: "
+
+
+def _plan_log_with_repeated_optimizer(tmp_path):
+    args = _plan_log_case(tmp_path, {"time_units": 90})
+    return args, "plans_train.jsonl:2: second plan of 'dp' for q0001"
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
      _corpus_without_response, _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input,
-     _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response],
+     _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response,
+     _workload_with_bad_sql, _zero_contexts_in_config, _train_qit_zero_contexts,
+     _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
+     _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _unreadable_stages_json,
+     _unreadable_report_json, _plan_log_with_zero_time, _plan_log_with_bad_bracket,
+     _plan_log_with_repeated_optimizer],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
     result = invoke(*args)
     assert result.exit_code == 1, result.output
     assert where in result.output
+
+
+def test_cli_report_build_reports_every_optimizer(tmp_path):
+    run_dir = tmp_path / "run"
+    config = fast_config(run_dir, workload_count=10, qit_steps=20, qdpo_steps=5)
+    run_pipeline(config)
+    plans = run_dir / "plans_test.jsonl"
+    rows = [json.loads(line) for line in plans.read_text().splitlines()]
+    extra = [{**row, "optimizer": "dp2"} for row in rows if row["optimizer"] == "dp"]
+    write_jsonl(rows + extra, plans)
+    result = invoke("report", "--run-dir", run_dir, "--build", "--tables", config.tables, "--json")
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["timings"]["dp2"] == report["timings"]["dp"]
 
 
 def test_cli_infer_single_query(tmp_path):
