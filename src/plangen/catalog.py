@@ -6,10 +6,11 @@ actual integer rows the micro-executor runs over. Column values are integers
 only; empty columns use the fixed [0,0,0] convention so serialization stays
 total.
 
-File formats:
-  catalog file    one table per line: ``name|col:min:max:distinct|...``
+File formats (read through ``jsonl.read_lines``; blank lines are skipped):
+  catalog file    one table per line: ``name|col:min:max:distinct|...``;
+                  a line starting with ``#`` is a comment
   micro table     header line of comma-separated column names, then one
-                  comma-separated integer row per line
+                  comma-separated integer row per line; no comments
 """
 
 from __future__ import annotations
@@ -19,18 +20,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import PlangenError
+from .jsonl import read_lines
 
 
 class CatalogError(PlangenError):
     """Malformed catalog or table file, or a statistics invariant violation."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -115,49 +109,35 @@ class MicroTable:
 def load_catalog(path: str | Path) -> Catalog:
     """Parse a pipe-delimited catalog file into a validated Catalog."""
     tables: dict[str, tuple[tuple[str, ColumnStats], ...]] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("|")
-        name = fields[0].strip()
+
+    def table(line: str) -> None:
+        line = line.strip()
+        if line.startswith("#"):
+            return
+        name, *fields = (field.strip() for field in line.split("|"))
         if not name:
-            raise CatalogError("missing table name", line=lineno, column=1)
+            raise CatalogError("missing table name")
         if name in tables:
-            raise CatalogError(f"duplicate table {name!r}", line=lineno)
-        cols: list[tuple[str, ColumnStats]] = []
-        seen: set[str] = set()
-        col_offset = len(fields[0]) + 1
-        for field in fields[1:]:
+            raise CatalogError(f"duplicate table {name!r}")
+        cols: dict[str, ColumnStats] = {}
+        for field in fields:
             parts = field.split(":")
-            if len(parts) != 4:
-                raise CatalogError(
-                    f"expected col:min:max:distinct, got {field!r}",
-                    line=lineno,
-                    column=col_offset + 1,
-                )
             cname = parts[0].strip()
-            if not cname:
-                raise CatalogError("missing column name", line=lineno, column=col_offset + 1)
-            if cname in seen:
-                raise CatalogError(f"duplicate column {name}.{cname}", line=lineno)
-            seen.add(cname)
+            if len(parts) != 4 or not cname:
+                raise CatalogError(f"expected col:min:max:distinct, got {field!r}")
+            if cname in cols:
+                raise CatalogError(f"duplicate column {name}.{cname}")
             try:
                 lo, hi, distinct = (int(p) for p in parts[1:])
             except ValueError:
-                raise CatalogError(
-                    f"non-integer statistics in {field!r}", line=lineno, column=col_offset + 1
-                ) from None
+                raise CatalogError(f"non-integer statistics in {field!r}") from None
             try:
-                stats = ColumnStats(lo, hi, distinct)
+                cols[cname] = ColumnStats(lo, hi, distinct)
             except CatalogError as exc:
-                raise CatalogError(
-                    f"invalid statistics for column {name}.{cname}: {exc}", line=lineno
-                ) from None
-            cols.append((cname, stats))
-            col_offset += len(field) + 1
-        tables[name] = tuple(cols)
+                raise CatalogError(f"invalid statistics for column {name}.{cname}: {exc}") from None
+        tables[name] = tuple(cols.items())
+
+    read_lines(path, table)
     return Catalog(tables)
 
 
@@ -175,28 +155,31 @@ def save_catalog(catalog: Catalog) -> str:
 def load_table(path: str | Path) -> MicroTable:
     """Read a micro table file; the table name is the file stem."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CatalogError(f"table file {path.name} is empty", line=1)
-    columns = tuple(c.strip() for c in lines[0].split(","))
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    columns: list[str] = []
+
+    def row(line: str) -> tuple[int, ...] | None:
         cells = line.split(",")
+        if not columns:
+            columns.extend(c.strip() for c in cells)
+            if len(set(columns)) != len(columns):
+                raise CatalogError("duplicate column name")
+            return None
+        if len(cells) != len(columns):
+            raise CatalogError(f"row has {len(cells)} values, expected {len(columns)}")
         try:
-            rows.append(tuple(int(c) for c in cells))
+            return tuple(int(c) for c in cells)
         except ValueError:
-            raise CatalogError(f"non-integer cell in {path.name}", line=lineno) from None
-    return MicroTable(path.stem, columns, tuple(rows))
+            raise CatalogError("non-integer cell") from None
+
+    rows = read_lines(path, row)
+    if not columns:
+        raise CatalogError(f"{path}: table file is empty")
+    return MicroTable(path.stem, tuple(columns), tuple(rows))
 
 
 def load_tables(directory: str | Path) -> dict[str, MicroTable]:
     """Load every ``*.tbl`` file in a directory, keyed by table name."""
-    tables = {}
-    for path in sorted(Path(directory).glob("*.tbl")):
-        table = load_table(path)
-        tables[table.name] = table
-    return tables
+    return {path.stem: load_table(path) for path in sorted(Path(directory).glob("*.tbl"))}
 
 
 def save_table(table: MicroTable) -> str:

@@ -15,10 +15,10 @@ import click
 
 from . import pipeline as pl
 from .catalog import load_catalog
-from .dataset import load_dataset
+from .dataset import DEMO_MODES, load_dataset
 from .errors import PlangenError
 from .hints import emit_hints
-from .jsonl import read_jsonl
+from .jsonl import read_text
 from .model import DEFAULT_CONTEXTS, load_model
 from .plans import bracket_to_tree
 from .preferences import load_preference_file
@@ -91,7 +91,7 @@ def run_optimizers_cmd(workload, catalog_path, tables_dir, random_seed, out):
 @click.option("--plans", required=True, type=click.Path(exists=True))
 @click.option("--catalog", "catalog_path", required=True, type=click.Path(exists=True))
 @click.option("--demo-mode", default="strict", show_default=True,
-              type=click.Choice(["strict", "fallback", "none"]))
+              type=click.Choice(DEMO_MODES))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path())
 @_domain_errors
@@ -176,7 +176,7 @@ def train_qdpo_cmd(dpo, init_ckpt, out, lr, steps, batch_size, beta, seed, trace
 @click.option("--demo-pool", type=click.Path(exists=True), default=None,
               help="Dataset file to draw demonstrations from.")
 @click.option("--demo-mode", default="none", show_default=True,
-              type=click.Choice(["strict", "fallback", "none"]))
+              type=click.Choice(DEMO_MODES))
 @click.option("--demo-seed", default=0, show_default=True, type=int)
 @click.option("--max-len", default=256, show_default=True, type=int)
 @click.option("--out", type=click.Path(), default=None, help="Batch mode output JSONL.")
@@ -196,7 +196,7 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
         )
         click.echo(f"wrote {len(rows)} responses to {out}")
         return
-    query = parse_sql(Path(sql_file).read_text(encoding="utf-8"))
+    query = read_text(sql_file, parse_sql)
     pool = pl.keyed_pool(load_dataset(demo_pool)) if demo_pool else []
     model, catalog = load_model(model_path), load_catalog(catalog_path)
     click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, "single"))
@@ -206,7 +206,7 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
 @click.option("--corpus", type=click.Path(exists=True), default=None,
               help="JSONL of {query_sql, response}.")
 @click.option("--queries", type=click.Path(exists=True), default=None,
-              help="Workload file, paired with --responses by order.")
+              help="Workload file; --responses names its queries q0001, q0002, ... in order.")
 @click.option("--responses", type=click.Path(exists=True), default=None,
               help="JSONL of {query_id, response}.")
 @_domain_errors
@@ -215,16 +215,7 @@ def validate_cmd(corpus, queries, responses):
     if corpus:
         summary = classify_corpus_file(corpus)
     elif queries and responses:
-        query_list = pl.read_workload(queries)
-        rows = read_jsonl(responses, pl.RESPONSE_KEYS)
-        by_id = {row["query_id"]: row["response"] for row in rows}
-        ids = pl.query_ids(query_list)
-        missing = [qid for qid in ids if qid not in by_id]
-        if missing:
-            raise PlangenError(f"responses missing for {missing[:5]}")
-        summary = classify_corpus(
-            (by_id[qid], query) for qid, query in zip(ids, query_list)
-        )
+        summary = classify_corpus(pl.read_responses(responses, pl.read_workload(queries)))
     else:
         raise click.UsageError("pass --corpus, or --queries with --responses")
     click.echo(summary.line())
@@ -236,7 +227,7 @@ def validate_cmd(corpus, queries, responses):
 @_domain_errors
 def hint_cmd(bracket, sql_file):
     """Print the hinted SQL for a plan: hint comment, then the canonical query."""
-    query = parse_sql(Path(sql_file).read_text(encoding="utf-8"))
+    query = read_text(sql_file, parse_sql)
     plan = bracket_to_tree(bracket)
     from .plans import leaves
 
@@ -323,7 +314,7 @@ def report_cmd(run_dir, build, tables_dir, as_json):
 @click.option("--out-dir", default=None, type=click.Path())
 @click.option("--workload-count", default=None, type=int)
 @click.option("--workload-joins", default=None)
-@click.option("--demo-mode", default=None, type=click.Choice(["strict", "fallback", "none"]))
+@click.option("--demo-mode", default=None, type=click.Choice(DEMO_MODES))
 @click.option("--split-mode", default=None, type=click.Choice(pl.SPLIT_MODES))
 @click.option("--r0", default=None, type=float)
 @click.option("--beta", default=None, type=float)

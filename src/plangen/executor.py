@@ -57,8 +57,9 @@ PlanLog = dict[str, list[PlanTiming]]
 
 
 def best_timing(timings: Sequence[PlanTiming]) -> PlanTiming:
-    """Least time; a tie goes to the smaller bracket, then to the earlier timing."""
-    return min(timings, key=lambda t: (t.time, tree_to_bracket(t.plan)))
+    """Least time; a tie goes to the smaller bracket, then to the smaller
+    optimizer id, so the choice never depends on the order of ``timings``."""
+    return min(timings, key=lambda t: (t.time, tree_to_bracket(t.plan), t.optimizer_id))
 
 
 def write_plan_log(log: PlanLog, path: str | Path) -> None:

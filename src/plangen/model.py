@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import extract_input_sql
 from .errors import PlangenError
+from .jsonl import NUMBER, read_json
 from .sql import parse_sql, template_of
 from .tokenizer import Vocabulary, detokenize, tokenize
 
@@ -233,35 +234,32 @@ def save_model(model: TokenModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TokenModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"unreadable checkpoint {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ModelError(f"checkpoint {path} is not a JSON object")
+    return read_json(path, {"n_contexts": NUMBER, "vocab": list, "rows": dict}, _from_checkpoint)
+
+
+def _from_checkpoint(payload: dict) -> TokenModel:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ModelError(f"unsupported checkpoint format {payload.get('format')!r}")
-    for key in ("n_contexts", "vocab", "rows"):
-        if key not in payload:
-            raise ModelError(f"checkpoint {path} has no {key!r}")
+    if not all(isinstance(token, str) for token in payload["vocab"]):
+        raise ModelError("vocab holds a token that is not a string")
     vocab = Vocabulary(tuple(payload["vocab"]))
-    try:
-        model = TokenModel.create(vocab, payload["n_contexts"])
-    except ModelError as exc:
-        raise ModelError(f"checkpoint {path}: {exc}") from None
+    model = TokenModel.create(vocab, payload["n_contexts"])
     for key, blob in payload["rows"].items():
         try:
             ctx = int(key)
         except ValueError:
-            raise ModelError(f"checkpoint {path}: row key {key!r} is not an integer") from None
+            raise ModelError(f"row key {key!r} is not an integer") from None
         if not 0 <= ctx < model.n_contexts:
-            raise ModelError(f"checkpoint row {ctx} outside the context table")
+            raise ModelError(f"row {ctx} outside the context table")
         if not isinstance(blob, str):
-            raise ModelError(f"checkpoint {path}: row {ctx} is not a base64 string")
-        row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
+            raise ModelError(f"row {ctx} is not a base64 string")
+        try:
+            row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
+        except ValueError:  # bad base64, or not whole float64 values
+            raise ModelError(f"row {ctx} is not base64 of float64 values") from None
         if len(row) != len(vocab):
-            raise ModelError(f"checkpoint row {ctx} does not match the vocabulary size")
+            raise ModelError(f"row {ctx} does not match the vocabulary size")
         model.theta[ctx] = row
     if not np.isfinite(model.theta).all():
-        raise ModelError("checkpoint contains non-finite parameters")
+        raise ModelError("non-finite parameters")
     return model

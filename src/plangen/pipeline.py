@@ -50,18 +50,19 @@ from .dataset import (
 )
 from .errors import PlangenError
 from .executor import PlanLog, micro_execute, read_plan_log, write_plan_log
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import located, read_json, read_jsonl, read_lines, write_jsonl
 from .model import DEFAULT_CONTEXTS, load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
 from .preferences import (
     PreferenceConfig,
+    PreferenceError,
     extend_dataset,
     generate_preferences,
     load_preference_file,
     sort_triples,
     write_preference_file,
 )
-from .sql import parse_sql, render_sql, template_of
+from .sql import QuerySpec, parse_sql, render_sql, template_of
 from .training import (
     TrainConfig,
     fit_qit_from_records,
@@ -115,18 +116,18 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        values = {}
-        known = {f.name: f.type for f in fields(cls)}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        def setting(raw: str) -> tuple[str, str] | None:
             line = raw.split("#", 1)[0].strip()
             if not line:
-                continue
+                return None
             if "=" not in line:
-                raise PipelineError(f"config line {lineno} is not key = value: {raw!r}")
+                raise PipelineError(f"not key = value: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise PipelineError(f"unknown config key {key!r} on line {lineno}")
-            values[key] = value
+            if key not in {f.name for f in fields(cls)}:
+                raise PipelineError(f"unknown config key {key!r}")
+            return key, value
+
+        values = dict(read_lines(path, setting))
         try:
             return cls().with_overrides(**values)
         except PipelineError as exc:
@@ -153,18 +154,9 @@ class PipelineConfig:
 
 # --- small file helpers ---
 
-RESPONSE_KEYS = {"query_id": str, "response": str}
-
 
 def read_workload(path: str | Path) -> list:
-    queries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            try:
-                queries.append(parse_sql(line))
-            except PlangenError as exc:
-                raise PipelineError(f"{path}:{lineno}: {exc}") from None
-    return queries
+    return read_lines(path, parse_sql)
 
 
 def write_workload(queries, path: str | Path) -> None:
@@ -172,15 +164,25 @@ def write_workload(queries, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_json(path: Path) -> dict:
-    """A JSON object file of a run directory: stages.json or report.json."""
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:  # malformed JSON or bytes that are not UTF-8
-        raise PipelineError(f"{path}: not valid JSON") from None
-    if not isinstance(value, dict):
-        raise PipelineError(f"{path}: not a JSON object")
-    return value
+def read_responses(path: str | Path, queries) -> list[tuple[str, QuerySpec]]:
+    """(response, query) for each query, in query order, from a file of
+    {query_id, response} rows: every query has exactly one row and every row
+    names a query."""
+    by_id = dict(zip(query_ids(queries), queries))
+    responses: dict[str, str] = {}
+
+    def pair(row: dict) -> None:
+        if row["query_id"] not in by_id:
+            raise PipelineError(f"response for unknown query {row['query_id']}")
+        if row["query_id"] in responses:
+            raise PipelineError(f"second response for {row['query_id']}")
+        responses[row["query_id"]] = row["response"]
+
+    read_jsonl(path, {"query_id": str, "response": str}, pair)
+    missing = [qid for qid in by_id if qid not in responses]
+    if missing:
+        raise PipelineError(f"{path}: no response for {missing[0]}")
+    return [(responses[qid], query) for qid, query in by_id.items()]
 
 
 # --- library functions the stages are built from ---
@@ -255,14 +257,18 @@ def run_optimizers(queries, catalog: Catalog, tables, random_seed_base: int = 0)
     return log
 
 
-def build_preferences_from_logs(sft_records, log: PlanLog, r0: float):
-    """Preference triples for every query of the log that has an SFT prompt."""
+def build_preferences_from_logs(sft_records, log: PlanLog, r0: float, log_name: str = "plan log"):
+    """Preference triples for every query of the log that has an SFT prompt.
+    A query with a single plan is reported as ``log_name: query_id``."""
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in sft_records}
     triples = []
     for query_id in sorted(log):
         if query_id in prompts:
-            triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
+            try:
+                triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
+            except PreferenceError as exc:
+                raise located(exc, f"{log_name}: {query_id}") from None
     return sort_triples(triples)
 
 
@@ -316,29 +322,28 @@ def timing_summary(values) -> dict:
     }
 
 
-def build_report(test_queries, plans_test: PlanLog, model_responses, tables) -> dict:
-    """Validity and timing quantiles per plan source over the test split."""
-    by_id = dict(zip(query_ids(test_queries), test_queries))
+def build_report(plans_test: PlanLog, model_responses, tables) -> dict:
+    """Validity and timing quantiles per plan source over the test split;
+    ``model_responses`` maps a source to its ``read_responses`` pairs."""
     timings: dict[str, list[int]] = {}
     for query_timings in plans_test.values():
         for timing in query_timings:
             timings.setdefault(timing.optimizer_id, []).append(timing.time)
 
     validity = {}
-    for source, rows in model_responses.items():
+    for source, pairs in model_responses.items():
         counts = {"E1": 0, "E2": 0, "E3": 0}
         times = []  # of the valid responses
-        for row in rows:
-            query = by_id[row["query_id"]]
-            report = validator.validate(row["response"], query)
+        for response, query in pairs:
+            report = validator.validate(response, query)
             if report.valid:
                 times.append(micro_execute(report.plan, query, tables, source).time)
             for code in report.errors:
                 counts[code] += 1
         validity[source] = {
-            "total": len(rows),
+            "total": len(pairs),
             "valid": len(times),
-            "rate": len(times) / len(rows) if rows else 0.0,
+            "rate": len(times) / len(pairs) if pairs else 0.0,
             "errors": counts,
         }
         if times:
@@ -388,7 +393,7 @@ def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
 
 
 def dpo_stage(plans, sft, out, r0: float):
-    triples = build_preferences_from_logs(load_dataset(sft), read_plan_log(plans), r0)
+    triples = build_preferences_from_logs(load_dataset(sft), read_plan_log(plans), r0, plans)
     write_preference_file(triples, out)
     return triples
 
@@ -435,12 +440,10 @@ def report_stage(
 ):
     test_queries = read_workload(test)
     responses = {
-        "qit": read_jsonl(responses_qit, RESPONSE_KEYS),
-        "qdpo": read_jsonl(responses_qdpo, RESPONSE_KEYS),
+        "qit": read_responses(responses_qit, test_queries),
+        "qdpo": read_responses(responses_qdpo, test_queries),
     }
-    report = build_report(
-        test_queries, read_plan_log(plans_test), responses, load_tables(tables)
-    )
+    report = build_report(read_plan_log(plans_test), responses, load_tables(tables))
     report["datasets"] = {
         "workload": _count_records(workload),
         "train": _count_records(train),
@@ -454,7 +457,7 @@ def report_stage(
 
 def _count_records(path) -> int:
     """Records in a one-per-line artifact, counted without parsing them."""
-    return sum(1 for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip())
+    return len(read_lines(path, str))
 
 
 def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):

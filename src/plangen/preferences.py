@@ -4,11 +4,11 @@ For one query, the fastest plan becomes the single preferred response; every
 other plan whose time ratio t_best / t_i falls strictly below the threshold
 becomes a dispreferred partner. ``executor.best_timing`` picks the fastest
 plan, as it does for the instruction-tuning response: ties break on the
-lexicographically smallest bracket. Queries yielding no dispreferred plan
-contribute nothing.
+lexicographically smallest bracket, then on the smallest optimizer id.
+Queries yielding no dispreferred plan contribute nothing.
 
 When a new optimizer arrives, the dataset extends incrementally: if the new
-plan is a strict improvement it becomes the preferred side against every old
+plan comes first in that order it becomes the preferred side against every old
 plan passing the threshold (and triples whose old preferred plan is now
 superseded are dropped, keeping the dataset equal to a from-scratch run);
 otherwise the incumbent stays preferred and the new plan may join as a
@@ -17,7 +17,7 @@ dispreferred partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -113,8 +113,7 @@ def extend_preferences(
 
     seen = {t.key() for t in existing}
     incumbent = best_timing(old_timings)
-    # The new plan takes over under the order the from-scratch generator
-    # uses; on an exact tie the incumbent, listed first, stays.
+    # The new plan takes over under the order the from-scratch generator uses.
     if best_timing([incumbent, new_timing]) is new_timing:
         pairs = [(new_timing, timing) for timing in old_timings]
     else:
@@ -137,14 +136,17 @@ def extend_dataset(
 ) -> tuple[list[PreferenceTriple], list[PreferenceTriple]]:
     """Apply one query's extension; returns (updated dataset, added triples).
 
-    Existing triples whose chosen plan is superseded by a strictly faster new
-    plan are dropped so the result always equals a from-scratch generation
-    over the union of optimizers.
+    Existing triples whose chosen plan the new plan supersedes are dropped,
+    and a new plan that takes over with the same plan text (a tie) names
+    itself as their chosen optimizer, so the result always equals a
+    from-scratch generation over the union of optimizers.
     """
     added = extend_preferences(existing, new_timing, old_timings, prompt, config, query_id)
     overall = best_timing([*old_timings, new_timing])
     chosen_text = render_response(overall.plan)
-    updated = [t for t in existing if t.chosen == chosen_text]
+    updated = [
+        replace(t, chosen_optimizer=overall.optimizer_id) for t in existing if t.chosen == chosen_text
+    ]
     updated.extend(added)
     return updated, added
 

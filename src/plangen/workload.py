@@ -7,7 +7,8 @@ independently receives one selection predicate with probability 0.5 (column
 uniform, operator uniform over < and >, literal uniform in the column's
 [min, max] range). Everything is a pure function of (inputs, seed).
 
-Join graph file: one ``t1.c1 = t2.c2`` line per edge.
+Join graph file: one ``t1.c1 = t2.c2`` line per edge; blank lines and lines
+starting with ``#`` are skipped.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from .catalog import Catalog
 from .errors import PlangenError
+from .jsonl import read_lines
 from .sql import JoinPredicate, QuerySpec, Selection, parse_sql, render_sql
 
 _EDGE_RE = re.compile(
@@ -30,18 +32,18 @@ class WorkloadError(PlangenError):
 
 
 def load_join_graph(path: str | Path) -> list[JoinPredicate]:
-    edges = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
+    def edge(line: str) -> JoinPredicate | None:
+        if line.strip().startswith("#"):
+            return None
         match = _EDGE_RE.match(line)
         if match is None:
-            raise WorkloadError(f"bad join edge on line {lineno}: {line.strip()!r}")
+            raise WorkloadError(f"bad join edge {line.strip()!r}")
         ta, ca, tb, cb = match.groups()
         if ta == tb:
-            raise WorkloadError(f"self-join edge on line {lineno}")
-        edges.append(JoinPredicate.normalized(ta, ca, tb, cb))
-    return edges
+            raise WorkloadError("self-join edge")
+        return JoinPredicate.normalized(ta, ca, tb, cb)
+
+    return read_lines(path, edge)
 
 
 def graph_tables(join_graph: list[JoinPredicate]) -> list[str]:

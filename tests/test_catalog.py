@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ def test_load_catalog_duplicate_table(tmp_path):
 def test_load_catalog_reports_line_and_column(tmp_path):
     path = tmp_path / "bad.cat"
     path.write_text("t|a:0:1\n", encoding="utf-8")
-    with pytest.raises(CatalogError, match=r"line 1"):
+    with pytest.raises(CatalogError, match=re.escape(f"{path}:1: ")):
         load_catalog(path)
 
 

@@ -449,6 +449,45 @@ def test_cli_extend_dpo_equals_generation_over_all_optimizers(tmp_path):
     assert (tmp_path / "dpo_extended.jsonl").read_bytes() == (pipe_dir / "dpo.jsonl").read_bytes()
 
 
+def test_cli_extend_dpo_equals_gen_dpo_when_plans_tie(tmp_path):
+    # On this workload two optimizers log the same plan at the same time for
+    # some queries, so the best plan is decided by optimizer id alone.
+    fixture = ["--catalog", FIXTURES / "catalog.txt"]
+    workload, plans, sft = tmp_path / "workload.sql", tmp_path / "plans.jsonl", tmp_path / "sft.jsonl"
+    for args in (
+        ["gen-workload", *fixture, "--join-graph", FIXTURES / "joins.txt", "--n-joins", "1,2,3,4",
+         "--count", 25, "--seed", 1, "--out", workload],
+        ["run-optimizers", "--workload", workload, *fixture, "--tables", FIXTURES / "tables",
+         "--out", plans],
+        ["gen-sft", "--workload", workload, "--plans", plans, *fixture, "--demo-mode", "none",
+         "--out", sft],
+        ["gen-dpo", "--plans", plans, "--sft", sft, "--out", tmp_path / "dpo.jsonl"],
+    ):
+        result = invoke(*args)
+        assert result.exit_code == 0, result.output
+    lines = plans.read_text(encoding="utf-8").splitlines(keepends=True)
+    plan_keys = [(r["query_id"], r["bracket"], r["time_units"]) for r in map(json.loads, lines)]
+    assert len(set(plan_keys)) < len(plan_keys)  # the workload has ties
+
+    for optimizer in ("dp", "greedy", "random"):
+        old = [line for line in lines if json.loads(line)["optimizer"] != optimizer]
+        new = [line for line in lines if json.loads(line)["optimizer"] == optimizer]
+        for name, rows in (("old.jsonl", old), ("new.jsonl", new), ("both.jsonl", old + new)):
+            (tmp_path / name).write_text("".join(rows), encoding="utf-8")
+        for args in (
+            ["gen-dpo", "--plans", tmp_path / "old.jsonl", "--out", tmp_path / "dpo_old.jsonl"],
+            ["gen-dpo", "--plans", tmp_path / "both.jsonl", "--out", tmp_path / "dpo_both.jsonl"],
+            ["extend-dpo", "--plans-new", tmp_path / "new.jsonl", "--plans", tmp_path / "old.jsonl",
+             "--dpo", tmp_path / "dpo_old.jsonl", "--out", tmp_path / "dpo_extended.jsonl"],
+        ):
+            result = invoke(*args, "--sft", sft)
+            assert result.exit_code == 0, result.output
+        extended = (tmp_path / "dpo_extended.jsonl").read_bytes()
+        assert extended == (tmp_path / "dpo_both.jsonl").read_bytes(), optimizer
+        # The order of the plan log does not matter either.
+        assert extended == (tmp_path / "dpo.jsonl").read_bytes(), optimizer
+
+
 def _fixture_config_text(run_dir) -> str:
     return (
         f"catalog = {FIXTURES / 'catalog.txt'}\n"
@@ -631,6 +670,111 @@ def _plan_log_with_repeated_optimizer(tmp_path):
     return args, "plans_train.jsonl:2: second plan of 'dp' for q0001"
 
 
+def _plan_log_with_one_plan(tmp_path):
+    args = _plan_log_case(tmp_path, {"optimizer": "greedy"})
+    (tmp_path / "plans_train.jsonl").write_text(
+        (tmp_path / "plans_train.jsonl").read_text().splitlines()[0] + "\n"
+    )
+    assert invoke(*args).exit_code == 0  # gen-sft needs only the best plan
+    args = ["gen-dpo", "--plans", tmp_path / "plans_train.jsonl", "--sft", tmp_path / "sft.jsonl",
+            "--out", tmp_path / "dpo.jsonl"]
+    return args, "plans_train.jsonl: q0001: need at least two optimizer timings, got 1"
+
+
+def _undecodable_corpus(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"query_sql": "SELECT * FROM title;", "response": "x"}\n\xff\n')
+    return ["validate", "--corpus", corpus], "corpus.jsonl:2: not UTF-8 text"
+
+
+def _plan_log_is_a_directory(tmp_path):
+    args = _plan_log_case(tmp_path, {"optimizer": "greedy"})
+    (tmp_path / "plans_train.jsonl").unlink()
+    (tmp_path / "plans_train.jsonl").mkdir()
+    return args, "plans_train.jsonl: Is a directory"
+
+
+def _gen_workload(tmp_path, catalog, joins):
+    return ["gen-workload", "--catalog", catalog, "--join-graph", joins, "--out",
+            tmp_path / "workload.sql"]
+
+
+def _bad_join_edge(tmp_path):
+    joins = tmp_path / "joins.txt"
+    joins.write_text("# edges\ntitle.movie_id = cast_info\n")
+    return _gen_workload(tmp_path, FIXTURES / "catalog.txt", joins), (
+        "joins.txt:2: bad join edge 'title.movie_id = cast_info'"
+    )
+
+
+def _bad_catalog_field(tmp_path):
+    catalog = tmp_path / "bad.cat"
+    lines = (FIXTURES / "catalog.txt").read_text().splitlines()
+    catalog.write_text("\n".join(lines[:2] + ["", "cast_info|movie_id:0:59"] + lines[4:]) + "\n")
+    return _gen_workload(tmp_path, catalog, FIXTURES / "joins.txt"), (
+        "bad.cat:4: expected col:min:max:distinct, got 'movie_id:0:59'"
+    )
+
+
+def _run_optimizers_with_table(tmp_path, text):
+    tables = tmp_path / "tables"
+    shutil.copytree(FIXTURES / "tables", tables)
+    (tables / "title.tbl").write_text(text)
+    workload = tmp_path / "workload.sql"
+    workload.write_text("SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;\n")
+    return ["run-optimizers", "--workload", workload, "--catalog", FIXTURES / "catalog.txt",
+            "--tables", tables, "--out", tmp_path / "plans.jsonl"]
+
+
+def _ragged_table_row(tmp_path):
+    args = _run_optimizers_with_table(tmp_path, "movie_id,kind_id\n0,1\n\n2\n")
+    return args, "title.tbl:4: row has 1 values, expected 2"
+
+
+def _non_integer_table_cell(tmp_path):
+    args = _run_optimizers_with_table(tmp_path, "movie_id,kind_id\n\n\n0,x\n")
+    return args, "title.tbl:4: non-integer cell"
+
+
+def _hint_with_bad_sql(tmp_path):
+    sql = tmp_path / "q.sql"
+    sql.write_text("SELECT * FROM title WHERE")
+    return ["hint", "--plan", "HashJoin(cast_info title)", "--sql", sql], "q.sql: "
+
+
+def _responses_case(tmp_path, ids):
+    test = tmp_path / "test.sql"
+    test.write_text("SELECT * FROM title;\nSELECT * FROM cast_info;\n")
+    responses = tmp_path / "responses_qit.jsonl"
+    write_jsonl([{"query_id": qid, "response": "title"} for qid in ids], responses)
+    return test, responses
+
+
+def _validate_responses(tmp_path, ids):
+    test, responses = _responses_case(tmp_path, ids)
+    return ["validate", "--queries", test, "--responses", responses]
+
+
+def _validate_missing_response(tmp_path):
+    return _validate_responses(tmp_path, ["q0001"]), "responses_qit.jsonl: no response for q0002"
+
+
+def _validate_unknown_response(tmp_path):
+    args = _validate_responses(tmp_path, ["q0001", "q0999", "q0002"])
+    return args, "responses_qit.jsonl:2: response for unknown query q0999"
+
+
+def _validate_repeated_response(tmp_path):
+    args = _validate_responses(tmp_path, ["q0001", "q0002", "q0001"])
+    return args, "responses_qit.jsonl:3: second response for q0001"
+
+
+def _report_build_unknown_response(tmp_path):
+    _responses_case(tmp_path, ["q0001", "q0002", "q0999"])
+    args = ["report", "--run-dir", tmp_path, "--build", "--tables", FIXTURES / "tables"]
+    return args, "responses_qit.jsonl:3: response for unknown query q0999"
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
@@ -640,13 +784,34 @@ def _plan_log_with_repeated_optimizer(tmp_path):
      _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
      _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _unreadable_stages_json,
      _unreadable_report_json, _plan_log_with_zero_time, _plan_log_with_bad_bracket,
-     _plan_log_with_repeated_optimizer],
+     _plan_log_with_repeated_optimizer, _plan_log_with_one_plan, _undecodable_corpus,
+     _plan_log_is_a_directory, _bad_join_edge, _bad_catalog_field, _ragged_table_row,
+     _non_integer_table_cell, _hint_with_bad_sql, _validate_missing_response,
+     _validate_unknown_response, _validate_repeated_response, _report_build_unknown_response],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
     result = invoke(*args)
     assert result.exit_code == 1, result.output
     assert where in result.output
+
+
+def test_cli_commands_name_an_undecodable_input(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"SELECT\n\xff\n")
+    catalog, joins = FIXTURES / "catalog.txt", FIXTURES / "joins.txt"
+    for args in (
+        ["train-qit", "--sft", bad, "--out", tmp_path / "qit.ckpt"],
+        ["infer", "--model", bad, "--sql", bad, "--catalog", catalog],
+        ["gen-sft", "--workload", bad, "--plans", bad, "--catalog", catalog,
+         "--out", tmp_path / "sft.jsonl"],
+        ["run", "--config", bad],
+        ["gen-workload", "--catalog", bad, "--join-graph", joins, "--out", tmp_path / "w.sql"],
+        ["validate", "--corpus", bad],
+    ):
+        result = invoke(*args)
+        assert result.exit_code == 1, result.output
+        assert f"{bad}:2: not UTF-8 text" in result.output
 
 
 def test_cli_report_build_reports_every_optimizer(tmp_path):
