@@ -179,7 +179,11 @@ def load_table(path: str | Path) -> MicroTable:
 
 def load_tables(directory: str | Path) -> dict[str, MicroTable]:
     """Load every ``*.tbl`` file in a directory, keyed by table name."""
-    return {path.stem: load_table(path) for path in sorted(Path(directory).glob("*.tbl"))}
+    paths = sorted(Path(directory).glob("*.tbl"))
+    if not paths:
+        reason = "no .tbl files" if Path(directory).is_dir() else "not a directory"
+        raise CatalogError(f"{directory}: {reason}")
+    return {path.stem: load_table(path) for path in paths}
 
 
 def save_table(table: MicroTable) -> str:

@@ -21,9 +21,18 @@ from .hints import emit_hints
 from .jsonl import read_text
 from .model import DEFAULT_CONTEXTS, load_model
 from .plans import bracket_to_tree
-from .preferences import load_preference_file
+from .preferences import DEFAULT_RATIO_THRESHOLD, load_preference_file
 from .sql import parse_sql, render_sql
-from .training import dpo_grad_check, sft_grad_check
+from .training import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_BETA,
+    QDPO_LEARNING_RATE,
+    QDPO_STEPS,
+    QIT_LEARNING_RATE,
+    QIT_STEPS,
+    dpo_grad_check,
+    sft_grad_check,
+)
 from .validator import classify_corpus, classify_corpus_file
 
 
@@ -104,7 +113,7 @@ def gen_sft_cmd(workload, plans, catalog_path, demo_mode, seed, out):
 @cli.command("gen-dpo")
 @click.option("--plans", required=True, type=click.Path(exists=True))
 @click.option("--sft", required=True, type=click.Path(exists=True))
-@click.option("--r0", default=0.95, show_default=True, type=float)
+@click.option("--r0", default=DEFAULT_RATIO_THRESHOLD, show_default=True, type=float)
 @click.option("--out", required=True, type=click.Path())
 @_domain_errors
 def gen_dpo_cmd(plans, sft, r0, out):
@@ -121,7 +130,7 @@ def gen_dpo_cmd(plans, sft, r0, out):
 @click.option("--sft", required=True, type=click.Path(exists=True))
 @click.option("--dpo", required=True, type=click.Path(exists=True),
               help="Existing preference dataset to extend.")
-@click.option("--r0", default=0.95, show_default=True, type=float)
+@click.option("--r0", default=DEFAULT_RATIO_THRESHOLD, show_default=True, type=float)
 @click.option("--out", required=True, type=click.Path())
 @_domain_errors
 def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
@@ -133,9 +142,9 @@ def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
 @cli.command("train-qit")
 @click.option("--sft", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--lr", default=2e-4, show_default=True, type=float)
-@click.option("--steps", default=600, show_default=True, type=int)
-@click.option("--batch-size", default=8, show_default=True, type=int)
+@click.option("--lr", default=QIT_LEARNING_RATE, show_default=True, type=float)
+@click.option("--steps", default=QIT_STEPS, show_default=True, type=int)
+@click.option("--batch-size", default=DEFAULT_BATCH_SIZE, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--contexts", default=DEFAULT_CONTEXTS, show_default=True, type=int)
 @click.option("--trace", type=click.Path(), default=None, help="Loss trace CSV path.")
@@ -152,10 +161,10 @@ def train_qit_cmd(sft, out, lr, steps, batch_size, seed, contexts, trace):
 @click.option("--init", "init_ckpt", required=True, type=click.Path(exists=True),
               help="Stage-one checkpoint to start from (also the frozen reference).")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--lr", default=5e-6, show_default=True, type=float)
-@click.option("--steps", default=200, show_default=True, type=int)
-@click.option("--batch-size", default=8, show_default=True, type=int)
-@click.option("--beta", default=0.1, show_default=True, type=float)
+@click.option("--lr", default=QDPO_LEARNING_RATE, show_default=True, type=float)
+@click.option("--steps", default=QDPO_STEPS, show_default=True, type=int)
+@click.option("--batch-size", default=DEFAULT_BATCH_SIZE, show_default=True, type=int)
+@click.option("--beta", default=DEFAULT_BETA, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--trace", type=click.Path(), default=None)
 @_domain_errors
@@ -197,7 +206,7 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
         click.echo(f"wrote {len(rows)} responses to {out}")
         return
     query = read_text(sql_file, parse_sql)
-    pool = pl.keyed_pool(load_dataset(demo_pool)) if demo_pool else []
+    pool = load_dataset(demo_pool) if demo_pool else []
     model, catalog = load_model(model_path), load_catalog(catalog_path)
     click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, "single"))
 
@@ -247,7 +256,7 @@ def hint_cmd(bracket, sql_file):
 @click.option("--dpo", "dpo_path", type=click.Path(exists=True), default=None)
 @click.option("--reference", type=click.Path(exists=True), default=None,
               help="Frozen reference checkpoint (dpo loss only; defaults to --model).")
-@click.option("--beta", default=0.1, show_default=True, type=float)
+@click.option("--beta", default=DEFAULT_BETA, show_default=True, type=float)
 @click.option("--h", "step", default=1e-5, show_default=True, type=float)
 @click.option("--tolerance", default=1e-5, show_default=True, type=float)
 @click.option("--samples", default=200, show_default=True, type=int)

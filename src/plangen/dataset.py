@@ -4,9 +4,16 @@ A prompt is the fixed instruction paragraph, an optional one-shot planning
 demonstration, then an INPUT section carrying the canonical SQL and the
 statistics block for the query's tables in FROM-list order. The paired
 response renders the best plan observed for the query across the optimizer
-plan logs. Demonstrations are drawn from sibling records that share the
-query template (same tables and join predicates), never from the query
-itself.
+plan logs.
+
+One function, ``prompt_with_demonstration``, adds the one-shot demonstration
+to training and inference prompts alike. It draws from the candidates its
+caller passes: a sibling record with the same query template (same tables
+and join predicates), or in ``fallback`` mode the most similar record.
+Instruction tuning (``build_sft_dataset``) drops only the query's own record;
+inference (``pipeline.decode_query``) drops every record whose SQL text is
+the query's. The tabular model reads only a prompt's template key, so
+demonstrations shape the SFT and DPO prompts but never a decoded response.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class InstructionRecord:
     query_id: str
     prompt: str
     response: str
+    sql: str  # the query of the INPUT section
     template: QueryTemplate
 
 
@@ -100,12 +108,11 @@ def select_demonstration(
     pool: Sequence[InstructionRecord],
     mode: str,
     rng: random.Random | None = None,
-    exclude_query_id: str | None = None,
 ) -> InstructionRecord | None:
     """Pick a demonstration record for the query, or None in ``none`` mode.
 
-    strict: seeded-uniform choice among records with the exact template,
-    excluding the query's own record; raises when none exists.
+    strict: seeded-uniform choice among records with the exact template;
+    raises when none exists.
     fallback: strict first, then the record maximizing table-set Jaccard
     similarity (ties by join-set Jaccard, then query_id).
     """
@@ -115,25 +122,17 @@ def select_demonstration(
         return None
 
     template = template_of(query)
-    candidates = [
-        r
-        for r in pool
-        if r.query_id != exclude_query_id and r.template == template
-    ]
+    candidates = [r for r in pool if r.template == template]
     if candidates:
         candidates.sort(key=lambda r: r.query_id)
         if rng is None:
             return candidates[0]
         return candidates[rng.randrange(len(candidates))]
     if mode == "strict":
-        raise NoDemonstrationAvailable(
-            f"no record shares the template of query {exclude_query_id or render_sql(query)}"
-        )
+        raise NoDemonstrationAvailable("no record shares the query's template")
 
     scored = []
     for r in pool:
-        if r.query_id == exclude_query_id:
-            continue
         table_sim = _jaccard(template.tables, r.template.tables)
         join_sim = _jaccard(template.joins, r.template.joins)
         scored.append((-table_sim, -join_sim, r.query_id, r))
@@ -149,12 +148,26 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def demonstration_from_record(record: InstructionRecord) -> Demonstration:
-    return Demonstration(
-        sql=extract_input_sql(record.prompt),
-        statistics=extract_input_statistics(record.prompt),
-        response=record.response,
-    )
+def prompt_with_demonstration(
+    query: QuerySpec,
+    catalog: Catalog,
+    candidates: Sequence[InstructionRecord],
+    mode: str,
+    rng: random.Random,
+    label: str,
+) -> str:
+    """The prompt for ``query``, its demonstration picked from ``candidates``;
+    ``label`` names the query when strict mode finds no sibling."""
+    try:
+        record = select_demonstration(query, candidates, mode, rng)
+    except NoDemonstrationAvailable:
+        if mode != "strict":
+            raise
+        raise NoDemonstrationAvailable(f"no record shares the template of query {label}") from None
+    demo = None
+    if record is not None:
+        demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)
+    return build_prompt(query, catalog, demo)
 
 
 def query_ids(queries) -> list[str]:
@@ -184,6 +197,7 @@ def build_sft_dataset(
                 query_id=query_id,
                 prompt=build_prompt(query, catalog),
                 response=render_response(best_timing(plan_logs[query_id]).plan),
+                sql=render_sql(query),
                 template=template_of(query),
             )
         )
@@ -192,11 +206,9 @@ def build_sft_dataset(
     for query, bare in zip(workload, pool):
         # String seeding hashes with sha512, stable across processes.
         rng = random.Random(f"{seed}:{bare.query_id}")
-        demo_record = select_demonstration(
-            query, pool, demo_mode, rng=rng, exclude_query_id=bare.query_id
-        )
-        demo = demonstration_from_record(demo_record) if demo_record else None
-        records.append(replace(bare, prompt=build_prompt(query, catalog, demo)))
+        candidates = [r for r in pool if r.query_id != bare.query_id]
+        prompt = prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, bare.query_id)
+        records.append(replace(bare, prompt=prompt))
     records.sort(key=lambda r: r.query_id)
     return records
 
@@ -209,14 +221,12 @@ def write_dataset(records: Sequence[InstructionRecord], path: str | Path) -> Non
 
 
 def load_dataset(path: str | Path) -> list[InstructionRecord]:
-    """Read a dataset file, recovering templates from the prompts."""
-    return read_jsonl(
-        path,
-        {"query_id": str, "prompt": str, "response": str},
-        lambda raw: InstructionRecord(
-            query_id=raw["query_id"],
-            prompt=raw["prompt"],
-            response=raw["response"],
-            template=template_of(parse_sql(extract_input_sql(raw["prompt"]))),
-        ),
-    )
+    """Read a dataset file, recovering each record's query from its prompt."""
+
+    def record(raw: dict) -> InstructionRecord:
+        sql = extract_input_sql(raw["prompt"])
+        return InstructionRecord(
+            raw["query_id"], raw["prompt"], raw["response"], sql, template_of(parse_sql(sql))
+        )
+
+    return read_jsonl(path, {"query_id": str, "prompt": str, "response": str}, record)

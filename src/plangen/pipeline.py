@@ -39,13 +39,10 @@ from . import __version__, validator
 from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
-    build_prompt,
     build_sft_dataset,
-    demonstration_from_record,
-    extract_input_sql,
     load_dataset,
+    prompt_with_demonstration,
     query_ids,
-    select_demonstration,
     write_dataset,
 )
 from .errors import PlangenError
@@ -54,6 +51,7 @@ from .jsonl import located, read_json, read_jsonl, read_lines, write_jsonl
 from .model import DEFAULT_CONTEXTS, load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
 from .preferences import (
+    DEFAULT_RATIO_THRESHOLD,
     PreferenceConfig,
     PreferenceError,
     extend_dataset,
@@ -64,6 +62,12 @@ from .preferences import (
 )
 from .sql import QuerySpec, parse_sql, render_sql, template_of
 from .training import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_BETA,
+    QDPO_LEARNING_RATE,
+    QDPO_STEPS,
+    QIT_LEARNING_RATE,
+    QIT_STEPS,
     TrainConfig,
     fit_qit_from_records,
     train_qdpo,
@@ -95,14 +99,14 @@ class PipelineConfig:
     split_seed: int = 2
     demo_mode: str = "fallback"
     demo_seed: int = 3
-    r0: float = 0.95
-    beta: float = 0.1
-    batch_size: int = 8
-    qit_lr: float = 2e-4
-    qit_steps: int = 600
+    r0: float = DEFAULT_RATIO_THRESHOLD
+    beta: float = DEFAULT_BETA
+    batch_size: int = DEFAULT_BATCH_SIZE
+    qit_lr: float = QIT_LEARNING_RATE
+    qit_steps: int = QIT_STEPS
     qit_seed: int = 4
-    qdpo_lr: float = 5e-6
-    qdpo_steps: int = 200
+    qdpo_lr: float = QDPO_LEARNING_RATE
+    qdpo_steps: int = QDPO_STEPS
     qdpo_seed: int = 5
     n_contexts: int = DEFAULT_CONTEXTS
     max_len: int = 256
@@ -272,31 +276,24 @@ def build_preferences_from_logs(sft_records, log: PlanLog, r0: float, log_name: 
     return sort_triples(triples)
 
 
-def keyed_pool(pool):
-    """Pair each demonstration record with its prompt's INPUT SQL."""
-    return [(extract_input_sql(record.prompt), record) for record in pool]
-
-
 def decode_query(
     model, query, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int, label: str
 ) -> str:
-    """Greedy-decode one query; ``pool`` comes from ``keyed_pool`` and
-    ``label`` seeds the demonstration choice."""
+    """Greedy-decode one query; no pool record with the query's SQL text can
+    be its demonstration, and ``label`` seeds the demonstration choice."""
     sql = render_sql(query)
-    candidates = [record for pool_sql, record in pool if pool_sql != sql]
+    candidates = [record for record in pool if record.sql != sql]
     rng = _random.Random(f"{demo_seed}:infer:{label}")
-    demo_record = select_demonstration(query, candidates, demo_mode, rng=rng)
-    demo = demonstration_from_record(demo_record) if demo_record else None
-    return model.greedy_decode(build_prompt(query, catalog, demo), max_len)
+    prompt = prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
+    return model.greedy_decode(prompt, max_len)
 
 
 def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int):
     """Greedy-decode a response for each query; returns {query_id, response} rows."""
-    keyed = keyed_pool(pool)
     return [
         {
             "query_id": qid,
-            "response": decode_query(model, query, catalog, keyed, demo_mode, demo_seed, max_len, qid),
+            "response": decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, qid),
         }
         for qid, query in zip(query_ids(queries), queries)
     ]

@@ -27,6 +27,9 @@ from .jsonl import NUMBER, read_jsonl, write_jsonl
 from .plans import render_response
 
 
+DEFAULT_RATIO_THRESHOLD = 0.95
+
+
 class PreferenceError(PlangenError):
     pass
 
@@ -35,7 +38,7 @@ class PreferenceError(PlangenError):
 class PreferenceConfig:
     """Threshold for the best-to-other time ratio, in (0, 1)."""
 
-    ratio_threshold: float = 0.95
+    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
 
     def __post_init__(self):
         if not 0.0 < self.ratio_threshold < 1.0:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from .catalog import Catalog
 from .errors import PlangenError
 from .jsonl import read_lines
-from .sql import JoinPredicate, QuerySpec, Selection, parse_sql, render_sql
+from .sql import JoinPredicate, QuerySpec, Selection, render_sql
 
 _EDGE_RE = re.compile(
     r"^\s*(\w+)\.(\w+)\s*=\s*(\w+)\.(\w+)\s*$"
@@ -98,7 +99,9 @@ def _gen_query(
             raise WorkloadError(f"join graph too sparse to extend past {sorted(chosen)}")
         edge, new = frontier[rng.randrange(len(frontier))]
         chosen.append(new)
-        joins.append(edge)
+        joins.append(
+            JoinPredicate.normalized(edge.table_a, edge.column_a, edge.table_b, edge.column_b)
+        )
 
     selections = []
     for table in chosen[1:]:
@@ -109,13 +112,12 @@ def _gen_query(
             literal = rng.randint(stats.min_value, stats.max_value)
             selections.append(Selection(table, cname, op, literal))
 
-    # Round-trip through the canonical text so in-memory results match what a
-    # workload file reload would produce.
+    # The canonical form, equal to what reloading the rendered text produces.
     spec = QuerySpec(
         tables=frozenset(chosen),
-        from_order=tuple(chosen),
+        from_order=tuple(sorted(chosen)),
         joins=frozenset(joins),
         selections=tuple(sorted(selections)),
         raw_sql="",
     )
-    return parse_sql(render_sql(spec))
+    return replace(spec, raw_sql=render_sql(spec))

@@ -11,7 +11,6 @@ from plangen.dataset import (
     NoDemonstrationAvailable,
     build_prompt,
     build_sft_dataset,
-    demonstration_from_record,
     extract_input_sql,
     extract_input_statistics,
     load_dataset,
@@ -93,6 +92,7 @@ def _record(query_id, sql, response, catalog):
         query_id=query_id,
         prompt=build_prompt(query, catalog),
         response=response,
+        sql=render_sql(query),
         template=template_of(query),
     )
 
@@ -105,7 +105,7 @@ def test_select_demonstration_strict(micro_catalog):
         _record("q2", sql_b, "r2", micro_catalog),
     ]
     query = parse_sql(sql_a)
-    got = select_demonstration(query, pool, "strict", rng=random.Random(0), exclude_query_id="q1")
+    got = select_demonstration(query, pool[1:], "strict", rng=random.Random(0))
     assert got.query_id == "q2"
 
 
@@ -113,7 +113,7 @@ def test_select_demonstration_self_exclusion(micro_catalog):
     sql = "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"
     pool = [_record("q1", sql, "r1", micro_catalog)]
     with pytest.raises(NoDemonstrationAvailable):
-        select_demonstration(parse_sql(sql), pool, "strict", exclude_query_id="q1")
+        select_demonstration(parse_sql(sql), pool[1:], "strict")
 
 
 def test_select_demonstration_none_mode(micro_catalog):
@@ -169,6 +169,18 @@ def test_build_sft_dataset_best_plan_and_tiebreak(micro_catalog):
     assert [r.query_id for r in records] == ["q0001", "q0002"]
     assert "HashJoin(cast_info title)" in records[0].response
     assert "HashJoin(movie_keyword title)" in records[1].response
+
+
+def test_build_sft_dataset_excludes_only_the_query_own_record(micro_catalog):
+    # Unlike inference, SFT may show a query a duplicate of its SQL text that
+    # sits under another id; the inference rule would leave strict mode none.
+    sql = "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"
+    workload = [parse_sql(sql), parse_sql(sql)]
+    logs = {qid: [timed("dp", "HashJoin(cast_info title)", 10)] for qid in ("q0001", "q0002")}
+    records = build_sft_dataset(workload, logs, micro_catalog, "strict", seed=0)
+    for record in records:
+        demo_block = record.prompt.split("INPUT:")[0]
+        assert f"<Planning Demonstration>: <SQL>: {render_sql(workload[0])}, " in demo_block
 
 
 def test_build_sft_dataset_missing_log(micro_catalog):
@@ -244,10 +256,9 @@ def test_dataset_file_round_trip_and_determinism(tmp_path, micro_catalog):
     demo_block = records[1].prompt.split("INPUT:")[0]
     assert render_sql(workload[0]) in demo_block
     assert render_sql(workload[1]) not in demo_block
-    # A record can itself be turned into a demonstration for other queries.
-    demo = demonstration_from_record(records[0])
-    assert demo.sql == render_sql(workload[0])
-    assert parse_response(demo.response) is not None
+    # A record carries its INPUT query, so it can demonstrate for other queries.
+    assert records[0].sql == render_sql(workload[0])
+    assert parse_response(records[0].response) is not None
 
     raw = [json.loads(line) for line in a.read_text().splitlines()]
     assert set(raw[0]) == {"query_id", "prompt", "response"}

@@ -14,7 +14,7 @@ from plangen.optimizers import (
     random_optimize,
 )
 from plangen.plans import Join, Leaf, leaves, tree_to_bracket
-from plangen.sql import parse_sql
+from plangen.sql import JoinPredicate, parse_sql, render_sql
 from plangen.workload import WorkloadError, gen_workload, load_join_graph
 from tests.conftest import (
     FIXTURES_DIR,
@@ -394,6 +394,24 @@ def test_gen_workload_structure(micro_catalog, micro_join_lines, tmp_path):
     for q in gen_workload(micro_catalog, graph, 2, 40, seed=3):
         assert len(q.tables) == 3
         assert len(q.joins) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_joins=st.integers(0, 5),
+    flips=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_gen_workload_equals_its_canonical_reload(micro_catalog, micro_join_lines, seed, n_joins,
+                                                  flips):
+    """Each generated query equals, field for field, the query parsed back
+    from its canonical text, whichever way round the graph states an edge."""
+    graph = []
+    for line, flip in zip(micro_join_lines, flips):
+        left, right = (side.strip().split(".") for side in line.split("="))
+        graph.append(JoinPredicate(*right, *left) if flip else JoinPredicate(*left, *right))
+    for query in gen_workload(micro_catalog, graph, n_joins, 8, seed):
+        assert vars(query) == vars(parse_sql(render_sql(query)))
 
 
 def test_gen_workload_rejects_large_n_joins(micro_catalog, micro_join_lines, tmp_path):

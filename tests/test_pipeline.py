@@ -11,15 +11,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plangen.catalog import load_catalog, load_tables
+from plangen.catalog import load_catalog, load_tables, serialize_stats
 from plangen.cli import cli
-from plangen.dataset import build_sft_dataset
+from plangen.dataset import Demonstration, build_prompt, build_sft_dataset, load_dataset
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
     PipelineConfig,
     PipelineError,
     build_preferences_from_logs,
+    infer_responses,
     nearest_rank,
     run_optimizers,
     run_pipeline,
@@ -28,7 +29,7 @@ from plangen.pipeline import (
     timing_summary,
 )
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
-from plangen.sql import parse_sql
+from plangen.sql import parse_sql, render_sql
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -694,6 +695,49 @@ def _plan_log_is_a_directory(tmp_path):
     return args, "plans_train.jsonl: Is a directory"
 
 
+def _gen_sft_strict_without_sibling(tmp_path):
+    join = "movie_keyword.movie_id = title.movie_id"
+    train = tmp_path / "train.sql"
+    train.write_text(f"SELECT * FROM movie_keyword, title WHERE {join};\n"
+                     "SELECT * FROM cast_info, title WHERE cast_info.movie_id = title.movie_id;\n"
+                     f"SELECT * FROM movie_keyword, title WHERE {join} AND title.kind_id < 3;\n")
+    plans = tmp_path / "plans_train.jsonl"
+    write_jsonl([{"query_id": qid, "optimizer": "dp", "bracket": f"HashJoin({table} title)",
+                  "time_units": 70}
+                 for qid, table in (("q0001", "movie_keyword"), ("q0002", "cast_info"),
+                                    ("q0003", "movie_keyword"))], plans)
+    return ["gen-sft", "--workload", train, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+            "--demo-mode", "strict", "--out", tmp_path / "sft.jsonl"], (
+        "error: no record shares the template of query q0002\n"
+    )
+
+
+def _infer_strict_without_sibling(tmp_path):
+    pool = tmp_path / "sft.jsonl"
+    prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM cast_info;\n<Statistics>:\ncast_info"
+    pool.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "cast_info"}) + "\n")
+    args = _infer_with_checkpoint(tmp_path) + ["--demo-pool", pool, "--demo-mode", "strict"]
+    return args, "error: no record shares the template of query SELECT * FROM title;\n"
+
+
+def _run_optimizers_on_tables(tmp_path, tables):
+    workload = tmp_path / "workload.sql"
+    workload.write_text("SELECT * FROM title;\n")
+    return ["run-optimizers", "--workload", workload, "--catalog", FIXTURES / "catalog.txt",
+            "--tables", tables, "--out", tmp_path / "plans.jsonl"]
+
+
+def _tables_path_is_a_file(tmp_path):
+    tables = FIXTURES / "catalog.txt"
+    return _run_optimizers_on_tables(tmp_path, tables), f"{tables}: not a directory"
+
+
+def _tables_directory_without_tbl_files(tmp_path):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    return _run_optimizers_on_tables(tmp_path, tables), f"{tables}: no .tbl files"
+
+
 def _gen_workload(tmp_path, catalog, joins):
     return ["gen-workload", "--catalog", catalog, "--join-graph", joins, "--out",
             tmp_path / "workload.sql"]
@@ -787,7 +831,9 @@ def _report_build_unknown_response(tmp_path):
      _plan_log_with_repeated_optimizer, _plan_log_with_one_plan, _undecodable_corpus,
      _plan_log_is_a_directory, _bad_join_edge, _bad_catalog_field, _ragged_table_row,
      _non_integer_table_cell, _hint_with_bad_sql, _validate_missing_response,
-     _validate_unknown_response, _validate_repeated_response, _report_build_unknown_response],
+     _validate_unknown_response, _validate_repeated_response, _report_build_unknown_response,
+     _gen_sft_strict_without_sibling, _infer_strict_without_sibling, _tables_path_is_a_file,
+     _tables_directory_without_tbl_files],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
@@ -843,6 +889,52 @@ def test_cli_infer_single_query(tmp_path):
     )
     assert result.exit_code == 0
     assert "final answer" in result.output
+
+
+class _PromptEcho:
+    """A model whose greedy decode returns the prompt it was given."""
+
+    def greedy_decode(self, prompt, max_len):
+        return prompt
+
+
+def test_inference_demonstration_is_a_sibling_never_the_query_sql(tmp_path):
+    # No artifact shows which demonstration inference picked (the model reads
+    # only the template key), so the prompts are captured here. The choices
+    # are pinned: a change to the exclusion rule or to the seed strings shows.
+    catalog = load_catalog(FIXTURES / "catalog.txt")
+    join = "cast_info.movie_id = title.movie_id"
+    query_sql = f"SELECT * FROM cast_info, title WHERE {join} AND cast_info.role_id < 4;"
+    pool_sqls = {
+        "q0001": f"SELECT * FROM cast_info, title WHERE {join} AND title.kind_id > 2;",
+        "q0002": query_sql,
+        "q0003": f"SELECT * FROM cast_info, title WHERE {join};",
+        "q0004": query_sql,
+        "q0005": "SELECT * FROM movie_keyword, title WHERE movie_keyword.movie_id = title.movie_id;",
+        "q0006": f"SELECT * FROM cast_info, title WHERE {join} AND title.product_year < 1990;",
+    }
+    pool_file = tmp_path / "sft.jsonl"
+    write_jsonl([{"query_id": qid, "prompt": build_prompt(parse_sql(sql), catalog),
+                  "response": f"response of {qid}"} for qid, sql in pool_sqls.items()], pool_file)
+    pool = load_dataset(pool_file)
+    three_tables = parse_sql("SELECT * FROM cast_info, movie_keyword, title WHERE "
+                             f"{join} AND movie_keyword.movie_id = title.movie_id;")
+    queries = [parse_sql(query_sql), parse_sql(query_sql), parse_sql(pool_sqls["q0003"]), three_tables]
+    recorded = {
+        ("strict", 3): ["q0003", "q0006", "q0006"],
+        ("strict", 4): ["q0001", "q0003", "q0001"],
+        ("fallback", 3): ["q0003", "q0006", "q0006", "q0001"],
+    }
+    for (mode, seed), demo_ids in recorded.items():
+        rows = infer_responses(_PromptEcho(), queries[:len(demo_ids)], catalog, pool, mode, seed, 256)
+        for row, query, demo_id in zip(rows, queries, demo_ids):
+            demo_query = parse_sql(pool_sqls[demo_id])
+            demo = Demonstration(
+                render_sql(demo_query),
+                serialize_stats(catalog, list(demo_query.from_order)),
+                f"response of {demo_id}",
+            )
+            assert row["response"] == build_prompt(query, catalog, demo), (mode, seed, row["query_id"])
 
 
 def test_cli_grad_check(tmp_path):
