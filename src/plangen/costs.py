@@ -67,7 +67,7 @@ class CostModel:
         """Sum of estimated intermediate cardinalities over the join nodes."""
         estimates = self.estimates(query)
         total = 0.0
-        for node in _join_nodes(plan):
+        for node in plans.join_nodes(plan):
             total += estimates.cardinality(estimates.mask(plans.leaves(node)))
         return total
 
@@ -94,13 +94,6 @@ class QueryEstimates:
             if mask & pair == pair:
                 card *= selectivity
         return card
-
-
-def _join_nodes(plan: plans.PlanTree):
-    if isinstance(plan, plans.Join):
-        yield from _join_nodes(plan.left)
-        yield from _join_nodes(plan.right)
-        yield plan
 
 
 def _range_selectivity(stats: ColumnStats, op: str, literal: int) -> float:

@@ -129,7 +129,7 @@ def select_demonstration(
             return candidates[0]
         return candidates[rng.randrange(len(candidates))]
     if mode == "strict":
-        raise NoDemonstrationAvailable("no record shares the query's template")
+        raise NoDemonstrationAvailable("no record shares the template")
 
     scored = []
     for r in pool:
@@ -137,7 +137,7 @@ def select_demonstration(
         join_sim = _jaccard(template.joins, r.template.joins)
         scored.append((-table_sim, -join_sim, r.query_id, r))
     if not scored:
-        raise NoDemonstrationAvailable("demonstration pool is empty")
+        raise NoDemonstrationAvailable("no candidate record is left for the demonstration")
     scored.sort(key=lambda item: item[:3])
     return scored[0][3]
 
@@ -157,13 +157,11 @@ def prompt_with_demonstration(
     label: str,
 ) -> str:
     """The prompt for ``query``, its demonstration picked from ``candidates``;
-    ``label`` names the query when strict mode finds no sibling."""
+    ``label`` names the query when no candidate can be its demonstration."""
     try:
         record = select_demonstration(query, candidates, mode, rng)
-    except NoDemonstrationAvailable:
-        if mode != "strict":
-            raise
-        raise NoDemonstrationAvailable(f"no record shares the template of query {label}") from None
+    except NoDemonstrationAvailable as exc:
+        raise NoDemonstrationAvailable(f"{exc} of query {label}") from None
     demo = None
     if record is not None:
         demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)

@@ -32,7 +32,7 @@ import random
 
 from .costs import CostModel
 from .errors import PlangenError
-from .plans import Join, Leaf, PlanTree
+from .plans import JOIN_OPERATORS, Join, Leaf, PlanTree
 from .sql import QuerySpec
 
 NEST_LOOP_THRESHOLD = 100.0
@@ -138,7 +138,7 @@ def random_optimize(query: QuerySpec, seed: int) -> PlanTree:
         if not joinable:
             raise PlangenError("join graph is not connected")
         i, j = joinable[rng.randrange(len(joinable))]
-        op = rng.choice(("HashJoin", "MergeJoin", "NestLoopJoin"))
+        op = rng.choice(JOIN_OPERATORS)
         left, right = components[i], components[j]
         if rng.random() < 0.5:
             left, right = right, left

@@ -461,14 +461,22 @@ def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
     """Extend a preference file with one new optimizer's plan log.
 
     Returns (triples written, triples added). The result equals
-    build_preferences_from_logs over the old and new plan logs together.
+    build_preferences_from_logs over the old and new plan logs together. A
+    new-log query missing from the old log, and a triple whose query is
+    missing from the old log or the SFT records, are errors.
     """
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
     old_log = read_plan_log(plans)
     new_log = read_plan_log(plans_new)
+    unknown = sorted(new_log.keys() - old_log.keys())
+    if unknown:
+        raise PipelineError(f"{plans_new}: {unknown[0]}: query not in {plans}")
     existing_by_query: dict[str, list] = {}
     for triple in load_preference_file(dpo):
+        for source, query_ids in ((plans, old_log), (sft, prompts)):
+            if triple.query_id not in query_ids:
+                raise PipelineError(f"{dpo}: {triple.query_id}: query not in {source}")
         existing_by_query.setdefault(triple.query_id, []).append(triple)
 
     updated = []

@@ -108,10 +108,15 @@ def leaves(plan: PlanTree) -> list[str]:
     return leaves(plan.left) + leaves(plan.right)
 
 
-def join_count(plan: PlanTree) -> int:
+def join_nodes(plan: PlanTree) -> list[Join]:
+    """The join nodes in post-order, left child first."""
     if isinstance(plan, Leaf):
-        return 0
-    return 1 + join_count(plan.left) + join_count(plan.right)
+        return []
+    return join_nodes(plan.left) + join_nodes(plan.right) + [plan]
+
+
+def join_count(plan: PlanTree) -> int:
+    return len(join_nodes(plan))
 
 
 def validate_plan(plan: PlanTree) -> None:
@@ -197,17 +202,7 @@ def tree_to_path(plan: PlanTree) -> PlanningPath:
     """
     if isinstance(plan, Leaf):
         raise SingleTablePlan("single-table plans have no joins to narrate")
-    steps: list[tuple[str, str, str]] = []
-
-    def visit(node: PlanTree) -> str:
-        if isinstance(node, Leaf):
-            return node.table
-        left = visit(node.left)
-        right = visit(node.right)
-        steps.append((left, right, node.op))
-        return tree_to_bracket(node)
-
-    visit(plan)
+    steps = [(tree_to_bracket(node.left), tree_to_bracket(node.right), node.op) for node in join_nodes(plan)]
     return PlanningPath(tuple(steps))
 
 

@@ -256,7 +256,6 @@ class GradCheckReport:
     max_rel_error: float
     checked: int
     passed: bool
-    reference_grad_zero: bool | None = None
 
 
 def grad_check(
@@ -320,12 +319,10 @@ def dpo_grad_check(
     if (policy.vocab, policy.n_contexts) != (reference.vocab, reference.n_contexts):
         raise TrainingError("policy and reference differ in vocabulary or context count")
     encoded = encode_triples(reference, triples)
-    report = grad_check(
+    return grad_check(
         lambda probe: _dpo_loss_grad(probe, encoded, range(len(triples)), beta),
         policy, encoded.sequences.rows.tolist(), h, tolerance, n_params, seed,
     )
-    # The reference is frozen: its parameters get no gradient by definition.
-    return replace(report, reference_grad_zero=True)
 
 
 # --- dataset-level helpers ---

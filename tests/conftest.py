@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
 from plangen.costs import CostModel
 from plangen.errors import PlangenError
+from plangen.hints import HintError
 from plangen.model import prompt_key
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
@@ -514,3 +516,109 @@ def reference_random_optimize(query: QuerySpec, seed: int) -> PlanTree:
         components = [c for k, c in enumerate(components) if k not in (i, j)]
         components.append((merged, plan))
     return components[0][1]
+
+
+# --- reference hint parser: the hand-written Leading parser that
+# bracket_to_tree replaced in plangen.hints, kept as the differential oracle.
+
+_REF_KEYWORD_OPERATORS = {"HashJoin": "HashJoin", "MergeJoin": "MergeJoin", "NestLoop": "NestLoopJoin"}
+_REF_HINT_RE = re.compile(r"^/\*\+\s*(.*?)\s*\*/$", re.DOTALL)
+
+
+def reference_parse_hints(text: str) -> PlanTree:
+    """The parser as it was before parse_hints read the Leading clause with
+    bracket_to_tree; tests/test_hints.py compares the two."""
+    match = _REF_HINT_RE.match(text.strip())
+    if match is None:
+        raise HintError("not a hint comment")
+    body = match.group(1)
+
+    leading, methods = _ref_split_clauses(body)
+    shape = _ref_parse_nested(leading)
+    operators: dict[frozenset[str], str] = {}
+    for keyword, tables in methods:
+        if keyword not in _REF_KEYWORD_OPERATORS:
+            raise HintError(f"unknown method keyword {keyword!r}")
+        key = frozenset(tables)
+        if key in operators:
+            raise HintError(f"duplicate method hint for {sorted(key)}")
+        operators[key] = _REF_KEYWORD_OPERATORS[keyword]
+
+    plan, used = _ref_assign(shape, operators)
+    if used != set(operators):
+        extra = [sorted(k) for k in set(operators) - used]
+        raise HintError(f"method hints match no join node: {extra}")
+    return plan
+
+
+def _ref_split_clauses(body: str) -> tuple[str, list[tuple[str, list[str]]]]:
+    lead_match = re.match(r"Leading\(", body)
+    if lead_match is None:
+        raise HintError("missing Leading clause")
+    depth = 0
+    end = None
+    for i in range(lead_match.end() - 1, len(body)):
+        if body[i] == "(":
+            depth += 1
+        elif body[i] == ")":
+            depth -= 1
+            if depth == 0:
+                end = i
+                break
+    if end is None:
+        raise HintError("unbalanced Leading clause")
+    leading = body[lead_match.end():end]
+    methods = []
+    rest = body[end + 1:]
+    for m in re.finditer(r"(\w+)\(([^()]*)\)", rest):
+        keyword, args = m.groups()
+        tables = args.split()
+        if not tables:
+            raise HintError(f"empty method hint {keyword}()")
+        methods.append((keyword, tables))
+    stripped = re.sub(r"(\w+)\(([^()]*)\)", "", rest).strip()
+    if stripped:
+        raise HintError(f"trailing content in hint: {stripped!r}")
+    return leading, methods
+
+
+def _ref_parse_nested(text: str):
+    """Parse the Leading nesting into (left, right) tuples and table names."""
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    pos = 0
+
+    def node():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise HintError("truncated Leading clause")
+        tok = tokens[pos]
+        if tok == "(":
+            pos += 1
+            left = node()
+            right = node()
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise HintError("unbalanced parentheses in Leading clause")
+            pos += 1
+            return (left, right)
+        if tok == ")":
+            raise HintError("unexpected ')' in Leading clause")
+        pos += 1
+        return tok
+
+    shape = node()
+    if pos != len(tokens):
+        raise HintError("trailing content in Leading clause")
+    if isinstance(shape, str):
+        raise HintError("Leading clause names a single table")
+    return shape
+
+
+def _ref_assign(shape, operators: dict[frozenset[str], str]) -> tuple[PlanTree, set[frozenset[str]]]:
+    if isinstance(shape, str):
+        return Leaf(shape), set()
+    left, left_used = _ref_assign(shape[0], operators)
+    right, right_used = _ref_assign(shape[1], operators)
+    key = frozenset(leaves(left) + leaves(right))
+    if key not in operators:
+        raise HintError(f"no method hint covers {sorted(key)}")
+    return Join(operators[key], left, right), left_used | right_used | {key}

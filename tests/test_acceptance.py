@@ -432,14 +432,15 @@ def test_criterion_8_gradient_checks():
         ("p0", RESPONSE_POOL[0], RESPONSE_POOL[1]),
         ("p1", RESPONSE_POOL[1], RESPONSE_POOL[2]),
     ]
+    before = reference.theta.tobytes()
     dpo_report = dpo_grad_check(
         model, reference, triples, beta=0.1, h=1e-5, tolerance=1e-5, n_params=200, seed=9
     )
     assert dpo_report.checked >= 200
     assert dpo_report.passed, dpo_report.max_rel_error
-    assert dpo_report.reference_grad_zero is True
+    # The check perturbs only a copy of the policy, never the reference.
+    assert reference.theta.tobytes() == before
     # The frozen reference is untouched by training itself.
-    before = reference.theta.tobytes()
     train_qdpo(
         reference,
         triples,

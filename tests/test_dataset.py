@@ -14,6 +14,7 @@ from plangen.dataset import (
     extract_input_sql,
     extract_input_statistics,
     load_dataset,
+    query_ids,
     select_demonstration,
     write_dataset,
 )
@@ -222,13 +223,17 @@ def test_build_sft_dataset_responses_validate(micro_catalog, micro_join_lines):
 
     records = build_sft_dataset(workload, logs, micro_catalog, demo_mode="fallback", seed=5)
     assert len(records) == 50
+    ids_by_sql = {}
+    for qid, query in zip(query_ids(workload), workload):
+        ids_by_sql.setdefault(render_sql(query), []).append(qid)
     for record, query in zip(records, workload):
         report = validate(record.response, query)
         assert report.valid, report.detail
-        # Self-exclusion: the demonstration never contains the query's own SQL.
+        # Self-exclusion drops only the query's own record, so its SQL text
+        # can appear in the demonstration only as another query's.
         demo_part = record.prompt.split("INPUT:")[0]
-        if "<Planning Demonstration>" in demo_part:
-            assert render_sql(query) not in demo_part
+        if render_sql(query) in demo_part:
+            assert ids_by_sql[render_sql(query)] != [record.query_id]
 
 
 def test_dataset_file_round_trip_and_determinism(tmp_path, micro_catalog):

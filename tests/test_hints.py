@@ -2,10 +2,12 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plangen.hints import HintError, emit_hints, parse_hints
-from plangen.plans import Join, Leaf, SingleTablePlan, leaves
-from tests.conftest import random_plan
+from plangen.plans import Join, Leaf, PlanError, SingleTablePlan, bracket_to_tree, leaves, tree_to_bracket
+from tests.conftest import random_plan, reference_parse_hints
 
 
 def reparse_oracle(hint: str):
@@ -86,3 +88,82 @@ def test_round_trip_500_random_plans():
         for _, args in reparse_oracle(hint):
             listed = args.split()
             assert set(listed) <= set(leaves(plan))
+
+
+def test_name_against_a_parenthesis_is_an_operand():
+    hint = "/*+ Leading((t3(t1 t2))) HashJoin(t1 t2) NestLoop(t3 t1 t2) */"
+    expected = Join("NestLoopJoin", Leaf("t3"), Join("HashJoin", Leaf("t1"), Leaf("t2")))
+    assert parse_hints(hint) == reference_parse_hints(hint) == expected
+
+
+@pytest.mark.parametrize(
+    "hint",
+    [
+        "/*+ Leading(((a b) a)) HashJoin(a b) */",
+        "/*+ Leading((HashJoin a)) MergeJoin(HashJoin a) */",
+    ],
+)
+def test_leading_clause_must_be_a_bracket_plan(hint):
+    # The reference parser accepts a repeated table and a table named like a
+    # join operator; no bracket form holds either plan.
+    with pytest.raises(PlanError):
+        bracket_to_tree(tree_to_bracket(reference_parse_hints(hint)))
+    with pytest.raises(HintError):
+        parse_hints(hint)
+
+
+HINT_TOKENS = ["(", ")", "HashJoin", "NestLoop", "Leading(", "*/", " ", "t0", "t1"]
+_PIECE_RE = re.compile(r"\s+|[()]|[^\s()]+")
+
+# (kind, on a grammar piece rather than one character, index, inserted text)
+hint_edits = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.booleans(),
+    st.integers(min_value=0),
+    st.one_of(st.sampled_from(HINT_TOKENS), st.characters()),
+)
+
+
+def apply_edit(text: str, edit) -> str:
+    kind, on_piece, index, token = edit
+    units = _PIECE_RE.findall(text) if on_piece else list(text)
+    at = index % (len(units) + 1)
+    if kind == "insert":
+        units.insert(at, token)
+    elif at < len(units):
+        units[at:at + 1] = [] if kind == "delete" else [token]
+    return "".join(units)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except HintError:
+        return HintError
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    gaps=st.lists(st.sampled_from([" ", "", "\n\t"])),
+    edits=st.lists(hint_edits, max_size=4),
+)
+def test_parse_hints_agrees_with_reference_parser(n, seed, gaps, edits):
+    rng = random.Random(seed)
+    tables = [f"t{i}" for i in range(n)]
+    rng.shuffle(tables)
+    # The emitted hint, its whitespace runs replaced by the gaps in turn.
+    gap = iter(gaps)
+    pieces = _PIECE_RE.findall(emit_hints(random_plan(rng, tables)))
+    text = "".join(next(gap, p) if p.isspace() else p for p in pieces)
+    for edit in edits:
+        text = apply_edit(text, edit)
+    expected = _outcome(reference_parse_hints, text)
+    actual = _outcome(parse_hints, text)
+    if expected is not HintError and actual is HintError:
+        # Only the plans of test_leading_clause_must_be_a_bracket_plan.
+        with pytest.raises(PlanError):
+            bracket_to_tree(tree_to_bracket(expected))
+    else:
+        assert actual == expected

@@ -720,6 +720,73 @@ def _infer_strict_without_sibling(tmp_path):
     return args, "error: no record shares the template of query SELECT * FROM title;\n"
 
 
+def _infer_fallback_with_only_the_query_in_the_pool(tmp_path):
+    pool = tmp_path / "sft.jsonl"
+    prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
+    pool.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "title"}) + "\n")
+    args = _infer_with_checkpoint(tmp_path) + ["--demo-pool", pool, "--demo-mode", "fallback"]
+    return args, (
+        "error: no candidate record is left for the demonstration of query SELECT * FROM title;\n"
+    )
+
+
+def _two_query_logs(tmp_path):
+    """A two-query workload, its plan log, SFT records and preference file."""
+    workload = tmp_path / "train.sql"
+    workload.write_text("SELECT * FROM cast_info, title WHERE cast_info.movie_id = title.movie_id;\n"
+                        "SELECT * FROM movie_keyword, title WHERE movie_keyword.movie_id = title.movie_id;\n")
+    plans = tmp_path / "plans_train.jsonl"
+    write_jsonl([{"query_id": qid, "optimizer": optimizer, "bracket": f"HashJoin({table} title)",
+                  "time_units": time_units}
+                 for qid, table in (("q0001", "cast_info"), ("q0002", "movie_keyword"))
+                 for optimizer, time_units in (("dp", 70), ("greedy", 900))], plans)
+    sft, dpo = tmp_path / "sft.jsonl", tmp_path / "dpo.jsonl"
+    for args in (
+        ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+         "--demo-mode", "none", "--out", sft],
+        ["gen-dpo", "--plans", plans, "--sft", sft, "--out", dpo],
+    ):
+        assert invoke(*args).exit_code == 0
+    return workload, plans, sft, dpo
+
+
+def _gen_sft_fallback_on_one_query(tmp_path):
+    workload, plans, _, _ = _two_query_logs(tmp_path)
+    workload.write_text(workload.read_text().splitlines()[0] + "\n")
+    return ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+            "--demo-mode", "fallback", "--out", tmp_path / "sft_one.jsonl"], (
+        "error: no candidate record is left for the demonstration of query q0001\n"
+    )
+
+
+def _extend_dpo_case(tmp_path, old_rows, new_row):
+    """extend-dpo over _two_query_logs: --plans holds ``old_rows`` of its plan
+    log, --plans-new holds row ``new_row`` as a new optimizer's plan."""
+    _, plans, sft, dpo = _two_query_logs(tmp_path)
+    rows = [json.loads(line) for line in plans.read_text().splitlines()]
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    write_jsonl(rows[old_rows], old)
+    write_jsonl([{**rows[new_row], "optimizer": "random"}], new)
+    return ["extend-dpo", "--plans-new", new, "--plans", old, "--sft", sft, "--dpo", dpo,
+            "--out", tmp_path / "dpo_extended.jsonl"], old, sft
+
+
+def _extend_dpo_new_query_not_in_plans(tmp_path):
+    args, old, _ = _extend_dpo_case(tmp_path, slice(0, 2), 3)
+    return args, f"new.jsonl: q0002: query not in {old}"
+
+
+def _extend_dpo_triple_not_in_plans(tmp_path):
+    args, old, _ = _extend_dpo_case(tmp_path, slice(0, 2), 0)
+    return args, f"dpo.jsonl: q0002: query not in {old}"
+
+
+def _extend_dpo_triple_not_in_sft(tmp_path):
+    args, _, sft = _extend_dpo_case(tmp_path, slice(None), 0)
+    sft.write_text(sft.read_text().splitlines()[0] + "\n")
+    return args, f"dpo.jsonl: q0002: query not in {sft}"
+
+
 def _run_optimizers_on_tables(tmp_path, tables):
     workload = tmp_path / "workload.sql"
     workload.write_text("SELECT * FROM title;\n")
@@ -833,7 +900,9 @@ def _report_build_unknown_response(tmp_path):
      _non_integer_table_cell, _hint_with_bad_sql, _validate_missing_response,
      _validate_unknown_response, _validate_repeated_response, _report_build_unknown_response,
      _gen_sft_strict_without_sibling, _infer_strict_without_sibling, _tables_path_is_a_file,
-     _tables_directory_without_tbl_files],
+     _tables_directory_without_tbl_files, _infer_fallback_with_only_the_query_in_the_pool,
+     _gen_sft_fallback_on_one_query, _extend_dpo_new_query_not_in_plans,
+     _extend_dpo_triple_not_in_plans, _extend_dpo_triple_not_in_sft],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
