@@ -21,8 +21,8 @@ from .hints import emit_hints
 from .jsonl import read_text
 from .model import DEFAULT_CONTEXTS, load_model
 from .plans import bracket_to_tree
-from .preferences import DEFAULT_RATIO_THRESHOLD, load_preference_file
-from .sql import parse_sql, render_sql
+from .preferences import DEFAULT_RATIO_THRESHOLD
+from .sql import parse_sql, render_sql, template_key
 from .training import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_BETA,
@@ -271,14 +271,12 @@ def grad_check_cmd(model_path, loss, sft_path, dpo_path, reference, beta, step,
     if loss == "sft":
         if not sft_path:
             raise click.UsageError("--loss sft needs --sft")
-        pairs = [(r.prompt, r.response) for r in load_dataset(sft_path)][:limit]
+        pairs = [(template_key(r.template), r.response) for r in load_dataset(sft_path)][:limit]
         report = sft_grad_check(model, pairs, step, tolerance, samples, seed)
     else:
         if not dpo_path:
             raise click.UsageError("--loss dpo needs --dpo")
-        triples = [
-            (t.prompt, t.chosen, t.rejected) for t in load_preference_file(dpo_path)
-        ][:limit]
+        triples = pl.read_triples(dpo_path)[:limit]
         ref_model = load_model(reference) if reference else model
         report = dpo_grad_check(model, ref_model, triples, beta, step, tolerance, samples, seed)
     status = "pass" if report.passed else "FAIL"

@@ -12,7 +12,7 @@ caller passes: a sibling record with the same query template (same tables
 and join predicates), or in ``fallback`` mode the most similar record.
 Instruction tuning (``build_sft_dataset``) drops only the query's own record;
 inference (``pipeline.decode_query``) drops every record whose SQL text is
-the query's. The tabular model reads only a prompt's template key, so
+the query's. The tabular model conditions only on ``sql.template_key``, so
 demonstrations shape the SFT and DPO prompts but never a decoded response.
 """
 

@@ -1,15 +1,14 @@
 """Tabular autoregressive token model.
 
 The model keeps a logits table indexed by (context id, token id). A context
-id hashes together the prompt's query-template key, the step index, and the
-previous token id, so the conditional next-token distribution factorizes the
-response probability exactly:
+id hashes together the integer template key (``sql.template_key``) the caller
+passes, the step index and the previous token id, so the conditional
+next-token distribution factorizes the response probability exactly:
 
     log p(y | x) = sum_t log softmax(theta[ctx(x, t, y_{t-1})])[y_t]
 
-The template key is recovered by parsing the SQL out of the prompt's INPUT
-section; prompts that do not parse fall back to hashing the raw text. All
-hashing is explicit 64-bit arithmetic, never Python's randomized hash().
+The model never reads a prompt. All hashing is explicit 64-bit arithmetic,
+never Python's randomized hash().
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import extract_input_sql
 from .errors import PlangenError
 from .jsonl import NUMBER, read_json
-from .sql import parse_sql, template_of
 from .tokenizer import Vocabulary, detokenize, tokenize
 
 _MASK = (1 << 64) - 1
@@ -38,14 +35,6 @@ class ModelError(PlangenError):
     pass
 
 
-def fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & _MASK
-    return h
-
-
 def _splitmix(x):
     """splitmix64 of a Python int, or elementwise of a numpy uint64 array
     (whose arithmetic wraps modulo 2**64 by itself)."""
@@ -53,15 +42,6 @@ def _splitmix(x):
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
-
-
-def prompt_key(prompt: str) -> int:
-    """Stable conditioning key: the query template when recoverable."""
-    try:
-        spec = parse_sql(extract_input_sql(prompt))
-        return fnv1a64("template:" + template_of(spec).key())
-    except PlangenError:
-        return fnv1a64("prompt:" + prompt)
 
 
 @dataclass
@@ -84,8 +64,7 @@ class TokenModel:
         equal-length uint64 arrays, giving the contexts of every step."""
         return _splitmix(template_key ^ _splitmix(position ^ _splitmix(prev_token))) % self.n_contexts
 
-    def encode_response(self, prompt_or_key: str | int, response: str) -> "EncodedSequence":
-        key = prompt_or_key if isinstance(prompt_or_key, int) else prompt_key(prompt_or_key)
+    def encode_response(self, key: int, response: str) -> "EncodedSequence":
         ids = tokenize(response, self.vocab, response=True)
         prev = np.array([self.vocab.bos_id, *ids[:-1]], dtype=np.uint64)
         ctx = self.context_id(key, np.arange(len(ids), dtype=np.uint64), prev)
@@ -145,10 +124,9 @@ class TokenModel:
         log_p = np.array([np.add.reduce(picked[a:b]) for a, b in zip([0, *ends], ends)])
         return log_p, contexts, grad
 
-    def greedy_decode(self, prompt: str, max_len: int) -> str:
+    def greedy_decode(self, key: int, max_len: int) -> str:
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
-        key = prompt_key(prompt)
         out: list[int] = []
         prev = self.vocab.bos_id
         for position in range(max_len):

@@ -40,6 +40,7 @@ from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
     build_sft_dataset,
+    extract_input_sql,
     load_dataset,
     prompt_with_demonstration,
     query_ids,
@@ -60,7 +61,7 @@ from .preferences import (
     sort_triples,
     write_preference_file,
 )
-from .sql import QuerySpec, parse_sql, render_sql, template_of
+from .sql import QuerySpec, parse_sql, render_sql, template_key, template_of
 from .training import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_BETA,
@@ -261,18 +262,21 @@ def run_optimizers(queries, catalog: Catalog, tables, random_seed_base: int = 0)
     return log
 
 
-def build_preferences_from_logs(sft_records, log: PlanLog, r0: float, log_name: str = "plan log"):
-    """Preference triples for every query of the log that has an SFT prompt.
-    A query with a single plan is reported as ``log_name: query_id``."""
+def build_preferences_from_logs(
+    sft_records, log: PlanLog, r0: float, log_name: str = "plan log", sft_name: str = "SFT records"
+):
+    """Preference triples for every query of the log; a query with a single
+    plan or with no SFT record is reported as ``log_name: query_id``."""
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in sft_records}
     triples = []
     for query_id in sorted(log):
-        if query_id in prompts:
-            try:
-                triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
-            except PreferenceError as exc:
-                raise located(exc, f"{log_name}: {query_id}") from None
+        if query_id not in prompts:
+            raise PipelineError(f"{log_name}: {query_id}: query not in {sft_name}")
+        try:
+            triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
+        except PreferenceError as exc:
+            raise located(exc, f"{log_name}: {query_id}") from None
     return sort_triples(triples)
 
 
@@ -284,8 +288,9 @@ def decode_query(
     sql = render_sql(query)
     candidates = [record for record in pool if record.sql != sql]
     rng = _random.Random(f"{demo_seed}:infer:{label}")
-    prompt = prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
-    return model.greedy_decode(prompt, max_len)
+    # The token model reads only the key; the prompt keeps strict mode's missing-demonstration error.
+    prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
+    return model.greedy_decode(template_key(template_of(query)), max_len)
 
 
 def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int):
@@ -384,19 +389,23 @@ def plans_stage(workload, catalog, tables, out, random_seed: int):
 
 def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
     queries = read_workload(workload)
-    records = build_sft_dataset(queries, read_plan_log(plans), load_catalog(catalog), demo_mode, seed)
+    log = read_plan_log(plans)
+    extra = sorted(log.keys() - set(query_ids(queries)))
+    if extra:
+        raise PipelineError(f"{plans}: {extra[0]}: query not in {workload}")
+    records = build_sft_dataset(queries, log, load_catalog(catalog), demo_mode, seed)
     write_dataset(records, out)
     return records
 
 
 def dpo_stage(plans, sft, out, r0: float):
-    triples = build_preferences_from_logs(load_dataset(sft), read_plan_log(plans), r0, plans)
+    triples = build_preferences_from_logs(load_dataset(sft), read_plan_log(plans), r0, plans, sft)
     write_preference_file(triples, out)
     return triples
 
 
 def qit_stage(sft, out, trace_out, lr: float, steps: int, batch_size: int, seed: int, contexts: int):
-    pairs = [(r.prompt, r.response) for r in load_dataset(sft)]
+    pairs = [(template_key(r.template), r.response) for r in load_dataset(sft)]
     config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
     model, trace = fit_qit_from_records(pairs, config, contexts)
     save_model(model, out)
@@ -408,13 +417,26 @@ def qit_stage(sft, out, trace_out, lr: float, steps: int, batch_size: int, seed:
 def qdpo_stage(
     dpo, init, out, trace_out, lr: float, steps: int, batch_size: int, beta: float, seed: int
 ):
-    triples = [(t.prompt, t.chosen, t.rejected) for t in load_preference_file(dpo)]
+    triples = read_triples(dpo)
     config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, beta=beta, seed=seed)
     model, trace = train_qdpo(load_model(init), triples, config)
     save_model(model, out)
     if trace_out:
         write_trace(trace, trace_out)
     return trace
+
+
+def read_triples(path) -> list[tuple[int, str, str]]:
+    """(template key, chosen, rejected) of each triple of a preference file, each distinct
+    prompt parsed once; a prompt with no parseable INPUT section is reported as ``path: query_id``."""
+    keys, triples = {}, load_preference_file(path)
+    for t in triples:
+        if t.prompt not in keys:
+            try:
+                keys[t.prompt] = template_key(template_of(parse_sql(extract_input_sql(t.prompt))))
+            except PlangenError as exc:
+                raise located(exc, f"{path}: {t.query_id}") from None
+    return [(keys[t.prompt], t.chosen, t.rejected) for t in triples]
 
 
 def infer_stage(model, workload, catalog, pool, out, demo_mode: str, demo_seed: int, max_len: int):
@@ -462,8 +484,9 @@ def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
 
     Returns (triples written, triples added). The result equals
     build_preferences_from_logs over the old and new plan logs together. A
-    new-log query missing from the old log, and a triple whose query is
-    missing from the old log or the SFT records, are errors.
+    new-log query missing from the old log, an old-log query missing from the
+    SFT records, and a triple whose query is missing from the old log or the
+    SFT records, are errors.
     """
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
@@ -483,7 +506,7 @@ def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
     added_count = 0
     for query_id in sorted(old_log):
         if query_id not in prompts:
-            continue
+            raise PipelineError(f"{plans}: {query_id}: query not in {sft}")
         existing = existing_by_query.get(query_id, [])
         new_timings = new_log.get(query_id, [])
         if not new_timings:

@@ -290,3 +290,16 @@ def render_sql(query: QuerySpec) -> str:
 def template_of(query: QuerySpec) -> QueryTemplate:
     """Erase selections, keeping tables and join predicates."""
     return QueryTemplate(tables=query.tables, joins=query.joins)
+
+
+def template_key(template: QueryTemplate) -> int:
+    """The 64-bit key the token model conditions on."""
+    return fnv1a64("template:" + template.key())
+
+
+def fnv1a64(text: str) -> int:
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -1,8 +1,8 @@
 """Training objectives and loops for the token model.
 
-Stage one minimizes the mean negative log-likelihood of (prompt, response)
-pairs. Stage two refines the stage-one model on preference triples with the
-logistic preference loss
+Stage one minimizes the mean negative log-likelihood of (template key,
+response) pairs. Stage two refines the stage-one model on preference triples
+with the logistic preference loss
 
     u = beta * [ (log pi(y_w|x) - log ref(y_w|x))
                - (log pi(y_l|x) - log ref(y_l|x)) ]
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PlangenError
-from .model import DEFAULT_CONTEXTS, PackedSequences, TokenModel, add_rows, prompt_key
+from .model import DEFAULT_CONTEXTS, PackedSequences, TokenModel, add_rows
 from .tokenizer import build_vocab
 
 QIT_LEARNING_RATE = 2e-4
@@ -76,30 +76,30 @@ def qdpo_config(**overrides) -> TrainConfig:
 # --- objectives ---
 
 
-def sequence_log_prob(model: TokenModel, prompt: str, response: str) -> float:
+def sequence_log_prob(model: TokenModel, key: int, response: str) -> float:
     """log p(y | x) summed over response tokens (EOS included)."""
-    return model.log_prob(model.encode_response(prompt, response))
+    return model.log_prob(model.encode_response(key, response))
 
 
-def sft_loss(model: TokenModel, batch: Sequence[tuple[str, str]]) -> float:
-    """Mean negative log-likelihood over (prompt, response) pairs."""
+def sft_loss(model: TokenModel, batch: Sequence[tuple[int, str]]) -> float:
+    """Mean negative log-likelihood over (key, response) pairs."""
     if not batch:
         raise TrainingError("empty batch")
     return _sft_loss_grad(model, _encode_pairs(model, batch), np.arange(len(batch)))[0]
 
 
 def dpo_reward_diff(
-    policy: TokenModel, reference: TokenModel, prompt: str, chosen: str, rejected: str, beta: float
+    policy: TokenModel, reference: TokenModel, key: int, chosen: str, rejected: str, beta: float
 ) -> float:
     """Reference-normalized, beta-scaled log-likelihood-ratio difference."""
-    encoded = encode_triples(reference, [(prompt, chosen, rejected)])
+    encoded = encode_triples(reference, [(key, chosen, rejected)])
     return _rewards(policy.log_probs(encoded.sequences), encoded.reference, beta)[0]
 
 
 def dpo_loss(
-    policy: TokenModel, reference: TokenModel, prompt: str, chosen: str, rejected: str, beta: float
+    policy: TokenModel, reference: TokenModel, key: int, chosen: str, rejected: str, beta: float
 ) -> float:
-    return _softplus(-dpo_reward_diff(policy, reference, prompt, chosen, rejected, beta))
+    return _softplus(-dpo_reward_diff(policy, reference, key, chosen, rejected, beta))
 
 
 def _softplus(x: float) -> float:
@@ -127,7 +127,7 @@ class TraceRow:
 
 
 def train_qit(
-    model: TokenModel, pairs: Sequence[tuple[str, str]], config: TrainConfig
+    model: TokenModel, pairs: Sequence[tuple[int, str]], config: TrainConfig
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Minibatch gradient descent on the mean NLL; reshuffles every epoch."""
     if not pairs:
@@ -158,12 +158,10 @@ def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray
     return loss / len(batch), contexts, delta
 
 
-def _encode_pairs(model: TokenModel, pairs: Sequence[tuple[str, str]]) -> PackedSequences:
-    """Pack the responses, parsing each distinct prompt once."""
+def _encode_pairs(model: TokenModel, pairs: Sequence[tuple[int, str]]) -> PackedSequences:
     if not pairs:
         raise TrainingError("nothing to encode")
-    keys = {prompt: prompt_key(prompt) for prompt in {prompt for prompt, _ in pairs}}
-    return PackedSequences.pack([model.encode_response(keys[p], response) for p, response in pairs])
+    return PackedSequences.pack([model.encode_response(key, response) for key, response in pairs])
 
 
 # --- stage two: preference optimization ---
@@ -179,9 +177,9 @@ class EncodedTriples:
 
 
 def encode_triples(
-    reference: TokenModel, triples: Sequence[tuple[str, str, str]]
+    reference: TokenModel, triples: Sequence[tuple[int, str, str]]
 ) -> EncodedTriples:
-    pairs = [(prompt, response) for prompt, *responses in triples for response in responses]
+    pairs = [(key, response) for key, *responses in triples for response in responses]
     packed = _encode_pairs(reference, pairs)
     if np.any(packed.lengths <= 1):
         raise TrainingError("preference responses must tokenize to at least one token")
@@ -209,7 +207,7 @@ def _rewards(log_p: np.ndarray, reference: np.ndarray, beta: float) -> list[floa
 
 
 def train_qdpo(
-    policy_init: TokenModel, triples: Sequence[tuple[str, str, str]], config: TrainConfig,
+    policy_init: TokenModel, triples: Sequence[tuple[int, str, str]], config: TrainConfig,
     trace_margin: bool = True,
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Preference optimization against the frozen initial model.
@@ -299,7 +297,7 @@ def grad_check(
 
 
 def sft_grad_check(
-    model: TokenModel, pairs: Sequence[tuple[str, str]],
+    model: TokenModel, pairs: Sequence[tuple[int, str]],
     h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
     packed = _encode_pairs(model, pairs)
@@ -313,7 +311,7 @@ def sft_grad_check(
 
 
 def dpo_grad_check(
-    policy: TokenModel, reference: TokenModel, triples: Sequence[tuple[str, str, str]], beta: float,
+    policy: TokenModel, reference: TokenModel, triples: Sequence[tuple[int, str, str]], beta: float,
     h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
     if (policy.vocab, policy.n_contexts) != (reference.vocab, reference.n_contexts):
@@ -329,7 +327,7 @@ def dpo_grad_check(
 
 
 def fit_qit_from_records(
-    pairs: Sequence[tuple[str, str]], config: TrainConfig, n_contexts: int = DEFAULT_CONTEXTS
+    pairs: Sequence[tuple[int, str]], config: TrainConfig, n_contexts: int = DEFAULT_CONTEXTS
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Build a fresh model (vocabulary from the responses) and train it."""
     vocab = build_vocab(response for _, response in pairs)

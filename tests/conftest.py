@@ -16,12 +16,12 @@ import pytest
 
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
 from plangen.costs import CostModel
+from plangen.dataset import extract_input_sql
 from plangen.errors import PlangenError
 from plangen.hints import HintError
-from plangen.model import prompt_key
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
-from plangen.sql import QuerySpec, parse_sql
+from plangen.sql import QuerySpec, fnv1a64, parse_sql, template_of
 from plangen.tokenizer import tokenize
 from plangen.training import TraceRow
 
@@ -230,6 +230,23 @@ def brute_force_counts(query, data):
     return subset_rows
 
 
+# --- prompt-parsing key reference ---
+#
+# How the token model found its conditioning key before it took template keys:
+# parse the prompt's INPUT section back to SQL, hash its template, and hash
+# the raw text of a prompt that does not parse. sql.template_key must agree
+# with it on every pipeline prompt (tests/test_model.py).
+
+
+def reference_prompt_key(prompt: str) -> int:
+    """Stable conditioning key: the query template when recoverable."""
+    try:
+        spec = parse_sql(extract_input_sql(prompt))
+        return fnv1a64("template:" + template_of(spec).key())
+    except PlangenError:
+        return fnv1a64("prompt:" + prompt)
+
+
 # --- sequence-at-a-time training reference ---
 #
 # The training loops as they ran before the packed kernel: one sequence at a
@@ -296,7 +313,7 @@ def _ref_sigmoid(x: float) -> float:
 
 def reference_train_qit(model, pairs, config):
     trained = model.copy()
-    encoded = [ref_encode_response(trained, prompt_key(prompt), response) for prompt, response in pairs]
+    encoded = [ref_encode_response(trained, key, response) for key, response in pairs]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = []
     step = 0
@@ -326,8 +343,7 @@ def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
     reference = policy_init
     policy = policy_init.copy()
     encoded = []
-    for prompt, chosen, rejected in triples:
-        key = prompt_key(prompt)
+    for key, chosen, rejected in triples:
         encoded.append((ref_encode_response(policy, key, chosen), ref_encode_response(policy, key, rejected)))
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = list(rng.permutation(len(encoded)))

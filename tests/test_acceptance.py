@@ -17,7 +17,7 @@ from plangen.catalog import MicroTable, load_catalog
 from plangen.costs import CostModel
 from plangen.executor import execute_plan, micro_execute
 from plangen.hints import emit_hints, parse_hints
-from plangen.model import TokenModel, prompt_key
+from plangen.model import TokenModel
 from plangen.optimizers import dp_optimize, greedy_optimize, random_optimize
 from plangen.pipeline import PipelineConfig, run_pipeline
 from plangen.plans import (
@@ -32,7 +32,7 @@ from plangen.plans import (
     tree_to_path,
 )
 from plangen.preferences import PreferenceConfig, extend_dataset, generate_preferences
-from plangen.sql import parse_sql
+from plangen.sql import parse_sql, template_key, template_of
 from plangen.tokenizer import build_vocab, split_tokens, tokenize
 from plangen.training import (
     TrainConfig,
@@ -360,8 +360,7 @@ def _with_ops(plan, ops):
     return Join(ops.pop(0), _with_ops(plan.left, ops), _with_ops(plan.right, ops))
 
 
-def _naive_log_prob(model, prompt, response):
-    key = prompt_key(prompt)
+def _naive_log_prob(model, key, response):
     ids = tokenize(response, model.vocab, response=True)
     prev = model.vocab.bos_id
     total = 0.0
@@ -388,11 +387,8 @@ def test_criterion_7_objective_exactness():
         model = TokenModel.create(vocab, 256)
         model.theta = rng.normal(0, 1, size=model.theta.shape)
         chosen, rejected = rng.choice(len(RESPONSE_POOL), size=2, replace=False)
-        prompt = f"prompt {i}"
         for beta in (0.05, 0.1, 0.3):
-            loss = dpo_loss(
-                model, model, prompt, RESPONSE_POOL[chosen], RESPONSE_POOL[rejected], beta
-            )
+            loss = dpo_loss(model, model, i, RESPONSE_POOL[chosen], RESPONSE_POOL[rejected], beta)
             assert abs(loss - ln2) <= 1e-12
 
     model = TokenModel.create(vocab, 256)
@@ -400,18 +396,18 @@ def test_criterion_7_objective_exactness():
     reference = TokenModel.create(vocab, 256)
     reference.theta = rng.normal(0, 1, size=reference.theta.shape)
     for response in RESPONSE_POOL:
-        got = sequence_log_prob(model, "p", response)
-        assert abs(got - _naive_log_prob(model, "p", response)) <= 1e-10
-    batch = [("p", r) for r in RESPONSE_POOL]
-    want_loss = sum(-_naive_log_prob(model, p, r) for p, r in batch) / len(batch)
+        got = sequence_log_prob(model, 1, response)
+        assert abs(got - _naive_log_prob(model, 1, response)) <= 1e-10
+    batch = [(1, r) for r in RESPONSE_POOL]
+    want_loss = sum(-_naive_log_prob(model, k, r) for k, r in batch) / len(batch)
     assert abs(sft_loss(model, batch) - want_loss) <= 1e-10
     want_u = 0.1 * (
-        _naive_log_prob(model, "p", RESPONSE_POOL[0])
-        - _naive_log_prob(reference, "p", RESPONSE_POOL[0])
-        - _naive_log_prob(model, "p", RESPONSE_POOL[1])
-        + _naive_log_prob(reference, "p", RESPONSE_POOL[1])
+        _naive_log_prob(model, 1, RESPONSE_POOL[0])
+        - _naive_log_prob(reference, 1, RESPONSE_POOL[0])
+        - _naive_log_prob(model, 1, RESPONSE_POOL[1])
+        + _naive_log_prob(reference, 1, RESPONSE_POOL[1])
     )
-    got_u = dpo_reward_diff(model, reference, "p", RESPONSE_POOL[0], RESPONSE_POOL[1], 0.1)
+    got_u = dpo_reward_diff(model, reference, 1, RESPONSE_POOL[0], RESPONSE_POOL[1], 0.1)
     assert abs(got_u - want_u) <= 1e-10
     passed(7, "ln 2 at policy=reference (1e-12); objectives match oracles (1e-10)")
 
@@ -421,7 +417,7 @@ def test_criterion_8_gradient_checks():
     rng = np.random.Generator(np.random.PCG64(81))
     model = TokenModel.create(vocab, 256)
     model.theta = rng.normal(0, 0.5, size=model.theta.shape)
-    pairs = [(f"p{i}", r) for i, r in enumerate(RESPONSE_POOL)]
+    pairs = list(enumerate(RESPONSE_POOL))
     sft_report = sft_grad_check(model, pairs, h=1e-5, tolerance=1e-5, n_params=200, seed=8)
     assert sft_report.checked >= 200
     assert sft_report.passed, sft_report.max_rel_error
@@ -429,8 +425,8 @@ def test_criterion_8_gradient_checks():
     reference = TokenModel.create(vocab, 256)
     reference.theta = rng.normal(0, 0.5, size=reference.theta.shape)
     triples = [
-        ("p0", RESPONSE_POOL[0], RESPONSE_POOL[1]),
-        ("p1", RESPONSE_POOL[1], RESPONSE_POOL[2]),
+        (0, RESPONSE_POOL[0], RESPONSE_POOL[1]),
+        (1, RESPONSE_POOL[1], RESPONSE_POOL[2]),
     ]
     before = reference.theta.tobytes()
     dpo_report = dpo_grad_check(
@@ -455,8 +451,6 @@ def test_criterion_8_gradient_checks():
 def preference_fixture(fixture_catalog, fixture_graph, fixture_tables):
     """50 preference triples over template-distinct queries, plus the
     stage-one model they refine."""
-    from plangen.sql import template_of
-
     model = CostModel(fixture_catalog)
     pool = []
     for n_joins, seed in ((1, 91), (2, 92), (3, 93), (4, 94)):
@@ -477,11 +471,11 @@ def preference_fixture(fixture_catalog, fixture_graph, fixture_tables):
             micro_execute(greedy_optimize(query, model), query, fixture_tables, "greedy"),
             micro_execute(random_optimize(query, seed=index), query, fixture_tables, "random"),
         ]
-        prompt = build_prompt(query, fixture_catalog)
+        prompt, key = build_prompt(query, fixture_catalog), template_key(template_of(query))
         best = min(timings, key=lambda t: (t.time, tree_to_bracket(t.plan)))
-        pairs.append((prompt, render_response(best.plan)))
+        pairs.append((key, render_response(best.plan)))
         triples.extend(
-            (t.prompt, t.chosen, t.rejected)
+            (key, t.chosen, t.rejected)
             for t in generate_preferences(timings, prompt, PreferenceConfig(0.95), f"q{index}")
         )
         if len(triples) >= 50:
@@ -493,20 +487,18 @@ def preference_fixture(fixture_catalog, fixture_graph, fixture_tables):
     return sft_model, triples
 
 
-def test_criterion_9_two_stage_training(preference_fixture, fixture_catalog):
+def test_criterion_9_two_stage_training(preference_fixture):
     # Overfit one sample to exact greedy reproduction.
-    from plangen.dataset import build_prompt
-
     query = parse_sql(
         "SELECT * FROM title, cast_info, movie_keyword "
         "WHERE title.movie_id = cast_info.movie_id AND title.movie_id = movie_keyword.movie_id;"
     )
-    prompt = build_prompt(query, fixture_catalog)
+    key = template_key(template_of(query))
     response = render_response(
         Join("HashJoin", Leaf("movie_keyword"), Join("HashJoin", Leaf("cast_info"), Leaf("title")))
     )
-    model, trace = fit_qit_from_records([(prompt, response)], qit_config(seed=99))
-    assert split_tokens(model.greedy_decode(prompt, 256)) == split_tokens(response)
+    model, trace = fit_qit_from_records([(key, response)], qit_config(seed=99))
+    assert split_tokens(model.greedy_decode(key, 256)) == split_tokens(response)
     early = [r.loss for r in trace[:150]]
     late = [r.loss for r in trace[-150:]]
     assert sum(late) / len(late) < sum(early) / len(early)

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from plangen.model import TokenModel, fnv1a64, load_model, prompt_key, save_model
+from plangen.catalog import serialize_stats
+from plangen.dataset import Demonstration, build_prompt
+from plangen.model import TokenModel, load_model, save_model
+from plangen.sql import render_sql, template_key, template_of
 from plangen.tokenizer import build_vocab, split_tokens
 from plangen.training import (
     dpo_loss,
@@ -11,6 +16,8 @@ from plangen.training import (
     sequence_log_prob,
     sft_loss,
 )
+from plangen.workload import gen_workload, load_join_graph
+from tests.conftest import reference_prompt_key
 
 RESPONSES = [
     "Step1: [a, b, MergeJoin],\n\nTherefore, the final answer is:\nMergeJoin(a b).",
@@ -36,11 +43,10 @@ def random_model(vocab):
     return model
 
 
-def naive_log_prob(model: TokenModel, prompt: str, response: str) -> float:
+def naive_log_prob(model: TokenModel, key: int, response: str) -> float:
     """Direct per-step summation oracle using plain Python floats."""
     from plangen.tokenizer import tokenize
 
-    key = prompt_key(prompt)
     ids = tokenize(response, model.vocab, response=True)
     prev = model.vocab.bos_id
     total = 0.0
@@ -56,7 +62,7 @@ def naive_log_prob(model: TokenModel, prompt: str, response: str) -> float:
 def test_uniform_log_prob(uniform_model):
     response = RESPONSES[0]
     n_tokens = len(split_tokens(response)) + 1  # EOS
-    got = sequence_log_prob(uniform_model, "prompt", response)
+    got = sequence_log_prob(uniform_model, 2, response)
     assert got == pytest.approx(-n_tokens * math.log(len(uniform_model.vocab)), abs=1e-10)
 
 
@@ -64,50 +70,51 @@ def test_near_deterministic_model_log_prob_zero(vocab):
     # One-hot-like rows: the model's own greedy output has probability ~1.
     model = TokenModel.create(vocab, n_contexts=512)
     response = RESPONSES[0]
-    seq = model.encode_response("p", response)
+    seq = model.encode_response(2, response)
+    assert len(set(seq.contexts.tolist())) == len(seq.contexts)  # no two steps share a row
     for ctx, target in zip(seq.contexts, seq.ids):
         model.theta[ctx, target] = 400.0
     assert abs(model.log_prob(seq)) < 1e-12
-    assert model.greedy_decode("p", max_len=64) == (
+    assert model.greedy_decode(2, max_len=64) == (
         "Step1: [a, b, MergeJoin], Therefore, the final answer is: MergeJoin(a b)."
     )
 
 
 def test_log_prob_matches_naive_oracle(random_model):
     for response in RESPONSES:
-        got = sequence_log_prob(random_model, "some prompt", response)
-        want = naive_log_prob(random_model, "some prompt", response)
+        got = sequence_log_prob(random_model, 3, response)
+        want = naive_log_prob(random_model, 3, response)
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_sft_loss_uniform(uniform_model):
     response = RESPONSES[0]
     n_tokens = len(split_tokens(response)) + 1
-    loss = sft_loss(uniform_model, [("p", response)])
+    loss = sft_loss(uniform_model, [(1, response)])
     assert loss == pytest.approx(n_tokens * math.log(len(uniform_model.vocab)), abs=1e-10)
 
 
 def test_sft_loss_mean_semantics(random_model):
-    pair = ("p", RESPONSES[0])
+    pair = (1, RESPONSES[0])
     assert sft_loss(random_model, [pair, pair]) == pytest.approx(
         sft_loss(random_model, [pair]), abs=1e-12
     )
 
 
 def test_sft_loss_matches_oracle(random_model):
-    batch = [("p1", RESPONSES[0]), ("p2", RESPONSES[1])]
+    batch = [(1, RESPONSES[0]), (2, RESPONSES[1])]
     want = sum(-naive_log_prob(random_model, p, r) for p, r in batch) / len(batch)
     assert sft_loss(random_model, batch) == pytest.approx(want, abs=1e-10)
     assert sft_loss(random_model, batch) >= 0.0
 
 
 def test_dpo_reward_diff_zero_at_reference(random_model):
-    u = dpo_reward_diff(random_model, random_model, "p", RESPONSES[0], RESPONSES[1], beta=0.1)
+    u = dpo_reward_diff(random_model, random_model, 1, RESPONSES[0], RESPONSES[1], beta=0.1)
     assert u == 0.0
 
 
 def test_dpo_reward_diff_linear_in_beta(random_model, uniform_model):
-    args = ("p", RESPONSES[0], RESPONSES[1])
+    args = (1, RESPONSES[0], RESPONSES[1])
     u1 = dpo_reward_diff(random_model, uniform_model, *args, beta=0.1)
     u2 = dpo_reward_diff(random_model, uniform_model, *args, beta=0.2)
     assert u2 == pytest.approx(2 * u1, rel=1e-12)
@@ -115,49 +122,51 @@ def test_dpo_reward_diff_linear_in_beta(random_model, uniform_model):
 
 def test_dpo_reward_diff_four_term_oracle(random_model, uniform_model):
     beta = 0.1
-    prompt, chosen, rejected = "p", RESPONSES[0], RESPONSES[1]
+    key, chosen, rejected = 1, RESPONSES[0], RESPONSES[1]
     want = beta * (
-        naive_log_prob(random_model, prompt, chosen)
-        - naive_log_prob(uniform_model, prompt, chosen)
-        - naive_log_prob(random_model, prompt, rejected)
-        + naive_log_prob(uniform_model, prompt, rejected)
+        naive_log_prob(random_model, key, chosen)
+        - naive_log_prob(uniform_model, key, chosen)
+        - naive_log_prob(random_model, key, rejected)
+        + naive_log_prob(uniform_model, key, rejected)
     )
-    got = dpo_reward_diff(random_model, uniform_model, prompt, chosen, rejected, beta)
+    got = dpo_reward_diff(random_model, uniform_model, key, chosen, rejected, beta)
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_dpo_loss_ln2_at_reference(random_model):
     for beta in (0.05, 0.1, 0.3):
-        loss = dpo_loss(random_model, random_model, "p", RESPONSES[0], RESPONSES[1], beta)
+        loss = dpo_loss(random_model, random_model, 1, RESPONSES[0], RESPONSES[1], beta)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_dpo_loss_monotone_in_margin(random_model, uniform_model):
     # Larger u must strictly shrink the loss.
     beta = 0.1
-    u = dpo_reward_diff(random_model, uniform_model, "p", RESPONSES[0], RESPONSES[1], beta)
-    base = dpo_loss(random_model, uniform_model, "p", RESPONSES[0], RESPONSES[1], beta)
+    u = dpo_reward_diff(random_model, uniform_model, 1, RESPONSES[0], RESPONSES[1], beta)
+    base = dpo_loss(random_model, uniform_model, 1, RESPONSES[0], RESPONSES[1], beta)
     assert base == pytest.approx(math.log1p(math.exp(-u)), abs=1e-10)
     for bigger_u in (u + 1.0, u + 5.0, u + 50.0):
         assert math.log1p(math.exp(-bigger_u)) < base
 
 
-def test_prompt_key_uses_template(micro_catalog):
-    from plangen.dataset import build_prompt
-    from plangen.sql import parse_sql
-
-    q1 = parse_sql(
-        "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id "
-        "AND cast_info.role_id < 4;"
-    )
-    q2 = parse_sql(
-        "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id "
-        "AND cast_info.role_id < 9;"
-    )
-    p1, p2 = build_prompt(q1, micro_catalog), build_prompt(q2, micro_catalog)
-    assert p1 != p2
-    assert prompt_key(p1) == prompt_key(p2)  # same template
-    assert prompt_key("free-form text") == fnv1a64("prompt:free-form text")
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_joins=st.integers(1, 5), demo_joins=st.integers(1, 5))
+def test_template_key_equals_the_key_parsed_from_the_prompt(
+    micro_catalog, micro_db_dir, seed, n_joins, demo_joins
+):
+    """The key a query trains and decodes under is the one once parsed back
+    out of its prompt, also behind a demonstration of another template: the
+    last INPUT section is the query's."""
+    graph = load_join_graph(micro_db_dir / "joins.txt")
+    query = gen_workload(micro_catalog, graph, n_joins, 1, seed)[0]
+    other = gen_workload(micro_catalog, graph, demo_joins, 1, seed + 1)[0]
+    assume(template_of(other) != template_of(query))
+    stats = serialize_stats(micro_catalog, list(other.from_order))
+    demo = Demonstration(render_sql(other), stats, "Therefore, the final answer is:\nx.")
+    key = template_key(template_of(query))
+    assert key == reference_prompt_key(build_prompt(query, micro_catalog))
+    assert key == reference_prompt_key(build_prompt(query, micro_catalog, demo))
+    assert key != template_key(template_of(other))
 
 
 def test_checkpoint_round_trip(tmp_path, random_model):
@@ -184,9 +193,9 @@ def test_checkpoint_rejects_non_finite(tmp_path, random_model):
 
 
 def test_greedy_decode_max_len(random_model):
-    out = random_model.greedy_decode("p", max_len=1)
+    out = random_model.greedy_decode(1, max_len=1)
     assert len(split_tokens(out)) <= 1
 
 
 def test_greedy_decode_deterministic(random_model):
-    assert random_model.greedy_decode("p", 64) == random_model.greedy_decode("p", 64)
+    assert random_model.greedy_decode(1, 64) == random_model.greedy_decode(1, 64)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from plangen.catalog import load_catalog, load_tables, serialize_stats
 from plangen.cli import cli
-from plangen.dataset import Demonstration, build_prompt, build_sft_dataset, load_dataset
+from plangen.dataset import (
+    Demonstration, build_prompt, build_sft_dataset, load_dataset, prompt_with_demonstration,
+)
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
@@ -29,7 +31,7 @@ from plangen.pipeline import (
     timing_summary,
 )
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
-from plangen.sql import parse_sql, render_sql
+from plangen.sql import parse_sql, render_sql, template_key, template_of
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -753,9 +755,53 @@ def _two_query_logs(tmp_path):
 def _gen_sft_fallback_on_one_query(tmp_path):
     workload, plans, _, _ = _two_query_logs(tmp_path)
     workload.write_text(workload.read_text().splitlines()[0] + "\n")
+    plans.write_text("".join(line + "\n" for line in plans.read_text().splitlines()[:2]))
     return ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
             "--demo-mode", "fallback", "--out", tmp_path / "sft_one.jsonl"], (
         "error: no candidate record is left for the demonstration of query q0001\n"
+    )
+
+
+def _gen_sft_plan_log_beyond_the_workload(tmp_path):
+    workload, plans, _, _ = _two_query_logs(tmp_path)
+    workload.write_text(workload.read_text().splitlines()[0] + "\n")
+    return ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+            "--demo-mode", "none", "--out", tmp_path / "sft_one.jsonl"], (
+        f"error: {plans}: q0002: query not in {workload}\n"
+    )
+
+
+def _gen_dpo_plan_log_query_without_sft_record(tmp_path):
+    _, plans, sft, _ = _two_query_logs(tmp_path)
+    sft.write_text(sft.read_text().splitlines()[0] + "\n")
+    return ["gen-dpo", "--plans", plans, "--sft", sft, "--out", tmp_path / "dpo_one.jsonl"], (
+        f"error: {plans}: q0002: query not in {sft}\n"
+    )
+
+
+def _dpo_without_input(tmp_path):
+    """_two_query_logs' preference file with the INPUT section cut from its
+    first prompt, and a stage-one checkpoint trained on its SFT records."""
+    _, _, sft, dpo = _two_query_logs(tmp_path)
+    rows = [json.loads(line) for line in dpo.read_text().splitlines()]
+    assert rows[0]["query_id"] == "q0001"
+    rows[0]["prompt"] = rows[0]["prompt"].split("\nINPUT:\n")[0]
+    write_jsonl(rows, dpo)
+    qit = tmp_path / "qit.ckpt"
+    assert invoke("train-qit", "--sft", sft, "--out", qit, "--steps", 5).exit_code == 0
+    return dpo, qit
+
+
+def _train_qdpo_prompt_without_input(tmp_path):
+    dpo, qit = _dpo_without_input(tmp_path)
+    return ["train-qdpo", "--dpo", dpo, "--init", qit, "--out", tmp_path / "qdpo.ckpt",
+            "--steps", 5], f"error: {dpo}: q0001: prompt has no INPUT section\n"
+
+
+def _grad_check_dpo_prompt_without_input(tmp_path):
+    dpo, qit = _dpo_without_input(tmp_path)
+    return ["grad-check", "--model", qit, "--loss", "dpo", "--dpo", dpo], (
+        f"error: {dpo}: q0001: prompt has no INPUT section\n"
     )
 
 
@@ -785,6 +831,14 @@ def _extend_dpo_triple_not_in_sft(tmp_path):
     args, _, sft = _extend_dpo_case(tmp_path, slice(None), 0)
     sft.write_text(sft.read_text().splitlines()[0] + "\n")
     return args, f"dpo.jsonl: q0002: query not in {sft}"
+
+
+def _extend_dpo_plan_log_query_not_in_sft(tmp_path):
+    args, old, sft = _extend_dpo_case(tmp_path, slice(None), 0)
+    sft.write_text(sft.read_text().splitlines()[0] + "\n")
+    dpo = tmp_path / "dpo.jsonl"
+    dpo.write_text(dpo.read_text().splitlines()[0] + "\n")
+    return args, f"{old}: q0002: query not in {sft}"
 
 
 def _run_optimizers_on_tables(tmp_path, tables):
@@ -902,7 +956,10 @@ def _report_build_unknown_response(tmp_path):
      _gen_sft_strict_without_sibling, _infer_strict_without_sibling, _tables_path_is_a_file,
      _tables_directory_without_tbl_files, _infer_fallback_with_only_the_query_in_the_pool,
      _gen_sft_fallback_on_one_query, _extend_dpo_new_query_not_in_plans,
-     _extend_dpo_triple_not_in_plans, _extend_dpo_triple_not_in_sft],
+     _extend_dpo_triple_not_in_plans, _extend_dpo_triple_not_in_sft,
+     _gen_sft_plan_log_beyond_the_workload, _gen_dpo_plan_log_query_without_sft_record,
+     _extend_dpo_plan_log_query_not_in_sft, _train_qdpo_prompt_without_input,
+     _grad_check_dpo_prompt_without_input],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
@@ -960,17 +1017,26 @@ def test_cli_infer_single_query(tmp_path):
     assert "final answer" in result.output
 
 
-class _PromptEcho:
-    """A model whose greedy decode returns the prompt it was given."""
+class _KeyEcho:
+    """A model whose greedy decode returns the key it was given."""
 
-    def greedy_decode(self, prompt, max_len):
-        return prompt
+    def greedy_decode(self, key, max_len):
+        return key
 
 
-def test_inference_demonstration_is_a_sibling_never_the_query_sql(tmp_path):
+def test_inference_demonstration_is_a_sibling_never_the_query_sql(tmp_path, monkeypatch):
     # No artifact shows which demonstration inference picked (the model reads
     # only the template key), so the prompts are captured here. The choices
     # are pinned: a change to the exclusion rule or to the seed strings shows.
+    import plangen.pipeline as pipeline
+
+    prompts = []
+
+    def capture(*args):
+        prompts.append(prompt_with_demonstration(*args))
+        return prompts[-1]
+
+    monkeypatch.setattr(pipeline, "prompt_with_demonstration", capture)
     catalog = load_catalog(FIXTURES / "catalog.txt")
     join = "cast_info.movie_id = title.movie_id"
     query_sql = f"SELECT * FROM cast_info, title WHERE {join} AND cast_info.role_id < 4;"
@@ -995,15 +1061,18 @@ def test_inference_demonstration_is_a_sibling_never_the_query_sql(tmp_path):
         ("fallback", 3): ["q0003", "q0006", "q0006", "q0001"],
     }
     for (mode, seed), demo_ids in recorded.items():
-        rows = infer_responses(_PromptEcho(), queries[:len(demo_ids)], catalog, pool, mode, seed, 256)
-        for row, query, demo_id in zip(rows, queries, demo_ids):
+        prompts.clear()
+        rows = infer_responses(_KeyEcho(), queries[:len(demo_ids)], catalog, pool, mode, seed, 256)
+        assert len(prompts) == len(demo_ids)
+        for row, prompt, query, demo_id in zip(rows, prompts, queries, demo_ids):
             demo_query = parse_sql(pool_sqls[demo_id])
             demo = Demonstration(
                 render_sql(demo_query),
                 serialize_stats(catalog, list(demo_query.from_order)),
                 f"response of {demo_id}",
             )
-            assert row["response"] == build_prompt(query, catalog, demo), (mode, seed, row["query_id"])
+            assert prompt == build_prompt(query, catalog, demo), (mode, seed, row["query_id"])
+            assert row["response"] == template_key(template_of(query))
 
 
 def test_cli_grad_check(tmp_path):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plangen.dataset import build_prompt, load_dataset
+from plangen.dataset import load_dataset
 from plangen.model import (
-    EncodedSequence, ModelError, PackedSequences, TokenModel, add_rows, prompt_key,
+    EncodedSequence, ModelError, PackedSequences, TokenModel, add_rows,
 )
-from plangen.pipeline import PipelineConfig, run_pipeline
-from plangen.preferences import load_preference_file
+from plangen.pipeline import PipelineConfig, read_triples, run_pipeline
 from plangen.plans import parse_response, render_response
-from plangen.sql import parse_sql
+from plangen.sql import parse_sql, template_key, template_of
 from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab
 from plangen.training import (
     TrainConfig,
@@ -42,30 +41,29 @@ from tests.conftest import (
 
 
 @pytest.fixture(scope="module")
-def overfit_pair(micro_catalog):
+def overfit_pair():
     query = parse_sql(
         "SELECT * FROM title, movie_companies, movie_info_idx "
         "WHERE title.movie_id = movie_companies.movie_id "
         "AND title.movie_id = movie_info_idx.movie_id AND title.product_year > 1950;"
     )
-    prompt = build_prompt(query, micro_catalog)
     response = render_response(
         parse_response(
             "Therefore, the final answer is:\n"
             "HashJoin(movie_info_idx HashJoin(movie_companies title))."
         )
     )
-    return prompt, response
+    return template_key(template_of(query)), response
 
 
 def test_qit_overfits_single_sample(overfit_pair):
-    prompt, response = overfit_pair
+    key, response = overfit_pair
     model, trace = fit_qit_from_records([overfit_pair], qit_config(seed=1))
     # Loss decreases on average over the run.
     first_quarter = [r.loss for r in trace[: len(trace) // 4]]
     last_quarter = [r.loss for r in trace[-len(trace) // 4:]]
     assert sum(last_quarter) / len(last_quarter) < sum(first_quarter) / len(first_quarter)
-    decoded = model.greedy_decode(prompt, max_len=256)
+    decoded = model.greedy_decode(key, max_len=256)
     assert parse_response(decoded, lenient=True) == parse_response(response)
     # Token-for-token reproduction of the target (modulo whitespace layout).
     from plangen.tokenizer import split_tokens
@@ -81,20 +79,20 @@ def test_qit_zero_steps_no_change(overfit_pair):
     assert trace == []
 
 
-def test_qit_same_seed_bit_identical(overfit_pair, micro_catalog):
+def test_qit_same_seed_bit_identical(overfit_pair):
     a, _ = fit_qit_from_records([overfit_pair], qit_config(steps=50, seed=9))
     b, _ = fit_qit_from_records([overfit_pair], qit_config(steps=50, seed=9))
     assert np.array_equal(a.theta, b.theta)
     # With several samples the shuffle order matters, so seeds separate runs.
     pairs = [overfit_pair] + [
-        (p, w) for p, w, _ in _toy_triples(micro_catalog)
-    ] + [(p, l) for p, _, l in _toy_triples(micro_catalog)]
+        (k, w) for k, w, _ in _toy_triples()
+    ] + [(k, l) for k, _, l in _toy_triples()]
     d, _ = fit_qit_from_records(pairs, qit_config(steps=50, batch_size=2, seed=9))
     e, _ = fit_qit_from_records(pairs, qit_config(steps=50, batch_size=2, seed=10))
     assert not np.array_equal(d.theta, e.theta)
 
 
-def _toy_triples(micro_catalog):
+def _toy_triples():
     specs = [
         (
             "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;",
@@ -109,10 +107,9 @@ def _toy_triples(micro_catalog):
     ]
     triples = []
     for sql, good, bad in specs:
-        prompt = build_prompt(parse_sql(sql), micro_catalog)
         triples.append(
             (
-                prompt,
+                template_key(template_of(parse_sql(sql))),
                 render_response(parse_response(f"Therefore, the final answer is:\n{good}.")),
                 render_response(parse_response(f"Therefore, the final answer is:\n{bad}.")),
             )
@@ -120,8 +117,8 @@ def _toy_triples(micro_catalog):
     return triples
 
 
-def test_qdpo_margin_strictly_increases(micro_catalog):
-    triples = _toy_triples(micro_catalog)[:1]
+def test_qdpo_margin_strictly_increases():
+    triples = _toy_triples()[:1]
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
     trained, trace = train_qdpo(policy, triples, qdpo_config(steps=40, learning_rate=0.05, seed=2))
@@ -130,16 +127,16 @@ def test_qdpo_margin_strictly_increases(micro_catalog):
     assert margins[-1] > margins[0]
 
 
-def test_qdpo_step0_loss_is_ln2(micro_catalog):
-    triples = _toy_triples(micro_catalog)
+def test_qdpo_step0_loss_is_ln2():
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
     _, trace = train_qdpo(policy, triples, qdpo_config(steps=1, seed=0))
     assert trace[0].loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_qdpo_reference_never_mutated(micro_catalog):
-    triples = _toy_triples(micro_catalog)
+def test_qdpo_reference_never_mutated():
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
     before = policy.theta.tobytes()
@@ -178,8 +175,8 @@ def test_sft_grad_check(overfit_pair):
     assert report.max_rel_error <= 1e-5
 
 
-def test_dpo_grad_check(micro_catalog):
-    triples = _toy_triples(micro_catalog)
+def test_dpo_grad_check():
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     rng = np.random.Generator(np.random.PCG64(5))
     policy = TokenModel.create(vocab, 512)
@@ -193,10 +190,10 @@ def test_dpo_grad_check(micro_catalog):
     assert reference.theta.tobytes() == before
 
 
-def test_beta_controls_divergence(micro_catalog):
+def test_beta_controls_divergence():
     # Higher beta saturates the preference gradient sooner, ending closer to
     # the reference model.
-    triples = _toy_triples(micro_catalog)
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
     small, _ = train_qdpo(
@@ -221,9 +218,9 @@ def test_write_trace(tmp_path, overfit_pair):
     assert len(lines) == 4
 
 
-def test_qdpo_margin_oracle_consistency(micro_catalog):
+def test_qdpo_margin_oracle_consistency():
     # margin helpers agree with direct log-prob differences
-    triples = _toy_triples(micro_catalog)
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
     rng = np.random.Generator(np.random.PCG64(11))
@@ -233,8 +230,8 @@ def test_qdpo_margin_oracle_consistency(micro_catalog):
     from plangen.training import sequence_log_prob
 
     want = [
-        sequence_log_prob(policy, p, w) - sequence_log_prob(policy, p, l)
-        for p, w, l in triples
+        sequence_log_prob(policy, k, w) - sequence_log_prob(policy, k, l)
+        for k, w, l in triples
     ]
     assert margins == pytest.approx(want, abs=1e-10)
     assert mean_margin(policy, encoded) == pytest.approx(sum(want) / len(want), abs=1e-10)
@@ -254,9 +251,8 @@ def fixture_datasets(tmp_path_factory):
         qdpo_steps="1",
     )
     run_pipeline(config)
-    pairs = [(r.prompt, r.response) for r in load_dataset(out / "sft.jsonl")]
-    triples = [(t.prompt, t.chosen, t.rejected) for t in load_preference_file(out / "dpo.jsonl")]
-    return pairs, triples
+    pairs = [(template_key(r.template), r.response) for r in load_dataset(out / "sft.jsonl")]
+    return pairs, read_triples(out / "dpo.jsonl")
 
 
 def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
@@ -267,7 +263,7 @@ def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
     qit = TrainConfig(learning_rate=0.05, steps=40, batch_size=8, seed=3)
     first = np.random.Generator(np.random.PCG64(qit.seed)).permutation(len(pairs))[: qit.batch_size]
     batch_contexts = np.concatenate(
-        [ref_encode_response(model, prompt_key(pairs[i][0]), pairs[i][1]).contexts for i in first]
+        [ref_encode_response(model, *pairs[i]).contexts for i in first]
     )
     assert len(np.unique(batch_contexts)) < len(batch_contexts)  # a batch repeats a context
 
@@ -278,8 +274,7 @@ def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
 
     # A triple's two responses share their first context, so every batch
     # repeats one.
-    prompt, chosen, rejected = triples[0]
-    key = prompt_key(prompt)
+    key, chosen, rejected = triples[0]
     first_contexts = {ref_encode_response(model, key, r).contexts[0] for r in (chosen, rejected)}
     assert len(first_contexts) == 1
     qdpo = TrainConfig(learning_rate=0.05, steps=30, batch_size=8, beta=0.1, seed=4)
@@ -349,8 +344,8 @@ def test_add_rows_rejects_a_non_contiguous_table():
         add_rows(np.zeros((4, 3)).T, np.array([0]), np.ones((1, 4)))
 
 
-def test_dpo_grad_check_rejects_a_mismatched_reference(micro_catalog):
-    triples = _toy_triples(micro_catalog)
+def test_dpo_grad_check_rejects_a_mismatched_reference():
+    triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     with pytest.raises(TrainingError, match="context count"):
         dpo_grad_check(TokenModel.create(vocab, 512), TokenModel.create(vocab, 256), triples, beta=0.1)
