@@ -124,7 +124,7 @@ def gen_dpo_cmd(plans, sft, r0, out):
 
 @cli.command("extend-dpo")
 @click.option("--plans-new", required=True, type=click.Path(exists=True),
-              help="Plan log of the newly added optimizer.")
+              help="Plan log of the newly added optimizer(s).")
 @click.option("--plans", required=True, type=click.Path(exists=True),
               help="Plan log of the existing optimizers.")
 @click.option("--sft", required=True, type=click.Path(exists=True))
@@ -134,9 +134,9 @@ def gen_dpo_cmd(plans, sft, r0, out):
 @click.option("--out", required=True, type=click.Path())
 @_domain_errors
 def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
-    """Extend a preference dataset with one new optimizer's plans."""
-    updated, added = pl.extend_preference_file(plans_new, plans, sft, dpo, out, r0)
-    click.echo(f"added {added} triples; wrote {len(updated)} to {out}")
+    """Extend a preference dataset with new optimizers' plans."""
+    triples, added = pl.extend_preference_file(plans_new, plans, sft, dpo, out, r0)
+    click.echo(f"added {len(added)} triples; wrote {len(triples)} to {out}")
 
 
 @cli.command("train-qit")

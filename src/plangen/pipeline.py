@@ -55,7 +55,6 @@ from .preferences import (
     DEFAULT_RATIO_THRESHOLD,
     PreferenceConfig,
     PreferenceError,
-    extend_dataset,
     generate_preferences,
     load_preference_file,
     sort_triples,
@@ -190,6 +189,14 @@ def read_responses(path: str | Path, queries) -> list[tuple[str, QuerySpec]]:
     return [(responses[qid], query) for qid, query in by_id.items()]
 
 
+def require_known(path, ids, known, known_path) -> None:
+    """Every id of ``path`` is one of ``known``, read from ``known_path``;
+    otherwise name the first unknown id in sort order."""
+    unknown = sorted(set(ids).difference(known))
+    if unknown:
+        raise PipelineError(f"{path}: {unknown[0]}: query not in {known_path}")
+
+
 # --- library functions the stages are built from ---
 
 
@@ -269,10 +276,9 @@ def build_preferences_from_logs(
     plan or with no SFT record is reported as ``log_name: query_id``."""
     config = PreferenceConfig(r0)
     prompts = {r.query_id: r.prompt for r in sft_records}
+    require_known(log_name, log, prompts, sft_name)
     triples = []
     for query_id in sorted(log):
-        if query_id not in prompts:
-            raise PipelineError(f"{log_name}: {query_id}: query not in {sft_name}")
         try:
             triples.extend(generate_preferences(log[query_id], prompts[query_id], config, query_id))
         except PreferenceError as exc:
@@ -390,9 +396,9 @@ def plans_stage(workload, catalog, tables, out, random_seed: int):
 def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
     queries = read_workload(workload)
     log = read_plan_log(plans)
-    extra = sorted(log.keys() - set(query_ids(queries)))
-    if extra:
-        raise PipelineError(f"{plans}: {extra[0]}: query not in {workload}")
+    ids = query_ids(queries)
+    require_known(plans, log, ids, workload)
+    require_known(workload, ids, log, plans)
     records = build_sft_dataset(queries, log, load_catalog(catalog), demo_mode, seed)
     write_dataset(records, out)
     return records
@@ -462,7 +468,10 @@ def report_stage(
         "qit": read_responses(responses_qit, test_queries),
         "qdpo": read_responses(responses_qdpo, test_queries),
     }
-    report = build_report(read_plan_log(plans_test), responses, load_tables(tables))
+    log, test_ids = read_plan_log(plans_test), query_ids(test_queries)
+    require_known(plans_test, log, test_ids, test)
+    require_known(test, test_ids, log, plans_test)
+    report = build_report(log, responses, load_tables(tables))
     report["datasets"] = {
         "workload": _count_records(workload),
         "train": _count_records(train),
@@ -480,52 +489,22 @@ def _count_records(path) -> int:
 
 
 def extend_preference_file(plans_new, plans, sft, dpo, out, r0: float):
-    """Extend a preference file with one new optimizer's plan log.
-
-    Returns (triples written, triples added). The result equals
-    build_preferences_from_logs over the old and new plan logs together. A
-    new-log query missing from the old log, an old-log query missing from the
-    SFT records, and a triple whose query is missing from the old log or the
-    SFT records, are errors.
-    """
-    config = PreferenceConfig(r0)
-    prompts = {r.query_id: r.prompt for r in load_dataset(sft)}
-    old_log = read_plan_log(plans)
-    new_log = read_plan_log(plans_new)
-    unknown = sorted(new_log.keys() - old_log.keys())
-    if unknown:
-        raise PipelineError(f"{plans_new}: {unknown[0]}: query not in {plans}")
-    existing_by_query: dict[str, list] = {}
-    for triple in load_preference_file(dpo):
-        for source, query_ids in ((plans, old_log), (sft, prompts)):
-            if triple.query_id not in query_ids:
-                raise PipelineError(f"{dpo}: {triple.query_id}: query not in {source}")
-        existing_by_query.setdefault(triple.query_id, []).append(triple)
-
-    updated = []
-    added_count = 0
-    for query_id in sorted(old_log):
-        if query_id not in prompts:
-            raise PipelineError(f"{plans}: {query_id}: query not in {sft}")
-        existing = existing_by_query.get(query_id, [])
-        new_timings = new_log.get(query_id, [])
-        if not new_timings:
-            updated.extend(existing)
-            continue
-        if len(new_timings) != 1:
-            raise PipelineError(f"expected one new plan for {query_id}, got {len(new_timings)}")
-        merged, added = extend_dataset(
-            existing,
-            new_timings[0],
-            old_log[query_id],
-            prompts[query_id],
-            config,
-            query_id,
-        )
-        updated.extend(merged)
-        added_count += len(added)
-    write_preference_file(updated, out)
-    return updated, added_count
+    """``build_preferences_from_logs`` over the old and new plan logs together,
+    written to ``out``. Returns (triples written, those the existing
+    preference file ``dpo`` lacks). Every query of the new log and of ``dpo``
+    must be in the old log, and every query of ``dpo`` in the SFT records."""
+    records = load_dataset(sft)
+    old_log, new_log = read_plan_log(plans), read_plan_log(plans_new)
+    require_known(plans_new, new_log, old_log, plans)
+    existing = load_preference_file(dpo)
+    dpo_ids = [t.query_id for t in existing]
+    require_known(dpo, dpo_ids, old_log, plans)
+    require_known(dpo, dpo_ids, [r.query_id for r in records], sft)
+    log = {qid: [*timings, *new_log.get(qid, [])] for qid, timings in old_log.items()}
+    triples = build_preferences_from_logs(records, log, r0, plans, sft)
+    write_preference_file(triples, out)
+    seen = {t.key() for t in existing}
+    return triples, [t for t in triples if t.key() not in seen]
 
 
 # --- the stage table and its content-hash cache ---

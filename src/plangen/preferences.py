@@ -6,18 +6,11 @@ becomes a dispreferred partner. ``executor.best_timing`` picks the fastest
 plan, as it does for the instruction-tuning response: ties break on the
 lexicographically smallest bracket, then on the smallest optimizer id.
 Queries yielding no dispreferred plan contribute nothing.
-
-When a new optimizer arrives, the dataset extends incrementally: if the new
-plan comes first in that order it becomes the preferred side against every old
-plan passing the threshold (and triples whose old preferred plan is now
-superseded are dropped, keeping the dataset equal to a from-scratch run);
-otherwise the incumbent stays preferred and the new plan may join as a
-dispreferred partner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -59,9 +52,8 @@ class PreferenceTriple:
     rejected_optimizer: str
 
     def key(self) -> tuple[str, str, str, str]:
-        """Identity for de-duplication. It includes the rejected optimizer, so
-        two optimizers that logged the same plan each keep their triple, as a
-        from-scratch run does."""
+        """Identity across preference files. It includes the rejected
+        optimizer, so two optimizers that logged the same plan each count."""
         return (self.query_id, self.chosen, self.rejected, self.rejected_optimizer)
 
 
@@ -97,61 +89,6 @@ def generate_preferences(
         for timing in timings
         if best.time / timing.time < config.ratio_threshold
     ]
-
-
-def extend_preferences(
-    existing: Sequence[PreferenceTriple],
-    new_timing: PlanTiming,
-    old_timings: Sequence[PlanTiming],
-    prompt: str,
-    config: PreferenceConfig,
-    query_id: str = "",
-) -> list[PreferenceTriple]:
-    """Triples added by one new optimizer for one query.
-
-    Never duplicates an existing triple.
-    """
-    if any(t.optimizer_id == new_timing.optimizer_id for t in old_timings):
-        raise PreferenceError(f"optimizer {new_timing.optimizer_id!r} already present")
-
-    seen = {t.key() for t in existing}
-    incumbent = best_timing(old_timings)
-    # The new plan takes over under the order the from-scratch generator uses.
-    if best_timing([incumbent, new_timing]) is new_timing:
-        pairs = [(new_timing, timing) for timing in old_timings]
-    else:
-        pairs = [(incumbent, new_timing)]
-    triples = [
-        _triple(query_id, prompt, chosen, rejected)
-        for chosen, rejected in pairs
-        if chosen.time / rejected.time < config.ratio_threshold
-    ]
-    return [t for t in triples if t.key() not in seen]
-
-
-def extend_dataset(
-    existing: Sequence[PreferenceTriple],
-    new_timing: PlanTiming,
-    old_timings: Sequence[PlanTiming],
-    prompt: str,
-    config: PreferenceConfig,
-    query_id: str = "",
-) -> tuple[list[PreferenceTriple], list[PreferenceTriple]]:
-    """Apply one query's extension; returns (updated dataset, added triples).
-
-    Existing triples whose chosen plan the new plan supersedes are dropped,
-    and a new plan that takes over with the same plan text (a tie) names
-    itself as their chosen optimizer, so the result always equals a
-    from-scratch generation over the union of optimizers.
-    """
-    added = extend_preferences(existing, new_timing, old_timings, prompt, config, query_id)
-    overall = best_timing([*old_timings, new_timing])
-    chosen_text = render_response(overall.plan)
-    updated = [
-        replace(t, chosen_optimizer=overall.optimizer_id) for t in existing if t.chosen == chosen_text
-    ]
-    updated.extend(added)
-    return updated, added
 
 
 def sort_triples(triples: Sequence[PreferenceTriple]) -> list[PreferenceTriple]:

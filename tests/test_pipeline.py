@@ -771,6 +771,15 @@ def _gen_sft_plan_log_beyond_the_workload(tmp_path):
     )
 
 
+def _gen_sft_workload_query_without_plans(tmp_path):
+    workload, plans, _, _ = _two_query_logs(tmp_path)
+    plans.write_text("".join(line + "\n" for line in plans.read_text().splitlines()[:2]))
+    return ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
+            "--demo-mode", "none", "--out", tmp_path / "sft_one.jsonl"], (
+        f"error: {workload}: q0002: query not in {plans}\n"
+    )
+
+
 def _gen_dpo_plan_log_query_without_sft_record(tmp_path):
     _, plans, sft, _ = _two_query_logs(tmp_path)
     sft.write_text(sft.read_text().splitlines()[0] + "\n")
@@ -839,6 +848,13 @@ def _extend_dpo_plan_log_query_not_in_sft(tmp_path):
     dpo = tmp_path / "dpo.jsonl"
     dpo.write_text(dpo.read_text().splitlines()[0] + "\n")
     return args, f"{old}: q0002: query not in {sft}"
+
+
+def _extend_dpo_optimizer_already_in_plans(tmp_path):
+    args, old, _ = _extend_dpo_case(tmp_path, slice(None), 0)
+    new = tmp_path / "new.jsonl"
+    write_jsonl([{**json.loads(new.read_text()), "optimizer": "dp"}], new)
+    return args, f"{old}: q0001: duplicate optimizer ids"
 
 
 def _run_optimizers_on_tables(tmp_path, tables):
@@ -940,6 +956,35 @@ def _report_build_unknown_response(tmp_path):
     return args, "responses_qit.jsonl:3: response for unknown query q0999"
 
 
+def _report_build_with_plans(tmp_path, plan_ids):
+    """report --build over two single-table test queries, a valid response to
+    each from both models, and a test plan log of the queries ``plan_ids``."""
+    test = tmp_path / "test.sql"
+    test.write_text("SELECT * FROM title;\nSELECT * FROM cast_info;\n")
+    for name in ("workload.sql", "train.sql"):
+        shutil.copy(test, tmp_path / name)
+    for name in ("sft.jsonl", "dpo.jsonl"):
+        (tmp_path / name).write_text("")
+    tables = {"q0001": "title", "q0002": "cast_info"}
+    for source in ("qit", "qdpo"):
+        write_jsonl([{"query_id": qid, "response": f"the final answer is: {table}"}
+                     for qid, table in tables.items()], tmp_path / f"responses_{source}.jsonl")
+    plans = tmp_path / "plans_test.jsonl"
+    write_jsonl([{"query_id": qid, "optimizer": "dp", "bracket": tables.get(qid, "title"),
+                  "time_units": 1} for qid in plan_ids], plans)
+    return ["report", "--run-dir", tmp_path, "--build", "--tables", FIXTURES / "tables"], test, plans
+
+
+def _report_build_test_query_without_plans(tmp_path):
+    args, test, plans = _report_build_with_plans(tmp_path, ["q0001"])
+    return args, f"{test}: q0002: query not in {plans}"
+
+
+def _report_build_plans_of_unknown_query(tmp_path):
+    args, test, plans = _report_build_with_plans(tmp_path, ["q0001", "q0002", "q0003"])
+    return args, f"{plans}: q0003: query not in {test}"
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
@@ -959,7 +1004,9 @@ def _report_build_unknown_response(tmp_path):
      _extend_dpo_triple_not_in_plans, _extend_dpo_triple_not_in_sft,
      _gen_sft_plan_log_beyond_the_workload, _gen_dpo_plan_log_query_without_sft_record,
      _extend_dpo_plan_log_query_not_in_sft, _train_qdpo_prompt_without_input,
-     _grad_check_dpo_prompt_without_input],
+     _grad_check_dpo_prompt_without_input, _extend_dpo_optimizer_already_in_plans,
+     _report_build_test_query_without_plans, _report_build_plans_of_unknown_query,
+     _gen_sft_workload_query_without_plans],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)

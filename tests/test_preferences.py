@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from plangen.executor import PlanTiming
+from plangen.executor import PlanTiming, write_plan_log
+from plangen.jsonl import write_jsonl
+from plangen.pipeline import extend_preference_file
 from plangen.plans import Join, Leaf, parse_response, tree_to_bracket
 from plangen.preferences import (
     PreferenceConfig,
     PreferenceError,
-    extend_dataset,
-    extend_preferences,
     generate_preferences,
     load_preference_file,
     sort_triples,
@@ -129,83 +129,81 @@ def test_chosen_time_strictly_smaller():
         assert parse_response(t.chosen) != parse_response(t.rejected)
 
 
-def test_extend_new_optimizer_wins():
-    config = PreferenceConfig(0.95)
+PROMPT = "p\nINPUT:\n<SQL>: SELECT * FROM a, b WHERE a.x = b.x;"
+
+
+def extend(tmp_path, old, new, r0=0.95):
+    """extend_preference_file for one query q: ``old`` timings in --plans,
+    ``new`` in --plans-new, and a --dpo file generated from ``old``.
+    Returns (triples written, triples added)."""
+    sft, plans, plans_new, dpo = (
+        tmp_path / name for name in ("sft.jsonl", "old.jsonl", "new.jsonl", "dpo.jsonl")
+    )
+    write_jsonl([{"query_id": "q", "prompt": PROMPT, "response": "a"}], sft)
+    write_plan_log({"q": old}, plans)
+    write_plan_log({"q": new}, plans_new)
+    write_preference_file(generate_preferences(old, PROMPT, PreferenceConfig(r0), "q"), dpo)
+    return extend_preference_file(plans_new, plans, sft, dpo, tmp_path / "extended.jsonl", r0)
+
+
+def test_extend_new_optimizer_wins(tmp_path):
     old = timings(("a", PLAN_A, 100), ("b", PLAN_B, 180))
-    existing = generate_preferences(old, "p", config, "q")
-    new = PlanTiming("c", PLAN_C, 50)
-    added = extend_preferences(existing, new, old, "p", config, "q")
+    new = timings(("c", PLAN_C, 50))
+    written, added = extend(tmp_path, old, new)
     assert len(added) == 2
     assert all(t.chosen_optimizer == "c" for t in added)
-    # Recompute-from-scratch oracle.
-    updated, added_again = extend_dataset(existing, new, old, "p", config, "q")
-    scratch = generate_preferences([*old, new], "p", config, "q")
-    assert triple_pairs(updated) == triple_pairs(scratch)
-    assert added_again == added
+    # The old triple's chosen plan is superseded, so only the added ones stay.
+    assert written == added
+    assert triple_pairs(written) == brute_force_pairs(
+        [("a", PLAN_A, 100), ("b", PLAN_B, 180), ("c", PLAN_C, 50)], 0.95
+    )
 
 
-def test_extend_new_optimizer_wins_but_margin_too_small():
-    config = PreferenceConfig(0.95)
+def test_extend_new_optimizer_wins_but_margin_too_small(tmp_path):
     old = timings(("a", PLAN_A, 100), ("b", PLAN_B, 180))
-    existing = generate_preferences(old, "p", config, "q")
-    new = PlanTiming("c", PLAN_C, 99)
-    added = extend_preferences(existing, new, old, "p", config, "q")
+    written, added = extend(tmp_path, old, timings(("c", PLAN_C, 99)))
     # 99/100 is not under the threshold, so the 100-unit plan stays out;
     # 99/180 qualifies.
     assert [(t.chosen_optimizer, t.rejected_optimizer) for t in added] == [("c", "b")]
-    updated, _ = extend_dataset(existing, new, old, "p", config, "q")
-    assert triple_pairs(updated) == triple_pairs(
-        generate_preferences([*old, new], "p", config, "q")
-    )
+    assert written == added
 
 
-def test_extend_new_optimizer_loses():
-    config = PreferenceConfig(0.95)
+def test_extend_new_optimizer_loses(tmp_path):
     old = timings(("a", PLAN_A, 100), ("b", PLAN_B, 180))
-    existing = generate_preferences(old, "p", config, "q")
-    new = PlanTiming("c", PLAN_C, 500)
-    added = extend_preferences(existing, new, old, "p", config, "q")
-    assert len(added) == 1
-    assert added[0].chosen_optimizer == "a"
-    assert added[0].rejected_optimizer == "c"
-    updated, _ = extend_dataset(existing, new, old, "p", config, "q")
-    assert triple_pairs(updated) == triple_pairs(
-        generate_preferences([*old, new], "p", config, "q")
-    )
+    written, added = extend(tmp_path, old, timings(("c", PLAN_C, 500)))
+    assert [(t.chosen_optimizer, t.rejected_optimizer) for t in added] == [("a", "c")]
+    # The incumbent's triple stays.
+    assert [(t.chosen_optimizer, t.rejected_optimizer) for t in written] == [("a", "b"), ("a", "c")]
 
 
-def test_extend_new_optimizer_wins_time_tie_by_bracket():
+def test_extend_new_optimizer_wins_time_tie_by_bracket(tmp_path):
     # The new plan ties the incumbent's time but sorts first by bracket, so a
     # from-scratch run would choose it; extension must agree.
-    config = PreferenceConfig(0.95)
     old = timings(("x", PLAN_C, 100), ("y", PLAN_B, 180))
-    existing = generate_preferences(old, "p", config, "q")
-    assert len(existing) == 1  # (NestLoopJoin plan, MergeJoin plan)
-    new = PlanTiming("z", PLAN_A, 100)
+    assert len(generate_preferences(old, "p", PreferenceConfig(0.95))) == 1
     assert tree_to_bracket(PLAN_A) < tree_to_bracket(PLAN_C)
-    updated, added = extend_dataset(existing, new, old, "p", config, "q")
-    scratch = generate_preferences([*old, new], "p", config, "q")
-    assert triple_pairs(updated) == triple_pairs(scratch)
-    assert all(t.chosen_optimizer == "z" for t in added)
+    written, added = extend(tmp_path, old, timings(("z", PLAN_A, 100)))
+    assert [(t.chosen_optimizer, t.rejected_optimizer) for t in added] == [("z", "y")]
+    assert written == added
 
 
-def test_extend_rejects_duplicate_optimizer():
+def test_extend_rejects_duplicate_optimizer(tmp_path):
     old = timings(("a", PLAN_A, 100), ("b", PLAN_B, 180))
-    with pytest.raises(PreferenceError, match="already present"):
-        extend_preferences([], PlanTiming("a", PLAN_C, 10), old, "p", PreferenceConfig())
+    with pytest.raises(PreferenceError, match="old.jsonl: q: duplicate optimizer ids"):
+        extend(tmp_path, old, timings(("a", PLAN_C, 10)))
 
 
-def test_extend_equals_scratch_exhaustively():
-    """Incremental consistency over a grid of timing layouts."""
-    config = PreferenceConfig(0.95)
+def test_extend_equals_scratch_exhaustively(tmp_path):
+    """Over a grid of timing layouts, the added triples are exactly the
+    oracle's pairs over all three optimizers less those over the old two."""
     plans = {"a": PLAN_A, "b": PLAN_B, "c": PLAN_C}
     for ta, tb, tc in itertools.product((50, 100, 105, 400), repeat=3):
-        old = timings(("a", plans["a"], ta), ("b", plans["b"], tb))
-        existing = generate_preferences(old, "p", config, "q")
-        new = PlanTiming("c", plans["c"], tc)
-        updated, _ = extend_dataset(existing, new, old, "p", config, "q")
-        scratch = generate_preferences([*old, new], "p", config, "q")
-        assert triple_pairs(updated) == triple_pairs(scratch), (ta, tb, tc)
+        old = [("a", plans["a"], ta), ("b", plans["b"], tb)]
+        new = [("c", plans["c"], tc)]
+        written, added = extend(tmp_path, timings(*old), timings(*new))
+        expected = brute_force_pairs(old + new, 0.95)
+        assert triple_pairs(written) == expected, (ta, tb, tc)
+        assert triple_pairs(added) == expected - brute_force_pairs(old, 0.95), (ta, tb, tc)
 
 
 def test_preference_file_round_trip(tmp_path):
