@@ -183,15 +183,13 @@ def train_qdpo_cmd(dpo, init_ckpt, out, lr, steps, batch_size, beta, seed, trace
               help="Batch mode: workload file, one query per line.")
 @click.option("--catalog", "catalog_path", required=True, type=click.Path(exists=True))
 @click.option("--demo-pool", type=click.Path(exists=True), default=None,
-              help="Dataset file to draw demonstrations from.")
+              help="SFT dataset that --demo-mode requires a demonstration from.")
 @click.option("--demo-mode", default="none", show_default=True,
               type=click.Choice(DEMO_MODES))
-@click.option("--demo-seed", default=0, show_default=True, type=int)
 @click.option("--max-len", default=256, show_default=True, type=int)
 @click.option("--out", type=click.Path(), default=None, help="Batch mode output JSONL.")
 @_domain_errors
-def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode,
-              demo_seed, max_len, out):
+def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode, max_len, out):
     """Decode a response for one query, or for a workload in batch mode."""
     if (sql_file is None) == (workload is None):
         raise click.UsageError("pass exactly one of --sql or --workload")
@@ -200,15 +198,13 @@ def infer_cmd(model_path, sql_file, workload, catalog_path, demo_pool, demo_mode
     if workload:
         if not out:
             raise click.UsageError("--workload mode needs --out")
-        rows = pl.infer_stage(
-            model_path, workload, catalog_path, demo_pool, out, demo_mode, demo_seed, max_len
-        )
+        rows = pl.infer_stage(model_path, workload, catalog_path, demo_pool, out, demo_mode, max_len)
         click.echo(f"wrote {len(rows)} responses to {out}")
         return
     query = read_text(sql_file, parse_sql)
     pool = load_dataset(demo_pool) if demo_pool else []
     model, catalog = load_model(model_path), load_catalog(catalog_path)
-    click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, "single"))
+    click.echo(pl.decode_query(model, query, catalog, pool, demo_mode, max_len))
 
 
 @cli.command("validate")

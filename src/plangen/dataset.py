@@ -6,14 +6,15 @@ statistics block for the query's tables in FROM-list order. The paired
 response renders the best plan observed for the query across the optimizer
 plan logs.
 
-One function, ``prompt_with_demonstration``, adds the one-shot demonstration
-to training and inference prompts alike. It draws from the candidates its
-caller passes: a sibling record with the same query template (same tables
-and join predicates), or in ``fallback`` mode the most similar record.
-Instruction tuning (``build_sft_dataset``) drops only the query's own record;
-inference (``pipeline.decode_query``) drops every record whose SQL text is
-the query's. The tabular model conditions only on ``sql.template_key``, so
-demonstrations shape the SFT and DPO prompts but never a decoded response.
+Demonstrations exist only in the SFT prompts (and so in the DPO prompts,
+which reuse them): ``build_sft_dataset`` draws each query's demonstration
+from the other records, a sibling with the same query template (same tables
+and join predicates), or in ``fallback`` mode the most similar record. The
+tabular model conditions only on ``sql.template_key``, so inference
+(``pipeline.decode_query``) builds no prompt; it keeps only the rule of
+``demonstration_siblings``, under which ``strict`` fails without a sibling
+and ``fallback`` without any candidate, over the pool records whose SQL
+text is not the query's.
 """
 
 from __future__ import annotations
@@ -103,69 +104,62 @@ def extract_input_statistics(prompt: str) -> str:
     return prompt[at + len(marker):]
 
 
-def select_demonstration(
-    query: QuerySpec,
-    pool: Sequence[InstructionRecord],
-    mode: str,
-    rng: random.Random | None = None,
-) -> InstructionRecord | None:
-    """Pick a demonstration record for the query, or None in ``none`` mode.
+def demonstration_siblings(
+    template: QueryTemplate, candidates: Sequence[InstructionRecord], mode: str, label: str
+) -> list[InstructionRecord]:
+    """The candidates sharing ``template``, in candidate order; none in ``none`` mode.
 
-    strict: seeded-uniform choice among records with the exact template;
-    raises when none exists.
-    fallback: strict first, then the record maximizing table-set Jaccard
-    similarity (ties by join-set Jaccard, then query_id).
+    Raises NoDemonstrationAvailable, naming the query by ``label``, when
+    ``strict`` finds no sibling or ``fallback`` no candidate at all.
     """
     if mode not in DEMO_MODES:
         raise DatasetError(f"unknown demonstration mode {mode!r}")
     if mode == "none":
-        return None
+        return []
+    siblings = [r for r in candidates if r.template == template]
+    if not siblings and mode == "strict":
+        raise NoDemonstrationAvailable(f"no record shares the template of query {label}")
+    if not candidates:
+        raise NoDemonstrationAvailable(
+            f"no candidate record is left for the demonstration of query {label}"
+        )
+    return siblings
 
+
+def select_demonstration(
+    query: QuerySpec,
+    candidates: Sequence[InstructionRecord],
+    mode: str,
+    rng: random.Random,
+    label: str,
+) -> InstructionRecord | None:
+    """Pick a demonstration record for the query, or None in ``none`` mode.
+
+    A seeded-uniform choice among the siblings (``demonstration_siblings``);
+    without one, in ``fallback`` mode, the candidate maximizing table-set
+    Jaccard similarity (ties by join-set Jaccard, then query_id).
+    """
     template = template_of(query)
-    candidates = [r for r in pool if r.template == template]
-    if candidates:
-        candidates.sort(key=lambda r: r.query_id)
-        if rng is None:
-            return candidates[0]
-        return candidates[rng.randrange(len(candidates))]
-    if mode == "strict":
-        raise NoDemonstrationAvailable("no record shares the template")
-
-    scored = []
-    for r in pool:
-        table_sim = _jaccard(template.tables, r.template.tables)
-        join_sim = _jaccard(template.joins, r.template.joins)
-        scored.append((-table_sim, -join_sim, r.query_id, r))
-    if not scored:
-        raise NoDemonstrationAvailable("no candidate record is left for the demonstration")
-    scored.sort(key=lambda item: item[:3])
-    return scored[0][3]
+    siblings = demonstration_siblings(template, candidates, mode, label)
+    if mode == "none":
+        return None
+    if siblings:
+        siblings.sort(key=lambda r: r.query_id)
+        return siblings[rng.randrange(len(siblings))]
+    return min(
+        candidates,
+        key=lambda r: (
+            -_jaccard(template.tables, r.template.tables),
+            -_jaccard(template.joins, r.template.joins),
+            r.query_id,
+        ),
+    )
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-def prompt_with_demonstration(
-    query: QuerySpec,
-    catalog: Catalog,
-    candidates: Sequence[InstructionRecord],
-    mode: str,
-    rng: random.Random,
-    label: str,
-) -> str:
-    """The prompt for ``query``, its demonstration picked from ``candidates``;
-    ``label`` names the query when no candidate can be its demonstration."""
-    try:
-        record = select_demonstration(query, candidates, mode, rng)
-    except NoDemonstrationAvailable as exc:
-        raise NoDemonstrationAvailable(f"{exc} of query {label}") from None
-    demo = None
-    if record is not None:
-        demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)
-    return build_prompt(query, catalog, demo)
 
 
 def query_ids(queries) -> list[str]:
@@ -205,8 +199,11 @@ def build_sft_dataset(
         # String seeding hashes with sha512, stable across processes.
         rng = random.Random(f"{seed}:{bare.query_id}")
         candidates = [r for r in pool if r.query_id != bare.query_id]
-        prompt = prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, bare.query_id)
-        records.append(replace(bare, prompt=prompt))
+        record = select_demonstration(query, candidates, demo_mode, rng, bare.query_id)
+        demo = None
+        if record is not None:
+            demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)
+        records.append(replace(bare, prompt=build_prompt(query, catalog, demo)))
     records.sort(key=lambda r: r.query_id)
     return records
 

@@ -40,9 +40,9 @@ from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
     build_sft_dataset,
+    demonstration_siblings,
     extract_input_sql,
     load_dataset,
-    prompt_with_demonstration,
     query_ids,
     write_dataset,
 )
@@ -286,26 +286,29 @@ def build_preferences_from_logs(
     return sort_triples(triples)
 
 
-def decode_query(
-    model, query, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int, label: str
-) -> str:
-    """Greedy-decode one query; no pool record with the query's SQL text can
-    be its demonstration, and ``label`` seeds the demonstration choice."""
+def decode_query(model, query, catalog: Catalog, pool, demo_mode: str, max_len: int) -> str:
+    """Greedy-decode one query from its template key. No prompt is built,
+    since the token model reads only the key, but the errors of prompt
+    assembly stay: a missing demonstration (``demonstration_siblings``, where
+    no pool record with the query's SQL text is a candidate), then a table
+    the catalog lacks."""
     sql = render_sql(query)
-    candidates = [record for record in pool if record.sql != sql]
-    rng = _random.Random(f"{demo_seed}:infer:{label}")
-    # The token model reads only the key; the prompt keeps strict mode's missing-demonstration error.
-    prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
-    return model.greedy_decode(template_key(template_of(query)), max_len)
+    template = template_of(query)
+    demonstration_siblings(template, [r for r in pool if r.sql != sql], demo_mode, sql)
+    for table in query.from_order:
+        catalog.columns(table)
+    return model.greedy_decode(template_key(template), max_len)
 
 
 def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo_seed: int, max_len: int):
-    """Greedy-decode a response for each query; returns {query_id, response} rows."""
+    """Greedy-decode a response for each query; returns {query_id, response} rows.
+
+    ``demo_seed`` is ignored: no demonstration is drawn at inference, since
+    the token model never reads one. The argument stays for callers that
+    pass the run's config values positionally.
+    """
     return [
-        {
-            "query_id": qid,
-            "response": decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, qid),
-        }
+        {"query_id": qid, "response": decode_query(model, query, catalog, pool, demo_mode, max_len)}
         for qid, query in zip(query_ids(queries), queries)
     ]
 
@@ -445,7 +448,7 @@ def read_triples(path) -> list[tuple[int, str, str]]:
     return [(keys[t.prompt], t.chosen, t.rejected) for t in triples]
 
 
-def infer_stage(model, workload, catalog, pool, out, demo_mode: str, demo_seed: int, max_len: int):
+def infer_stage(model, workload, catalog, pool, out, demo_mode: str, max_len: int):
     """Batch inference; ``pool`` may be None when ``demo_mode`` is none."""
     rows = infer_responses(
         load_model(model),
@@ -453,8 +456,8 @@ def infer_stage(model, workload, catalog, pool, out, demo_mode: str, demo_seed: 
         load_catalog(catalog),
         load_dataset(pool) if pool else [],
         demo_mode,
-        demo_seed,
-        max_len,
+        demo_seed=None,
+        max_len=max_len,
     )
     write_jsonl(rows, out)
     return rows
@@ -528,7 +531,7 @@ class Stage:
     params: tuple[str, ...] = ()
 
 
-_INFER = ("demo_mode", "demo_seed", "max_len")
+_INFER = ("demo_mode", "max_len")
 
 STAGES = (
     Stage("workload", workload_stage, ("catalog", "join_graph"), ("workload.sql",),

@@ -252,23 +252,15 @@ def render_response(plan: PlanTree) -> str:
     return "\n".join(lines)
 
 
-def parse_response(text: str, lenient: bool = False) -> PlanTree:
+def parse_response(text: str) -> PlanTree:
     """Extract and parse the final-answer bracket from a response.
 
-    Anchors on the last occurrence of the marker string; with ``lenient``
-    the last non-empty line is tried when the marker is absent.
+    Anchors on the last occurrence of the marker string.
     """
     marker_at = text.lower().rfind(FINAL_ANSWER_MARKER)
-    if marker_at >= 0:
-        payload = text[marker_at + len(FINAL_ANSWER_MARKER):]
-    elif lenient:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise MissingFinalAnswer("empty response")
-        payload = lines[-1]
-    else:
+    if marker_at < 0:
         raise MissingFinalAnswer("no final-answer marker in response")
-    payload = payload.strip()
+    payload = text[marker_at + len(FINAL_ANSWER_MARKER):].strip()
     if payload.endswith("."):
         payload = payload[:-1]
     return bracket_to_tree(payload)

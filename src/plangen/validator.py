@@ -11,6 +11,9 @@ Failures are classified into three non-exclusive classes:
 
 When the final answer does not parse, a best-effort identifier scan still
 recovers the mentioned tables so count/set mismatches surface alongside E3.
+A response with no plan is never valid: when its mentioned tables match the
+query's (say, a bare bracket without the final-answer marker), it counts
+as E3.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ def validate(response: str, query: QuerySpec) -> ValidationReport:
         if extra:
             report.detail.append(f"unexpected tables: {', '.join(extra)}")
 
-    if plan is not None and not report.errors:
+    if plan is None and not report.errors:
+        report.errors.add(E3_OPERATOR_MISMATCH)
+    elif plan is not None and not report.errors:
         cross = _find_cross_product(plan, query)
         if cross is not None:
             report.errors.add(E3_OPERATOR_MISMATCH)

@@ -16,12 +16,20 @@ import pytest
 
 from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
 from plangen.costs import CostModel
-from plangen.dataset import extract_input_sql
+from plangen.dataset import (
+    DEMO_MODES,
+    DatasetError,
+    Demonstration,
+    NoDemonstrationAvailable,
+    build_prompt,
+    extract_input_sql,
+    extract_input_statistics,
+)
 from plangen.errors import PlangenError
 from plangen.hints import HintError
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
-from plangen.sql import QuerySpec, fnv1a64, parse_sql, template_of
+from plangen.sql import QuerySpec, fnv1a64, parse_sql, render_sql, template_key, template_of
 from plangen.tokenizer import tokenize
 from plangen.training import TraceRow
 
@@ -638,3 +646,64 @@ def _ref_assign(shape, operators: dict[frozenset[str], str]) -> tuple[PlanTree, 
     if key not in operators:
         raise HintError(f"no method hint covers {sorted(key)}")
     return Join(operators[key], left, right), left_used | right_used | {key}
+
+
+# --- demonstration-drawing inference reference ---
+#
+# Inference as it ran while it still assembled a prompt: a seeded
+# demonstration draw from the pool records whose SQL text is not the query's,
+# then the full prompt, thrown away because the token model reads only the
+# template key. pipeline.decode_query must return the same responses and
+# raise the same errors (tests/test_pipeline.py).
+
+
+def _ref_select_demonstration(query, pool, mode, rng=None):
+    if mode not in DEMO_MODES:
+        raise DatasetError(f"unknown demonstration mode {mode!r}")
+    if mode == "none":
+        return None
+
+    template = template_of(query)
+    candidates = [r for r in pool if r.template == template]
+    if candidates:
+        candidates.sort(key=lambda r: r.query_id)
+        if rng is None:
+            return candidates[0]
+        return candidates[rng.randrange(len(candidates))]
+    if mode == "strict":
+        raise NoDemonstrationAvailable("no record shares the template")
+
+    scored = []
+    for r in pool:
+        table_sim = _ref_jaccard(template.tables, r.template.tables)
+        join_sim = _ref_jaccard(template.joins, r.template.joins)
+        scored.append((-table_sim, -join_sim, r.query_id, r))
+    if not scored:
+        raise NoDemonstrationAvailable("no candidate record is left for the demonstration")
+    scored.sort(key=lambda item: item[:3])
+    return scored[0][3]
+
+
+def _ref_jaccard(a: frozenset, b: frozenset) -> float:
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+def _ref_prompt_with_demonstration(query, catalog, candidates, mode, rng, label):
+    try:
+        record = _ref_select_demonstration(query, candidates, mode, rng)
+    except NoDemonstrationAvailable as exc:
+        raise NoDemonstrationAvailable(f"{exc} of query {label}") from None
+    demo = None
+    if record is not None:
+        demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)
+    return build_prompt(query, catalog, demo)
+
+
+def reference_decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, label) -> str:
+    sql = render_sql(query)
+    candidates = [record for record in pool if record.sql != sql]
+    rng = random.Random(f"{demo_seed}:infer:{label}")
+    _ref_prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
+    return model.greedy_decode(template_key(template_of(query)), max_len)

@@ -106,21 +106,21 @@ def test_select_demonstration_strict(micro_catalog):
         _record("q2", sql_b, "r2", micro_catalog),
     ]
     query = parse_sql(sql_a)
-    got = select_demonstration(query, pool[1:], "strict", rng=random.Random(0))
+    got = select_demonstration(query, pool[1:], "strict", random.Random(0), "q1")
     assert got.query_id == "q2"
 
 
 def test_select_demonstration_self_exclusion(micro_catalog):
     sql = "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"
     pool = [_record("q1", sql, "r1", micro_catalog)]
-    with pytest.raises(NoDemonstrationAvailable):
-        select_demonstration(parse_sql(sql), pool[1:], "strict")
+    with pytest.raises(NoDemonstrationAvailable, match="^no record shares the template of query q1$"):
+        select_demonstration(parse_sql(sql), pool[1:], "strict", random.Random(0), "q1")
 
 
 def test_select_demonstration_none_mode(micro_catalog):
     sql = "SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"
     pool = [_record("q1", sql, "r1", micro_catalog)]
-    assert select_demonstration(parse_sql(sql), pool, "none") is None
+    assert select_demonstration(parse_sql(sql), pool, "none", random.Random(0), "q2") is None
 
 
 def test_select_demonstration_fallback_max_jaccard(micro_catalog):
@@ -145,7 +145,7 @@ def test_select_demonstration_fallback_max_jaccard(micro_catalog):
         for qid, sql in pool_sqls.items()
     }
     best = max(sorted(scores), key=lambda q: scores[q])
-    got = select_demonstration(target, pool, "fallback")
+    got = select_demonstration(target, pool, "fallback", random.Random(0), "q4")
     assert got.query_id == best == "q2"
 
 

@@ -11,11 +11,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plangen.catalog import load_catalog, load_tables, serialize_stats
+from plangen.catalog import Catalog, load_catalog, load_tables
 from plangen.cli import cli
 from plangen.dataset import (
-    Demonstration, build_prompt, build_sft_dataset, load_dataset, prompt_with_demonstration,
+    DEMO_MODES, InstructionRecord, build_prompt, build_sft_dataset, query_ids,
 )
+from plangen.errors import PlangenError
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
@@ -32,6 +33,7 @@ from plangen.pipeline import (
 )
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
 from plangen.sql import parse_sql, render_sql, template_key, template_of
+from tests.conftest import reference_decode_query
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -410,8 +412,8 @@ def test_cli_chain_equals_run_pipeline(tmp_path):
         r = invoke(
             "infer", "--model", chain / f"{source}.ckpt", "--workload", chain / "test.sql",
             "--catalog", catalog, "--demo-pool", chain / "sft.jsonl",
-            "--demo-mode", config.demo_mode, "--demo-seed", config.demo_seed,
-            "--max-len", config.max_len, "--out", chain / f"responses_{source}.jsonl",
+            "--demo-mode", config.demo_mode, "--max-len", config.max_len,
+            "--out", chain / f"responses_{source}.jsonl",
         )
         assert r.exit_code == 0, r.output
     r = invoke("report", "--run-dir", chain, "--build", "--tables", tables)
@@ -732,6 +734,12 @@ def _infer_fallback_with_only_the_query_in_the_pool(tmp_path):
     )
 
 
+def _infer_table_absent_from_catalog(tmp_path):
+    args = _infer_with_checkpoint(tmp_path)
+    (tmp_path / "q.sql").write_text("SELECT * FROM aka_title;")
+    return args, "error: unknown table 'aka_title'\n"
+
+
 def _two_query_logs(tmp_path):
     """A two-query workload, its plan log, SFT records and preference file."""
     workload = tmp_path / "train.sql"
@@ -1006,7 +1014,7 @@ def _report_build_plans_of_unknown_query(tmp_path):
      _extend_dpo_plan_log_query_not_in_sft, _train_qdpo_prompt_without_input,
      _grad_check_dpo_prompt_without_input, _extend_dpo_optimizer_already_in_plans,
      _report_build_test_query_without_plans, _report_build_plans_of_unknown_query,
-     _gen_sft_workload_query_without_plans],
+     _gen_sft_workload_query_without_plans, _infer_table_absent_from_catalog],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
@@ -1047,6 +1055,20 @@ def test_cli_report_build_reports_every_optimizer(tmp_path):
     assert report["timings"]["dp2"] == report["timings"]["dp"]
 
 
+def test_cli_report_build_counts_a_response_without_a_plan_as_invalid(tmp_path):
+    args, _, _ = _report_build_with_plans(tmp_path, ["q0001", "q0002"])
+    # q0001's one table, but no final-answer marker, so no plan.
+    write_jsonl([{"query_id": "q0001", "response": "title"},
+                 {"query_id": "q0002", "response": "the final answer is: cast_info"}],
+                tmp_path / "responses_qit.jsonl")
+    result = invoke(*args, "--json")
+    assert result.exit_code == 0, result.output
+    validity = json.loads(result.output)["validity"]
+    assert validity["qit"] == {"total": 2, "valid": 1, "rate": 0.5,
+                               "errors": {"E1": 0, "E2": 0, "E3": 1}}
+    assert validity["qdpo"]["valid"] == 2
+
+
 def test_cli_infer_single_query(tmp_path):
     pipe_dir = tmp_path / "run"
     config = fast_config(pipe_dir)
@@ -1062,6 +1084,11 @@ def test_cli_infer_single_query(tmp_path):
     )
     assert result.exit_code == 0
     assert "final answer" in result.output
+    # Inference draws no demonstration, so it takes no seed for one.
+    result = invoke("infer", "--model", pipe_dir / "qit.ckpt", "--sql", sql_file,
+                    "--catalog", config.catalog, "--demo-seed", 3)
+    assert result.exit_code == 2
+    assert "--demo-seed" in result.output
 
 
 class _KeyEcho:
@@ -1071,55 +1098,65 @@ class _KeyEcho:
         return key
 
 
-def test_inference_demonstration_is_a_sibling_never_the_query_sql(tmp_path, monkeypatch):
-    # No artifact shows which demonstration inference picked (the model reads
-    # only the template key), so the prompts are captured here. The choices
-    # are pinned: a change to the exclusion rule or to the seed strings shows.
-    import plangen.pipeline as pipeline
+_CAST_JOIN = "cast_info.movie_id = title.movie_id"
+_KEYWORD_JOIN = "movie_keyword.movie_id = title.movie_id"
+# Three templates; several SQL texts share one.
+_POOL_SQLS = (
+    f"SELECT * FROM cast_info, title WHERE {_CAST_JOIN} AND cast_info.role_id < 4;",
+    f"SELECT * FROM cast_info, title WHERE {_CAST_JOIN} AND title.kind_id > 2;",
+    f"SELECT * FROM cast_info, title WHERE {_CAST_JOIN};",
+    f"SELECT * FROM movie_keyword, title WHERE {_KEYWORD_JOIN};",
+    f"SELECT * FROM movie_keyword, title WHERE {_KEYWORD_JOIN} AND title.product_year < 1990;",
+    f"SELECT * FROM cast_info, movie_keyword, title WHERE {_CAST_JOIN} AND {_KEYWORD_JOIN};",
+)
 
-    prompts = []
 
-    def capture(*args):
-        prompts.append(prompt_with_demonstration(*args))
-        return prompts[-1]
+def _outcome(decode):
+    """The rows ``decode`` returns, or the class and message of the error it raises."""
+    try:
+        return decode()
+    except PlangenError as exc:
+        return type(exc), str(exc)
 
-    monkeypatch.setattr(pipeline, "prompt_with_demonstration", capture)
-    catalog = load_catalog(FIXTURES / "catalog.txt")
-    join = "cast_info.movie_id = title.movie_id"
-    query_sql = f"SELECT * FROM cast_info, title WHERE {join} AND cast_info.role_id < 4;"
-    pool_sqls = {
-        "q0001": f"SELECT * FROM cast_info, title WHERE {join} AND title.kind_id > 2;",
-        "q0002": query_sql,
-        "q0003": f"SELECT * FROM cast_info, title WHERE {join};",
-        "q0004": query_sql,
-        "q0005": "SELECT * FROM movie_keyword, title WHERE movie_keyword.movie_id = title.movie_id;",
-        "q0006": f"SELECT * FROM cast_info, title WHERE {join} AND title.product_year < 1990;",
-    }
-    pool_file = tmp_path / "sft.jsonl"
-    write_jsonl([{"query_id": qid, "prompt": build_prompt(parse_sql(sql), catalog),
-                  "response": f"response of {qid}"} for qid, sql in pool_sqls.items()], pool_file)
-    pool = load_dataset(pool_file)
-    three_tables = parse_sql("SELECT * FROM cast_info, movie_keyword, title WHERE "
-                             f"{join} AND movie_keyword.movie_id = title.movie_id;")
-    queries = [parse_sql(query_sql), parse_sql(query_sql), parse_sql(pool_sqls["q0003"]), three_tables]
-    recorded = {
-        ("strict", 3): ["q0003", "q0006", "q0006"],
-        ("strict", 4): ["q0001", "q0003", "q0001"],
-        ("fallback", 3): ["q0003", "q0006", "q0006", "q0001"],
-    }
-    for (mode, seed), demo_ids in recorded.items():
-        prompts.clear()
-        rows = infer_responses(_KeyEcho(), queries[:len(demo_ids)], catalog, pool, mode, seed, 256)
-        assert len(prompts) == len(demo_ids)
-        for row, prompt, query, demo_id in zip(rows, prompts, queries, demo_ids):
-            demo_query = parse_sql(pool_sqls[demo_id])
-            demo = Demonstration(
-                render_sql(demo_query),
-                serialize_stats(catalog, list(demo_query.from_order)),
-                f"response of {demo_id}",
-            )
-            assert prompt == build_prompt(query, catalog, demo), (mode, seed, row["query_id"])
-            assert row["response"] == template_key(template_of(query))
+
+@pytest.fixture(scope="module")
+def fixture_catalog():
+    return load_catalog(FIXTURES / "catalog.txt")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool_sqls=st.lists(st.sampled_from(_POOL_SQLS), max_size=5),
+    query_sqls=st.lists(st.sampled_from(_POOL_SQLS), min_size=1, max_size=3),
+    mode=st.sampled_from(DEMO_MODES),
+    seed=st.integers(0, 2**32),
+    absent_table=st.sampled_from((None, "movie_keyword", "title")),
+)
+def test_inference_equals_the_demonstration_drawing_reference(
+    fixture_catalog, pool_sqls, query_sqls, mode, seed, absent_table
+):
+    # Inference without a prompt returns what the reference's prompt-building
+    # decode returns, and fails where it fails, with the same error: strict
+    # and fallback availability (no pool record with the query's SQL text is
+    # a candidate), then the catalog check.
+    pool = []
+    for qid, sql in zip(query_ids(pool_sqls), pool_sqls):
+        query = parse_sql(sql)
+        pool.append(InstructionRecord(qid, build_prompt(query, fixture_catalog),
+                                      f"response of {qid}", render_sql(query), template_of(query)))
+    catalog = Catalog({name: columns for name, columns in fixture_catalog.tables.items()
+                       if name != absent_table})
+    queries = [parse_sql(sql) for sql in query_sqls]
+    expected = _outcome(lambda: [
+        {"query_id": qid,
+         "response": reference_decode_query(_KeyEcho(), query, catalog, pool, mode, seed, 256, qid)}
+        for qid, query in zip(query_ids(queries), queries)
+    ])
+    got = _outcome(lambda: infer_responses(_KeyEcho(), queries, catalog, pool, mode, seed, 256))
+    assert got == expected
+    if isinstance(got, list):
+        # The model receives the query's template key.
+        assert [row["response"] for row in got] == [template_key(template_of(q)) for q in queries]
 
 
 def test_cli_grad_check(tmp_path):

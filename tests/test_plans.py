@@ -257,10 +257,6 @@ def test_parse_response_with_chatter(movie_plan):
 def test_parse_response_empty():
     with pytest.raises(MissingFinalAnswer):
         parse_response("")
-
-
-def test_parse_response_lenient_last_line(movie_plan):
-    assert parse_response(MOVIE_BRACKET + ".", lenient=True) == movie_plan
     with pytest.raises(MissingFinalAnswer):
         parse_response(MOVIE_BRACKET + ".")
 
@@ -313,6 +309,6 @@ def test_bracket_parser_is_total(text):
 @given(st.text(max_size=120))
 def test_parse_response_is_total(text):
     try:
-        parse_response(text, lenient=True)
+        parse_response(text)
     except PlanError:
         pass

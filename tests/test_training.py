@@ -64,7 +64,7 @@ def test_qit_overfits_single_sample(overfit_pair):
     last_quarter = [r.loss for r in trace[-len(trace) // 4:]]
     assert sum(last_quarter) / len(last_quarter) < sum(first_quarter) / len(first_quarter)
     decoded = model.greedy_decode(key, max_len=256)
-    assert parse_response(decoded, lenient=True) == parse_response(response)
+    assert parse_response(decoded) == parse_response(response)
     # Token-for-token reproduction of the target (modulo whitespace layout).
     from plangen.tokenizer import split_tokens
 

@@ -92,6 +92,17 @@ def test_cross_product_reports_e3(movie_query):
     assert any("cross product" in d for d in report.detail)
 
 
+def test_response_without_a_plan_is_e3(movie_query):
+    # The query's tables, but no final-answer marker: no plan parsed, so the
+    # response is never valid.
+    query = parse_sql("SELECT * FROM movie_keyword, title WHERE movie_keyword.movie_id = title.movie_id;")
+    for text, q in (("HashJoin(movie_keyword title)", query),
+                    ("HashJoin(movie_info_idx HashJoin(movie_companies title)).", movie_query)):
+        report = validate(text, q)
+        assert report.errors == {E3}
+        assert report.plan is None
+
+
 def test_chatter_before_marker_ignored(movie_plan, movie_query):
     noisy = "I think cast_info and aka_name matter here.\n" + render_response(movie_plan)
     report = validate(noisy, movie_query)
@@ -147,6 +158,7 @@ def test_validate_never_raises(text):
     query = parse_sql("SELECT * FROM a, b WHERE a.x = b.y;")
     report = validate(text, query)
     assert report.valid == (not report.errors)
+    assert report.plan is not None or not report.valid
 
 
 def test_mutation_corpus_labels_match(micro_catalog, micro_join_lines):
