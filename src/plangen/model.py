@@ -9,6 +9,13 @@ next-token distribution factorizes the response probability exactly:
 
 The model never reads a prompt. All hashing is explicit 64-bit arithmetic,
 never Python's randomized hash().
+
+Decoding is greedy. A row no training step touched is all zeros, so its
+argmax is token 0, <bos>, and a template the model never saw emits <bos>
+until ``max_len``. The context of a step after <bos> depends only on its
+position, so ``greedy_decode`` hashes and argmaxes those steps a block of
+positions at a time; row-wise argmax picks the same first maximum as the
+argmax of one row, so responses equal step-by-step decoding.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ _MASK = (1 << 64) - 1
 
 CHECKPOINT_FORMAT = "plangen-token-model/1"
 DEFAULT_CONTEXTS = 4096
+_BOS_BLOCK = 256  # positions per block of after-<bos> steps
 
 
 class ModelError(PlangenError):
@@ -125,16 +133,28 @@ class TokenModel:
         return log_p, contexts, grad
 
     def greedy_decode(self, key: int, max_len: int) -> str:
+        """Argmax decoding up to ``max_len`` steps or <eos>. The steps after
+        <bos> are read from blocks of _BOS_BLOCK positions hashed and
+        argmaxed at once; every other step hashes and argmaxes one row."""
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
+        bos, eos = self.vocab.bos_id, self.vocab.eos_id
         out: list[int] = []
-        prev = self.vocab.bos_id
+        prev = bos
+        block_start, after_bos = 0, []
         for position in range(max_len):
-            row = self.theta[self.context_id(key, position, prev)]
-            token = int(np.argmax(row))
-            if token == self.vocab.eos_id:
+            if prev == bos:
+                if not block_start <= position < block_start + len(after_bos):
+                    block_start = position
+                    steps = np.arange(position, min(position + _BOS_BLOCK, max_len), dtype=np.uint64)
+                    contexts = self.context_id(key, steps, np.full(len(steps), bos, dtype=np.uint64))
+                    after_bos = self.theta[contexts.astype(np.intp)].argmax(axis=1).tolist()
+                token = after_bos[position - block_start]
+            else:
+                token = int(np.argmax(self.theta[self.context_id(key, position, prev)]))
+            if token == eos:
                 break
-            out.append(token)
+            out.append(token)  # <bos> too: detokenize resets its spacing on it
             prev = token
         return detokenize(self.vocab.decode(out))
 

@@ -117,6 +117,9 @@ class PipelineConfig:
             raise PipelineError(f"split ratio must be in (0, 1), got {self.split_ratio}")
         if self.split_mode not in SPLIT_MODES:
             raise PipelineError(f"unknown split mode {self.split_mode!r}")
+        for name in ("max_len", "n_contexts"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

@@ -27,10 +27,11 @@ from plangen.dataset import (
 )
 from plangen.errors import PlangenError
 from plangen.hints import HintError
+from plangen.model import ModelError
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
 from plangen.sql import QuerySpec, fnv1a64, parse_sql, render_sql, template_key, template_of
-from plangen.tokenizer import tokenize
+from plangen.tokenizer import detokenize, tokenize
 from plangen.training import TraceRow
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -253,6 +254,28 @@ def reference_prompt_key(prompt: str) -> int:
         return fnv1a64("template:" + template_of(spec).key())
     except PlangenError:
         return fnv1a64("prompt:" + prompt)
+
+
+# --- step-by-step decoding reference ---
+#
+# Greedy decoding as it ran before the after-<bos> steps were read a block at
+# a time: one scalar context and one argmax per step. TokenModel.greedy_decode
+# must return the same string (tests/test_model.py).
+
+
+def reference_greedy_decode(model, key: int, max_len: int) -> str:
+    if max_len <= 0:
+        raise ModelError(f"max_len must be positive, got {max_len}")
+    out: list[int] = []
+    prev = model.vocab.bos_id
+    for position in range(max_len):
+        row = model.theta[model.context_id(key, position, prev)]
+        token = int(np.argmax(row))
+        if token == model.vocab.eos_id:
+            break
+        out.append(token)
+        prev = token
+    return detokenize(model.vocab.decode(out))
 
 
 # --- sequence-at-a-time training reference ---

@@ -17,7 +17,7 @@ from plangen.training import (
     sft_loss,
 )
 from plangen.workload import gen_workload, load_join_graph
-from tests.conftest import reference_prompt_key
+from tests.conftest import reference_greedy_decode, reference_prompt_key
 
 RESPONSES = [
     "Step1: [a, b, MergeJoin],\n\nTherefore, the final answer is:\nMergeJoin(a b).",
@@ -199,3 +199,50 @@ def test_greedy_decode_max_len(random_model):
 
 def test_greedy_decode_deterministic(random_model):
     assert random_model.greedy_decode(1, 64) == random_model.greedy_decode(1, 64)
+
+
+# Rows of a decoding model: mostly untrained (all zeros, so <bos> wins),
+# plus trained rows with <bos> or <eos> on top, tied maxima, or no pattern.
+_ROW_KINDS = ("zero", "zero", "zero", "bos", "eos", "tie", "random")
+
+
+@st.composite
+def decoding_models(draw):
+    """A model with few contexts, so steps share rows, over a random mix of
+    row kinds."""
+    model = TokenModel.create(build_vocab(RESPONSES), n_contexts=draw(st.integers(1, 24)))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=model.n_contexts,
+                          max_size=model.n_contexts))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    width = len(model.vocab)
+    for ctx, kind in enumerate(kinds):
+        if kind == "zero":
+            continue
+        row = rng.normal(0.0, 1.0, size=width)
+        if kind == "bos":
+            row[model.vocab.bos_id] = row.max() + rng.uniform(0.1, 1.0)
+        elif kind == "eos":
+            row[model.vocab.eos_id] = row.max() + rng.uniform(0.1, 1.0)
+        elif kind == "tie":
+            row[rng.choice(width, size=2, replace=False)] = row.max() + 1.0
+        model.theta[ctx] = row
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=decoding_models(), key=st.integers(0, 2**64 - 1), max_len=st.integers(1, 600))
+def test_greedy_decode_equals_the_step_by_step_reference(model, key, max_len):
+    """Reading the after-<bos> steps a block at a time returns what decoding
+    one step at a time does, at any max_len and across block edges."""
+    for n in (max_len, 255, 256, 257, 512, 513):
+        assert model.greedy_decode(key, n) == reference_greedy_decode(model, key, n)
+
+
+def test_greedy_decode_of_a_huge_max_len_stops_at_eos(vocab):
+    """Decoding holds one block of positions, never all of max_len."""
+    model = TokenModel.create(vocab, n_contexts=4096)
+    key = 7
+    contexts = [model.context_id(key, position, vocab.bos_id) for position in range(6)]
+    assert contexts[5] not in contexts[:5]
+    model.theta[contexts[5], vocab.eos_id] = 1.0
+    assert model.greedy_decode(key, 10**12) == ""

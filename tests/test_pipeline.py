@@ -76,6 +76,15 @@ def test_config_invalid_ratio():
         PipelineConfig(split_ratio=1.5)
 
 
+@pytest.mark.parametrize("setting", ["max_len = 0", "max_len = -1", "n_contexts = 0"])
+def test_config_rejects_a_count_below_one_naming_the_file(tmp_path, setting):
+    path = tmp_path / "bad.cfg"
+    path.write_text(setting + "\n", encoding="utf-8")
+    key = setting.split()[0]
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {key} must be at least 1"):
+        PipelineConfig.from_file(path)
+
+
 def test_split_ratio_and_determinism(micro_catalog, micro_join_lines, tmp_path):
     from plangen.workload import gen_workload
     from plangen.sql import JoinPredicate
@@ -596,6 +605,12 @@ def _zero_contexts_in_config(tmp_path):
     return ["run", "--config", cfg], "n_contexts"
 
 
+def _zero_max_len_in_config(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "max_len = 0\n", encoding="utf-8")
+    return ["run", "--config", cfg], f"{cfg}: max_len"
+
+
 def _train_qit_with_contexts(tmp_path, contexts):
     sft = tmp_path / "sft.jsonl"
     prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
@@ -998,8 +1013,8 @@ def _report_build_plans_of_unknown_query(tmp_path):
     [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
      _corpus_without_response, _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input,
      _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response,
-     _workload_with_bad_sql, _zero_contexts_in_config, _train_qit_zero_contexts,
-     _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
+     _workload_with_bad_sql, _zero_contexts_in_config, _zero_max_len_in_config,
+     _train_qit_zero_contexts, _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
      _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _unreadable_stages_json,
      _unreadable_report_json, _plan_log_with_zero_time, _plan_log_with_bad_bracket,
      _plan_log_with_repeated_optimizer, _plan_log_with_one_plan, _undecodable_corpus,
