@@ -1,16 +1,27 @@
 """Tabular autoregressive token model.
 
-The model keeps a logits table indexed by (context id, token id). A context
-id hashes together the integer template key (``sql.template_key``) the caller
-passes, the step index and the previous token id, so the conditional
-next-token distribution factorizes the response probability exactly:
+The model holds a row of logits over the vocabulary for each context id. A
+context id hashes together the integer template key (``sql.template_key``)
+the caller passes, the step index and the previous token id, so the
+conditional next-token distribution factorizes the response probability
+exactly:
 
-    log p(y | x) = sum_t log softmax(theta[ctx(x, t, y_{t-1})])[y_t]
+    log p(y | x) = sum_t log softmax(logits[ctx(x, t, y_{t-1})])[y_t]
 
 The model never reads a prompt. All hashing is explicit 64-bit arithmetic,
 never Python's randomized hash().
 
-Decoding is greedy. A row no training step touched is all zeros, so its
+Only the rows training touches are stored. ``rows`` is a slab of logit rows
+and ``slots`` maps each context id to its slab row. Row 0 is all zeros and
+shared by every context without a row of its own, so an untouched context
+reads zero logits. A training run reserves a row for each context it can
+update before its first step (``TokenModel.reserve``), and ``add_rows``
+refuses a context without one, so nothing ever writes row 0. Memory grows
+with the touched rows plus 4 bytes per context, not with ``n_contexts``
+times the vocabulary; every read gathers ``rows[slots[ctx]]`` and sees the
+floats a dense table would hold.
+
+Decoding is greedy. An untouched context's logits are all zero, so its
 argmax is token 0, <bos>, and a template the model never saw emits <bos>
 until ``max_len``. The context of a step after <bos> depends only on its
 position, so ``greedy_decode`` hashes and argmaxes those steps a block of
@@ -36,6 +47,7 @@ _MASK = (1 << 64) - 1
 
 CHECKPOINT_FORMAT = "plangen-token-model/1"
 DEFAULT_CONTEXTS = 4096
+MAX_CONTEXTS = 2**31 - 1  # context ids are int32 in EncodedSequence and PackedSequences
 _BOS_BLOCK = 256  # positions per block of after-<bos> steps
 
 
@@ -56,16 +68,46 @@ def _splitmix(x):
 class TokenModel:
     vocab: Vocabulary
     n_contexts: int
-    theta: np.ndarray  # (n_contexts, |V|) float64 logits
+    slots: np.ndarray  # (n_contexts,) int32: each context's row of ``rows``, 0 if it has none
+    rows: np.ndarray  # (touched + 1, |V|) float64 logits; row 0 is the shared zero row
 
     @classmethod
     def create(cls, vocab: Vocabulary, n_contexts: int = DEFAULT_CONTEXTS) -> "TokenModel":
-        if not isinstance(n_contexts, int) or n_contexts < 1:
-            raise ModelError(f"n_contexts must be an integer of at least 1, got {n_contexts!r}")
-        return cls(vocab, n_contexts, np.zeros((n_contexts, len(vocab)), dtype=np.float64))
+        if not isinstance(n_contexts, int) or not 1 <= n_contexts <= MAX_CONTEXTS:
+            raise ModelError(
+                f"n_contexts must be an integer from 1 to {MAX_CONTEXTS}, got {n_contexts!r}"
+            )
+        slots = np.zeros(n_contexts, dtype=np.int32)
+        return cls(vocab, n_contexts, slots, np.zeros((1, len(vocab))))
+
+    @classmethod
+    def from_rows(cls, vocab: Vocabulary, n_contexts: int, contexts, rows) -> "TokenModel":
+        """The model whose logits are ``rows[i]`` at ``contexts[i]`` and zero elsewhere."""
+        model = cls.create(vocab, n_contexts)
+        model.reserve(contexts)
+        model.rows[model.slots[contexts]] = rows
+        return model
 
     def copy(self) -> "TokenModel":
-        return TokenModel(self.vocab, self.n_contexts, self.theta.copy())
+        return TokenModel(self.vocab, self.n_contexts, self.slots.copy(), self.rows.copy())
+
+    def reserve(self, contexts) -> None:
+        """Give each of ``contexts`` that has no row a zero row of its own."""
+        contexts = np.asarray(contexts, dtype=np.intp)
+        fresh = contexts[self.slots[contexts] == 0]
+        if not len(fresh):
+            return
+        # A repeated context keeps the number of one of its entries, so the
+        # entries whose number stuck are one per context, found without a sort.
+        numbers = np.arange(len(self.rows), len(self.rows) + len(fresh), dtype=np.int32)
+        self.slots[fresh] = numbers
+        fresh = fresh[self.slots[fresh] == numbers]
+        self.slots[fresh] = numbers[: len(fresh)]
+        self.rows = np.concatenate([self.rows, np.zeros((len(fresh), self.rows.shape[1]))])
+
+    def logits(self, contexts):
+        """The logit rows of ``contexts``: one id, or an array of ids."""
+        return self.rows[self.slots[contexts]]
 
     def context_id(self, template_key: int, position, prev_token):
         """Context of a step; ``position`` and ``prev_token`` may also be
@@ -83,12 +125,13 @@ class TokenModel:
 
     def log_probs(self, packed: "PackedSequences") -> np.ndarray:
         """log p of every packed sequence: each distinct context's row max and
-        log-sum-exp is computed once, a token's log-prob is (theta[c, y] -
+        log-sum-exp is computed once, a token's log-prob is (logits[c, y] -
         max_c) - lse_c, and each equal-length group is summed along axis 1."""
+        row_slots = self.slots[packed.rows]
         row_max, lse = np.empty(len(packed.rows)), np.empty(len(packed.rows))
         for first in range(0, len(packed.rows), 512):  # small blocks keep the peak memory low
             span = slice(first, first + 512)
-            block = self.theta[packed.rows[span]]
+            block = self.rows[row_slots[span]]
             row_max[span] = block.max(axis=1)
             block -= row_max[span, np.newaxis]
             lse[span] = np.log(np.exp(block, out=block).sum(axis=1))
@@ -97,7 +140,7 @@ class TokenModel:
             first = packed.starts[seqs[0]]
             span = slice(first, first + len(seqs) * length)
             slots = packed.slots[span]
-            token = self.theta[packed.rows[slots], packed.ids[span]]
+            token = self.rows[row_slots[slots], packed.ids[span]]
             token -= row_max[slots]
             token -= lse[slots]
             out[seqs] = token.reshape(-1, length).sum(axis=1)
@@ -114,7 +157,7 @@ class TokenModel:
         tokens = np.arange(ends[-1]) + np.repeat(packed.starts[seqs] - (ends - lengths), lengths)
         contexts = packed.rows[packed.slots[tokens]]
         at = (np.arange(len(tokens)), packed.ids[tokens])
-        grad = self.theta[contexts]  # worked on in place to keep the peak small
+        grad = self.logits(contexts)  # worked on in place to keep the peak small
         grad -= grad.max(axis=1, keepdims=True)
         total = np.exp(grad).sum(axis=1, keepdims=True)
         if nll:
@@ -139,6 +182,7 @@ class TokenModel:
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
         bos, eos = self.vocab.bos_id, self.vocab.eos_id
+        rows, slots = self.rows, self.slots
         out: list[int] = []
         prev = bos
         block_start, after_bos = 0, []
@@ -148,10 +192,10 @@ class TokenModel:
                     block_start = position
                     steps = np.arange(position, min(position + _BOS_BLOCK, max_len), dtype=np.uint64)
                     contexts = self.context_id(key, steps, np.full(len(steps), bos, dtype=np.uint64))
-                    after_bos = self.theta[contexts.astype(np.intp)].argmax(axis=1).tolist()
+                    after_bos = rows[slots[contexts.astype(np.intp)]].argmax(axis=1).tolist()
                 token = after_bos[position - block_start]
             else:
-                token = int(np.argmax(self.theta[self.context_id(key, position, prev)]))
+                token = int(np.argmax(rows[slots[self.context_id(key, position, prev)]]))
             if token == eos:
                 break
             out.append(token)  # <bos> too: detokenize resets its spacing on it
@@ -201,22 +245,27 @@ class PackedSequences:
         return len(self.lengths)
 
 
-def add_rows(target: np.ndarray, contexts: np.ndarray, rows: np.ndarray) -> None:
-    """target[c] += row for every (c, row) in order, as np.add.at over the
-    rows would, but as one several times faster flat np.add.at."""
-    if not target.flags.c_contiguous:
-        raise ModelError("add_rows needs a C-contiguous table")
-    width = target.shape[1]
-    flat = np.add.outer(contexts.astype(np.intp) * width, np.arange(width)).ravel()
-    np.add.at(target.reshape(-1), flat, rows.ravel())
+def add_rows(model: TokenModel, contexts: np.ndarray, rows: np.ndarray) -> None:
+    """The logits of context c += row for every (c, row) in order, as
+    np.add.at over the rows would, but as one several times faster flat
+    np.add.at onto the slab. Every context needs a row (``reserve``)."""
+    slab = model.rows
+    if not slab.flags.c_contiguous:
+        raise ModelError("add_rows needs a C-contiguous slab")
+    at = model.slots[contexts]
+    if not at.all():
+        raise ModelError(f"context {contexts[np.argmin(at)]} has no row; reserve one first")
+    width = slab.shape[1]
+    flat = np.add.outer(at.astype(np.intp) * width, np.arange(width)).ravel()
+    np.add.at(slab.reshape(-1), flat, rows.ravel())
 
 
 def save_model(model: TokenModel, path: str | Path) -> None:
     """Write a checkpoint, storing only rows that left their zero init."""
-    nonzero = np.flatnonzero(model.theta.any(axis=1))
+    nonzero = np.flatnonzero(model.rows.any(axis=1)[model.slots])
     rows = {
         str(int(ctx)): base64.b64encode(
-            np.ascontiguousarray(model.theta[ctx], dtype="<f8").tobytes()
+            np.ascontiguousarray(model.logits(ctx), dtype="<f8").tobytes()
         ).decode("ascii")
         for ctx in nonzero
     }
@@ -241,13 +290,15 @@ def _from_checkpoint(payload: dict) -> TokenModel:
     if not all(isinstance(token, str) for token in payload["vocab"]):
         raise ModelError("vocab holds a token that is not a string")
     vocab = Vocabulary(tuple(payload["vocab"]))
-    model = TokenModel.create(vocab, payload["n_contexts"])
+    contexts, rows = [], []
     for key, blob in payload["rows"].items():
         try:
             ctx = int(key)
         except ValueError:
             raise ModelError(f"row key {key!r} is not an integer") from None
-        if not 0 <= ctx < model.n_contexts:
+        if key != str(ctx):  # so no two keys, such as "5" and "05", name one row
+            raise ModelError(f"row key {key!r} is not the canonical decimal of context {ctx}")
+        if not 0 <= ctx < payload["n_contexts"]:
             raise ModelError(f"row {ctx} outside the context table")
         if not isinstance(blob, str):
             raise ModelError(f"row {ctx} is not a base64 string")
@@ -257,7 +308,10 @@ def _from_checkpoint(payload: dict) -> TokenModel:
             raise ModelError(f"row {ctx} is not base64 of float64 values") from None
         if len(row) != len(vocab):
             raise ModelError(f"row {ctx} does not match the vocabulary size")
-        model.theta[ctx] = row
-    if not np.isfinite(model.theta).all():
+        contexts.append(ctx)
+        rows.append(row)
+    rows = np.reshape(rows, (len(rows), len(vocab)))
+    model = TokenModel.from_rows(vocab, payload["n_contexts"], contexts, rows)
+    if not np.isfinite(model.rows).all():
         raise ModelError("non-finite parameters")
     return model

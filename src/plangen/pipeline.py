@@ -49,7 +49,7 @@ from .dataset import (
 from .errors import PlangenError
 from .executor import PlanLog, micro_execute, read_plan_log, write_plan_log
 from .jsonl import located, read_json, read_jsonl, read_lines, write_jsonl
-from .model import DEFAULT_CONTEXTS, load_model, save_model
+from .model import DEFAULT_CONTEXTS, MAX_CONTEXTS, load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
 from .preferences import (
     DEFAULT_RATIO_THRESHOLD,
@@ -120,6 +120,8 @@ class PipelineConfig:
         for name in ("max_len", "n_contexts"):
             if getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_contexts > MAX_CONTEXTS:
+            raise PipelineError(f"n_contexts must be at most {MAX_CONTEXTS}, got {self.n_contexts}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

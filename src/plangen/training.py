@@ -134,6 +134,7 @@ def train_qit(
         raise TrainingError("empty training dataset")
     trained = model.copy()
     packed = _encode_pairs(trained, pairs)
+    trained.reserve(packed.rows)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     epochs = (rng.permutation(len(pairs)) for _ in itertools.count())  # a shuffle per epoch
     size = config.batch_size
@@ -141,16 +142,16 @@ def train_qit(
     trace: list[TraceRow] = []
     for step, batch in zip(range(config.steps), batches):
         # Gradients are read off the pre-update parameters for the whole
-        # batch, then applied row-sparsely (the table is large).
+        # batch, then applied to the rows of its contexts only.
         loss, contexts, delta = _sft_loss_grad(trained, packed, batch)
         delta *= -(config.learning_rate / len(batch))
-        add_rows(trained.theta, contexts, delta)
+        add_rows(trained, contexts, delta)
         trace.append(TraceRow(step=step, loss=loss))
     return trained, trace
 
 
 def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray) -> tuple:
-    """(mean NLL of the sequences ``batch``, their contexts, rows of d(summed NLL)/d theta)."""
+    """(mean NLL of the sequences ``batch``, their contexts, rows of d(summed NLL)/d logits)."""
     log_p, contexts, delta = model.row_grads(packed, batch, nll=True)
     loss = 0.0
     for lp in log_p.tolist():
@@ -187,13 +188,13 @@ def encode_triples(
 
 
 def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, batch, beta: float) -> tuple:
-    """(mean preference loss over the triples ``batch``, contexts, rows of d(loss)/d theta)."""
+    """(mean preference loss over the triples ``batch``, contexts, rows of d(loss)/d logits)."""
     seqs = (2 * np.asarray(batch)[:, np.newaxis] + [0, 1]).ravel()
     log_p, contexts, grad = policy.row_grads(encoded.sequences, seqs)
     loss, weights = 0.0, []
     for u in _rewards(log_p, encoded.reference[seqs], beta):
         loss += _softplus(-u)
-        # dL/dtheta = -sigmoid(-u) * beta * (dlogp(y_w) - dlogp(y_l))
+        # dL/dlogits = -sigmoid(-u) * beta * (dlogp(y_w) - dlogp(y_l))
         scale = -_sigmoid(-u) * beta / len(batch)
         weights += [scale, -scale]
     grad *= np.repeat(weights, encoded.sequences.lengths[seqs])[:, np.newaxis]
@@ -219,6 +220,7 @@ def train_qdpo(
         raise TrainingError("empty preference dataset")
     encoded = encode_triples(policy_init, triples)
     policy = policy_init.copy()
+    policy.reserve(encoded.sequences.rows)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = rng.permutation(len(triples))
     size = min(config.batch_size, len(triples))
@@ -227,7 +229,7 @@ def train_qdpo(
         batch = order.take(range(step * size, (step + 1) * size), mode="wrap")
         loss, contexts, rows = _dpo_loss_grad(policy, encoded, batch, config.beta)
         rows *= -config.learning_rate
-        add_rows(policy.theta, contexts, rows)
+        add_rows(policy, contexts, rows)
         margin = mean_margin(policy, encoded) if trace_margin else None
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
     return policy, trace
@@ -270,29 +272,32 @@ def grad_check(
     if h <= 0:
         raise TrainingError("finite-difference step must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_cols = model.theta.shape[1]
+    n_cols = len(model.vocab)
     entries = set()
     while len(entries) < min(n_params, len(candidate_rows) * n_cols):
         entries.add((candidate_rows[rng.integers(len(candidate_rows))], int(rng.integers(n_cols))))
     _, contexts, rows = terms(model)
-    analytic = np.zeros(model.theta.shape)
+    analytic = TokenModel.create(model.vocab, model.n_contexts)
+    analytic.reserve(contexts)
     add_rows(analytic, contexts, rows)
     max_rel = 0.0
     probe = model.copy()
-    work = probe.theta
+    probe.reserve(candidate_rows)
+    work = probe.rows
     for r, c in sorted(entries):
-        original = work[r, c]
-        work[r, c] = original + h
+        slot, expected = probe.slots[r], analytic.logits(r)[c]
+        original = work[slot, c]
+        work[slot, c] = original + h
         up = terms(probe)[0]
-        work[r, c] = original - h
+        work[slot, c] = original - h
         down = terms(probe)[0]
-        work[r, c] = original
+        work[slot, c] = original
         numeric = (up - down) / (2 * h)
-        denom = max(abs(numeric), abs(analytic[r, c]))
+        denom = max(abs(numeric), abs(expected))
         # Entries below the finite-difference noise floor count as agreement
         # (shared chosen/rejected prefixes cancel to an exact analytic zero).
         if denom >= 1e-8:
-            max_rel = max(max_rel, abs(numeric - analytic[r, c]) / denom)
+            max_rel = max(max_rel, abs(numeric - expected) / denom)
     return GradCheckReport(max_rel_error=max_rel, checked=len(entries), passed=max_rel <= tolerance)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
+import json
 import math
 import operator
 import random
@@ -27,7 +29,7 @@ from plangen.dataset import (
 )
 from plangen.errors import PlangenError
 from plangen.hints import HintError
-from plangen.model import ModelError
+from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
 from plangen.sql import QuerySpec, fnv1a64, parse_sql, render_sql, template_key, template_of
@@ -256,6 +258,43 @@ def reference_prompt_key(prompt: str) -> int:
         return fnv1a64("prompt:" + prompt)
 
 
+# --- dense logits table reference ---
+#
+# The model stores only touched rows in a slab. The references below keep
+# the dense (n_contexts x |V|) table the model held before, and compare it
+# with the slab model's logits.
+
+
+def dense_theta(model) -> np.ndarray:
+    """The model's logits as a dense (n_contexts, |V|) table."""
+    return model.rows[model.slots]
+
+
+def dense_model(vocab, theta: np.ndarray) -> TokenModel:
+    """The model whose logits are the dense table ``theta``."""
+    return TokenModel.from_rows(vocab, len(theta), np.arange(len(theta)), theta)
+
+
+def reference_save_model(vocab, theta: np.ndarray, path) -> None:
+    """The checkpoint writer over a dense table: only rows that left their zero init."""
+    nonzero = np.flatnonzero(theta.any(axis=1))
+    rows = {
+        str(int(ctx)): base64.b64encode(
+            np.ascontiguousarray(theta[ctx], dtype="<f8").tobytes()
+        ).decode("ascii")
+        for ctx in nonzero
+    }
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "n_contexts": len(theta),
+        "vocab": list(vocab.tokens),
+        "dtype": "<f8",
+        "rows": rows,
+    }
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(payload, out, sort_keys=True)
+
+
 # --- step-by-step decoding reference ---
 #
 # Greedy decoding as it ran before the after-<bos> steps were read a block at
@@ -266,10 +305,11 @@ def reference_prompt_key(prompt: str) -> int:
 def reference_greedy_decode(model, key: int, max_len: int) -> str:
     if max_len <= 0:
         raise ModelError(f"max_len must be positive, got {max_len}")
+    theta = dense_theta(model)
     out: list[int] = []
     prev = model.vocab.bos_id
     for position in range(max_len):
-        row = model.theta[model.context_id(key, position, prev)]
+        row = theta[model.context_id(key, position, prev)]
         token = int(np.argmax(row))
         if token == model.vocab.eos_id:
             break
@@ -281,8 +321,9 @@ def reference_greedy_decode(model, key: int, max_len: int) -> str:
 # --- sequence-at-a-time training reference ---
 #
 # The training loops as they ran before the packed kernel: one sequence at a
-# time, scalar context ids, one np.add.at per sequence. The packed kernel
-# must reproduce them bit for bit (tests/test_training.py).
+# time, scalar context ids, one np.add.at per sequence, on a dense table.
+# The packed kernel on the slab must reproduce them bit for bit
+# (tests/test_training.py).
 
 
 @dataclass(frozen=True)
@@ -343,8 +384,8 @@ def _ref_sigmoid(x: float) -> float:
 
 
 def reference_train_qit(model, pairs, config):
-    trained = model.copy()
-    encoded = [ref_encode_response(trained, key, response) for key, response in pairs]
+    trained = dense_theta(model)
+    encoded = [ref_encode_response(model, key, response) for key, response in pairs]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = []
     step = 0
@@ -357,25 +398,25 @@ def reference_train_qit(model, pairs, config):
             loss = 0.0
             updates = []
             for seq in batch:
-                nll, delta = ref_nll_and_row_grad(trained.theta, seq)
+                nll, delta = ref_nll_and_row_grad(trained, seq)
                 loss += nll
                 updates.append((seq.contexts, delta))
             loss /= len(batch)
             for contexts, delta in updates:
-                np.add.at(
-                    trained.theta, contexts, -(config.learning_rate / len(batch)) * delta
-                )
+                np.add.at(trained, contexts, -(config.learning_rate / len(batch)) * delta)
             trace.append(TraceRow(step=step, loss=loss))
             step += 1
-    return trained, trace
+    return dense_model(model.vocab, trained), trace
 
 
 def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
-    reference = policy_init
-    policy = policy_init.copy()
+    reference = dense_theta(policy_init)
+    policy = reference.copy()
     encoded = []
     for key, chosen, rejected in triples:
-        encoded.append((ref_encode_response(policy, key, chosen), ref_encode_response(policy, key, rejected)))
+        encoded.append(
+            (ref_encode_response(policy_init, key, chosen), ref_encode_response(policy_init, key, rejected))
+        )
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = list(rng.permutation(len(encoded)))
     trace = []
@@ -388,26 +429,26 @@ def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
         loss = 0.0
         updates = []
         for chosen, rejected in batch:
-            lp_w = ref_log_prob(policy.theta, chosen)
-            lp_l = ref_log_prob(policy.theta, rejected)
-            ref_w = ref_log_prob(reference.theta, chosen)
-            ref_l = ref_log_prob(reference.theta, rejected)
+            lp_w = ref_log_prob(policy, chosen)
+            lp_l = ref_log_prob(policy, rejected)
+            ref_w = ref_log_prob(reference, chosen)
+            ref_l = ref_log_prob(reference, rejected)
             u = config.beta * ((lp_w - ref_w) - (lp_l - ref_l))
             loss += _ref_softplus(-u)
             scale = -_ref_sigmoid(-u) * config.beta / len(batch)
-            updates.append((chosen.contexts, scale * ref_log_prob_row_grad(policy.theta, chosen)))
-            updates.append((rejected.contexts, -scale * ref_log_prob_row_grad(policy.theta, rejected)))
+            updates.append((chosen.contexts, scale * ref_log_prob_row_grad(policy, chosen)))
+            updates.append((rejected.contexts, -scale * ref_log_prob_row_grad(policy, rejected)))
         loss /= len(batch)
         for contexts, delta in updates:
-            np.add.at(policy.theta, contexts, -config.learning_rate * delta)
+            np.add.at(policy, contexts, -config.learning_rate * delta)
         margin = None
         if trace_margin:
             total = 0.0
             for chosen, rejected in encoded:
-                total += ref_log_prob(policy.theta, chosen) - ref_log_prob(policy.theta, rejected)
+                total += ref_log_prob(policy, chosen) - ref_log_prob(policy, rejected)
             margin = total / len(encoded)
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
-    return policy, trace
+    return dense_model(policy_init.vocab, policy), trace
 
 
 # --- reference optimizers: the frozenset implementations the bitmask ones replaced ---

@@ -17,7 +17,6 @@ from plangen.catalog import MicroTable, load_catalog
 from plangen.costs import CostModel
 from plangen.executor import execute_plan, micro_execute
 from plangen.hints import emit_hints, parse_hints
-from plangen.model import TokenModel
 from plangen.optimizers import dp_optimize, greedy_optimize, random_optimize
 from plangen.pipeline import PipelineConfig, run_pipeline
 from plangen.plans import (
@@ -54,6 +53,8 @@ from tests.conftest import (
     brute_force_counts,
     brute_force_join,
     canonical_multiset,
+    dense_model,
+    dense_theta,
     random_plan,
     reference_time,
 )
@@ -359,10 +360,11 @@ def _with_ops(plan, ops):
 
 def _naive_log_prob(model, key, response):
     ids = tokenize(response, model.vocab, response=True)
+    theta = dense_theta(model)
     prev = model.vocab.bos_id
     total = 0.0
     for position, target in enumerate(ids):
-        row = model.theta[model.context_id(key, position, prev)]
+        row = theta[model.context_id(key, position, prev)]
         exps = [math.exp(v) for v in row]
         total += math.log(exps[target] / sum(exps))
         prev = target
@@ -381,17 +383,14 @@ def test_criterion_7_objective_exactness():
     rng = np.random.Generator(np.random.PCG64(71))
     ln2 = math.log(2.0)
     for i in range(100):
-        model = TokenModel.create(vocab, 256)
-        model.theta = rng.normal(0, 1, size=model.theta.shape)
+        model = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
         chosen, rejected = rng.choice(len(RESPONSE_POOL), size=2, replace=False)
         for beta in (0.05, 0.1, 0.3):
             loss = dpo_loss(model, model, i, RESPONSE_POOL[chosen], RESPONSE_POOL[rejected], beta)
             assert abs(loss - ln2) <= 1e-12
 
-    model = TokenModel.create(vocab, 256)
-    model.theta = rng.normal(0, 1, size=model.theta.shape)
-    reference = TokenModel.create(vocab, 256)
-    reference.theta = rng.normal(0, 1, size=reference.theta.shape)
+    model = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
+    reference = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
     for response in RESPONSE_POOL:
         got = sequence_log_prob(model, 1, response)
         assert abs(got - _naive_log_prob(model, 1, response)) <= 1e-10
@@ -412,27 +411,25 @@ def test_criterion_7_objective_exactness():
 def test_criterion_8_gradient_checks():
     vocab = build_vocab(RESPONSE_POOL)
     rng = np.random.Generator(np.random.PCG64(81))
-    model = TokenModel.create(vocab, 256)
-    model.theta = rng.normal(0, 0.5, size=model.theta.shape)
+    model = dense_model(vocab, rng.normal(0, 0.5, size=(256, len(vocab))))
     pairs = list(enumerate(RESPONSE_POOL))
     sft_report = sft_grad_check(model, pairs, h=1e-5, tolerance=1e-5, n_params=200, seed=8)
     assert sft_report.checked >= 200
     assert sft_report.passed, sft_report.max_rel_error
 
-    reference = TokenModel.create(vocab, 256)
-    reference.theta = rng.normal(0, 0.5, size=reference.theta.shape)
+    reference = dense_model(vocab, rng.normal(0, 0.5, size=(256, len(vocab))))
     triples = [
         (0, RESPONSE_POOL[0], RESPONSE_POOL[1]),
         (1, RESPONSE_POOL[1], RESPONSE_POOL[2]),
     ]
-    before = reference.theta.tobytes()
+    before = dense_theta(reference).tobytes()
     dpo_report = dpo_grad_check(
         model, reference, triples, beta=0.1, h=1e-5, tolerance=1e-5, n_params=200, seed=9
     )
     assert dpo_report.checked >= 200
     assert dpo_report.passed, dpo_report.max_rel_error
     # The check perturbs only a copy of the policy, never the reference.
-    assert reference.theta.tobytes() == before
+    assert dense_theta(reference).tobytes() == before
     # The frozen reference is untouched by training itself.
     train_qdpo(
         reference,
@@ -440,7 +437,7 @@ def test_criterion_8_gradient_checks():
         TrainConfig(learning_rate=0.01, steps=5, beta=0.1, seed=1),
         trace_margin=False,
     )
-    assert reference.theta.tobytes() == before
+    assert dense_theta(reference).tobytes() == before
     passed(8, "finite differences agree within 1e-5 on 200+ parameters; reference frozen")
 
 
@@ -518,7 +515,7 @@ def test_criterion_9_two_stage_training(preference_fixture):
     for beta in (0.05, 0.5):
         config = TrainConfig(learning_rate=0.4, steps=3000, batch_size=8, beta=beta, seed=96)
         trained, _ = train_qdpo(sft_model, triples, config, trace_margin=False)
-        runs[beta] = float(np.linalg.norm(trained.theta - sft_model.theta))
+        runs[beta] = float(np.linalg.norm(dense_theta(trained) - dense_theta(sft_model)))
     assert runs[0.5] < runs[0.05]
     passed(9, "overfit reproduction; margins rise on >=95% of 50 triples; beta controls divergence")
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from plangen.catalog import serialize_stats
 from plangen.dataset import Demonstration, build_prompt
-from plangen.model import TokenModel, load_model, save_model
+from plangen.model import ModelError, TokenModel, add_rows, load_model, save_model
 from plangen.sql import render_sql, template_key, template_of
-from plangen.tokenizer import build_vocab, split_tokens
+from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, split_tokens
 from plangen.training import (
     dpo_loss,
     dpo_reward_diff,
@@ -17,7 +17,13 @@ from plangen.training import (
     sft_loss,
 )
 from plangen.workload import gen_workload, load_join_graph
-from tests.conftest import reference_greedy_decode, reference_prompt_key
+from tests.conftest import (
+    dense_model,
+    dense_theta,
+    reference_greedy_decode,
+    reference_prompt_key,
+    reference_save_model,
+)
 
 RESPONSES = [
     "Step1: [a, b, MergeJoin],\n\nTherefore, the final answer is:\nMergeJoin(a b).",
@@ -38,9 +44,7 @@ def uniform_model(vocab):
 @pytest.fixture()
 def random_model(vocab):
     rng = np.random.Generator(np.random.PCG64(3))
-    model = TokenModel.create(vocab, n_contexts=512)
-    model.theta = rng.normal(0.0, 1.0, size=model.theta.shape)
-    return model
+    return dense_model(vocab, rng.normal(0.0, 1.0, size=(512, len(vocab))))
 
 
 def naive_log_prob(model: TokenModel, key: int, response: str) -> float:
@@ -48,10 +52,11 @@ def naive_log_prob(model: TokenModel, key: int, response: str) -> float:
     from plangen.tokenizer import tokenize
 
     ids = tokenize(response, model.vocab, response=True)
+    theta = dense_theta(model)
     prev = model.vocab.bos_id
     total = 0.0
     for position, target in enumerate(ids):
-        row = model.theta[model.context_id(key, position, prev)]
+        row = theta[model.context_id(key, position, prev)]
         exps = [math.exp(v) for v in row]
         z = sum(exps)
         total += math.log(exps[target] / z)
@@ -72,8 +77,10 @@ def test_near_deterministic_model_log_prob_zero(vocab):
     response = RESPONSES[0]
     seq = model.encode_response(2, response)
     assert len(set(seq.contexts.tolist())) == len(seq.contexts)  # no two steps share a row
+    theta = np.zeros((512, len(vocab)))
     for ctx, target in zip(seq.contexts, seq.ids):
-        model.theta[ctx, target] = 400.0
+        theta[ctx, target] = 400.0
+    model = dense_model(vocab, theta)
     assert abs(model.log_prob(seq)) < 1e-12
     assert model.greedy_decode(2, max_len=64) == (
         "Step1: [a, b, MergeJoin], Therefore, the final answer is: MergeJoin(a b)."
@@ -175,7 +182,7 @@ def test_checkpoint_round_trip(tmp_path, random_model):
     loaded = load_model(path)
     assert loaded.n_contexts == random_model.n_contexts
     assert loaded.vocab == random_model.vocab
-    assert np.array_equal(loaded.theta, random_model.theta)
+    assert np.array_equal(dense_theta(loaded), dense_theta(random_model))
     # Saving again yields identical bytes.
     path2 = tmp_path / "model2.ckpt"
     save_model(loaded, path2)
@@ -183,11 +190,10 @@ def test_checkpoint_round_trip(tmp_path, random_model):
 
 
 def test_checkpoint_rejects_non_finite(tmp_path, random_model):
-    from plangen.model import ModelError
-
-    random_model.theta[0, 0] = np.inf
+    theta = dense_theta(random_model)
+    theta[0, 0] = np.inf
     path = tmp_path / "bad.ckpt"
-    save_model(random_model, path)
+    save_model(dense_model(random_model.vocab, theta), path)
     with pytest.raises(ModelError, match="non-finite"):
         load_model(path)
 
@@ -209,24 +215,25 @@ _ROW_KINDS = ("zero", "zero", "zero", "bos", "eos", "tie", "random")
 @st.composite
 def decoding_models(draw):
     """A model with few contexts, so steps share rows, over a random mix of
-    row kinds."""
-    model = TokenModel.create(build_vocab(RESPONSES), n_contexts=draw(st.integers(1, 24)))
-    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=model.n_contexts,
-                          max_size=model.n_contexts))
+    row kinds; a zero row is left to the slab's shared zero row."""
+    vocab, n_contexts = build_vocab(RESPONSES), draw(st.integers(1, 24))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n_contexts, max_size=n_contexts))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
-    width = len(model.vocab)
+    width = len(vocab)
+    contexts, rows = [], []
     for ctx, kind in enumerate(kinds):
         if kind == "zero":
             continue
         row = rng.normal(0.0, 1.0, size=width)
         if kind == "bos":
-            row[model.vocab.bos_id] = row.max() + rng.uniform(0.1, 1.0)
+            row[vocab.bos_id] = row.max() + rng.uniform(0.1, 1.0)
         elif kind == "eos":
-            row[model.vocab.eos_id] = row.max() + rng.uniform(0.1, 1.0)
+            row[vocab.eos_id] = row.max() + rng.uniform(0.1, 1.0)
         elif kind == "tie":
             row[rng.choice(width, size=2, replace=False)] = row.max() + 1.0
-        model.theta[ctx] = row
-    return model
+        contexts.append(ctx)
+        rows.append(row)
+    return TokenModel.from_rows(vocab, n_contexts, contexts, np.reshape(rows, (-1, width)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,5 +251,56 @@ def test_greedy_decode_of_a_huge_max_len_stops_at_eos(vocab):
     key = 7
     contexts = [model.context_id(key, position, vocab.bos_id) for position in range(6)]
     assert contexts[5] not in contexts[:5]
-    model.theta[contexts[5], vocab.eos_id] = 1.0
+    row = np.zeros((1, len(vocab)))
+    row[0, vocab.eos_id] = 1.0
+    model = TokenModel.from_rows(vocab, 4096, [contexts[5]], row)
     assert model.greedy_decode(key, 10**12) == ""
+
+
+def _model_bytes(model: TokenModel) -> int:
+    """Bytes of the model's arrays, as the benchmark's ``theta_bytes`` counts them."""
+    return sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+
+
+def test_a_new_model_holds_under_a_megabyte(vocab):
+    assert _model_bytes(TokenModel.create(vocab, 131072)) < 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_slab_equals_a_dense_table(tmp_path_factory, data):
+    """Random reserve and add_rows batches, some repeating a context, leave
+    the slab's logits bit for bit those of np.add.at on a dense table; a
+    context without a row reads exactly zero and refuses an update; the
+    checkpoint bytes are those the dense table writes."""
+    n_contexts = data.draw(st.integers(1, 12), label="n_contexts")
+    width = data.draw(st.integers(3, 8), label="vocabulary size")
+    vocab = Vocabulary((BOS, EOS, UNK, *(f"w{i}" for i in range(width - 3))))
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    model, dense, reserved = TokenModel.create(vocab, n_contexts), np.zeros((n_contexts, width)), set()
+    batch = st.lists(st.integers(0, n_contexts - 1), min_size=1, max_size=12)
+    for op in data.draw(st.lists(st.sampled_from(["reserve", "add"]), max_size=10), label="ops"):
+        contexts = np.array(data.draw(batch, label=op), dtype=np.int32)
+        if op == "reserve":
+            model.reserve(contexts)
+            reserved.update(contexts.tolist())
+            continue
+        update = rng.normal(0.0, data.draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(len(contexts), width))
+        if reserved.issuperset(contexts.tolist()):
+            add_rows(model, contexts, update)
+            np.add.at(dense, contexts, update)
+        else:
+            before = model.slots.tobytes(), model.rows.tobytes()
+            with pytest.raises(ModelError, match="has no row"):
+                add_rows(model, contexts, update)
+            assert (model.slots.tobytes(), model.rows.tobytes()) == before
+        assert model.logits(np.arange(n_contexts)).tobytes() == dense.tobytes()
+    assert len(model.rows) == len(reserved) + 1
+    for ctx in set(range(n_contexts)) - reserved:
+        assert model.logits(ctx).tobytes() == bytes(8 * width)
+    assert model.rows[0].tobytes() == bytes(8 * width)
+    out = tmp_path_factory.mktemp("slab")
+    save_model(model, out / "slab.ckpt")
+    reference_save_model(vocab, dense, out / "dense.ckpt")
+    assert (out / "slab.ckpt").read_bytes() == (out / "dense.ckpt").read_bytes()
+    assert load_model(out / "slab.ckpt").logits(np.arange(n_contexts)).tobytes() == dense.tobytes()

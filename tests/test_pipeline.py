@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import random
@@ -6,6 +7,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -76,12 +78,16 @@ def test_config_invalid_ratio():
         PipelineConfig(split_ratio=1.5)
 
 
-@pytest.mark.parametrize("setting", ["max_len = 0", "max_len = -1", "n_contexts = 0"])
+@pytest.mark.parametrize(
+    "setting", ["max_len = 0", "max_len = -1", "n_contexts = 0", "n_contexts = 2147483648"]
+)
 def test_config_rejects_a_count_below_one_naming_the_file(tmp_path, setting):
+    """Also a context count beyond int32, before any table is allocated."""
     path = tmp_path / "bad.cfg"
     path.write_text(setting + "\n", encoding="utf-8")
-    key = setting.split()[0]
-    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {key} must be at least 1"):
+    key, value = setting.split(" = ")
+    bound = "at least 1" if int(value) < 1 else "at most 2147483647"
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {key} must be {bound}"):
         PipelineConfig.from_file(path)
 
 
@@ -605,6 +611,12 @@ def _zero_contexts_in_config(tmp_path):
     return ["run", "--config", cfg], "n_contexts"
 
 
+def _too_many_contexts_in_config(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "n_contexts = 2147483648\n", encoding="utf-8")
+    return ["run", "--config", cfg], f"{cfg}: n_contexts must be at most 2147483647"
+
+
 def _zero_max_len_in_config(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(_fixture_config_text(tmp_path / "run") + "max_len = 0\n", encoding="utf-8")
@@ -628,6 +640,10 @@ def _train_qit_negative_contexts(tmp_path):
     return _train_qit_with_contexts(tmp_path, -3)
 
 
+def _train_qit_too_many_contexts(tmp_path):
+    return _train_qit_with_contexts(tmp_path, 2**31)
+
+
 def _infer_with_checkpoint(tmp_path, **fields):
     ckpt = tmp_path / "bad.ckpt"
     payload = {"format": "plangen-token-model/1", "n_contexts": 4,
@@ -642,8 +658,20 @@ def _checkpoint_with_fractional_contexts(tmp_path):
     return _infer_with_checkpoint(tmp_path, n_contexts=4.5), "bad.ckpt: n_contexts"
 
 
+def _checkpoint_with_too_many_contexts(tmp_path):
+    return _infer_with_checkpoint(tmp_path, n_contexts=2**31), "bad.ckpt: n_contexts"
+
+
 def _checkpoint_with_bad_row_key(tmp_path):
     return _infer_with_checkpoint(tmp_path, rows={"x1": "AAAA"}), "bad.ckpt: row key 'x1'"
+
+
+def _checkpoint_with_two_keys_for_one_row(tmp_path):
+    def row(value):
+        return base64.b64encode(np.full(3, value, dtype="<f8").tobytes()).decode("ascii")
+
+    rows = {"5": row(1.0), "05": row(2.0)}
+    return _infer_with_checkpoint(tmp_path, n_contexts=8, rows=rows), "bad.ckpt: row key '05'"
 
 
 def _checkpoint_with_numeric_row(tmp_path):
@@ -1015,6 +1043,8 @@ def _report_build_plans_of_unknown_query(tmp_path):
      _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response,
      _workload_with_bad_sql, _zero_contexts_in_config, _zero_max_len_in_config,
      _train_qit_zero_contexts, _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
+     _too_many_contexts_in_config, _train_qit_too_many_contexts, _checkpoint_with_too_many_contexts,
+     _checkpoint_with_two_keys_for_one_row,
      _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _unreadable_stages_json,
      _unreadable_report_json, _plan_log_with_zero_time, _plan_log_with_bad_bracket,
      _plan_log_with_repeated_optimizer, _plan_log_with_one_plan, _undecodable_corpus,

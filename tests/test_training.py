@@ -31,6 +31,8 @@ from plangen.training import (
 from tests.conftest import (
     FIXTURES_DIR,
     RefSequence,
+    dense_model,
+    dense_theta,
     ref_encode_response,
     ref_log_prob,
     ref_log_prob_row_grad,
@@ -75,21 +77,21 @@ def test_qit_zero_steps_no_change(overfit_pair):
     vocab = build_vocab([overfit_pair[1]])
     model = TokenModel.create(vocab, 512)
     trained, trace = train_qit(model, [overfit_pair], qit_config(steps=0))
-    assert np.array_equal(trained.theta, model.theta)
+    assert np.array_equal(dense_theta(trained), dense_theta(model))
     assert trace == []
 
 
 def test_qit_same_seed_bit_identical(overfit_pair):
     a, _ = fit_qit_from_records([overfit_pair], qit_config(steps=50, seed=9))
     b, _ = fit_qit_from_records([overfit_pair], qit_config(steps=50, seed=9))
-    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(dense_theta(a), dense_theta(b))
     # With several samples the shuffle order matters, so seeds separate runs.
     pairs = [overfit_pair] + [
         (k, w) for k, w, _ in _toy_triples()
     ] + [(k, l) for k, _, l in _toy_triples()]
     d, _ = fit_qit_from_records(pairs, qit_config(steps=50, batch_size=2, seed=9))
     e, _ = fit_qit_from_records(pairs, qit_config(steps=50, batch_size=2, seed=10))
-    assert not np.array_equal(d.theta, e.theta)
+    assert not np.array_equal(dense_theta(d), dense_theta(e))
 
 
 def _toy_triples():
@@ -139,10 +141,12 @@ def test_qdpo_reference_never_mutated():
     triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
-    before = policy.theta.tobytes()
+    before = dense_theta(policy).tobytes()
+    slab = policy.slots.tobytes(), policy.rows.tobytes()
     trained, _ = train_qdpo(policy, triples, qdpo_config(steps=30, learning_rate=0.05, seed=4))
-    assert policy.theta.tobytes() == before
-    assert not np.array_equal(trained.theta, policy.theta)
+    assert dense_theta(policy).tobytes() == before
+    assert (policy.slots.tobytes(), policy.rows.tobytes()) == slab  # the policy copy reserved its own rows
+    assert not np.array_equal(dense_theta(trained), dense_theta(policy))
 
 
 def test_beta_zero_rejected():
@@ -166,9 +170,8 @@ def test_grad_check_zero_params_vacuous(overfit_pair):
 
 def test_sft_grad_check(overfit_pair):
     vocab = build_vocab([overfit_pair[1]])
-    model = TokenModel.create(vocab, 512)
     rng = np.random.Generator(np.random.PCG64(8))
-    model.theta = rng.normal(0, 0.5, size=model.theta.shape)
+    model = dense_model(vocab, rng.normal(0, 0.5, size=(512, len(vocab))))
     report = sft_grad_check(model, [overfit_pair], n_params=200, seed=1)
     assert report.checked >= 200
     assert report.passed, report.max_rel_error
@@ -179,15 +182,13 @@ def test_dpo_grad_check():
     triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     rng = np.random.Generator(np.random.PCG64(5))
-    policy = TokenModel.create(vocab, 512)
-    policy.theta = rng.normal(0, 0.5, size=policy.theta.shape)
-    reference = TokenModel.create(vocab, 512)
-    reference.theta = rng.normal(0, 0.5, size=reference.theta.shape)
-    before = reference.theta.tobytes()
+    policy = dense_model(vocab, rng.normal(0, 0.5, size=(512, len(vocab))))
+    reference = dense_model(vocab, rng.normal(0, 0.5, size=(512, len(vocab))))
+    before = dense_theta(reference).tobytes()
     report = dpo_grad_check(policy, reference, triples, beta=0.1, n_params=200, seed=2)
     assert report.checked >= 200
     assert report.passed, report.max_rel_error
-    assert reference.theta.tobytes() == before
+    assert dense_theta(reference).tobytes() == before
 
 
 def test_beta_controls_divergence():
@@ -204,8 +205,8 @@ def test_beta_controls_divergence():
         policy, triples, qdpo_config(steps=2500, learning_rate=0.05, beta=0.5, seed=3),
         trace_margin=False,
     )
-    disp_small = float(np.linalg.norm(small.theta - policy.theta))
-    disp_large = float(np.linalg.norm(large.theta - policy.theta))
+    disp_small = float(np.linalg.norm(dense_theta(small) - dense_theta(policy)))
+    disp_large = float(np.linalg.norm(dense_theta(large) - dense_theta(policy)))
     assert disp_large < disp_small
 
 
@@ -222,9 +223,8 @@ def test_qdpo_margin_oracle_consistency():
     # margin helpers agree with direct log-prob differences
     triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
-    policy = TokenModel.create(vocab, 512)
     rng = np.random.Generator(np.random.PCG64(11))
-    policy.theta = rng.normal(0, 1, size=policy.theta.shape)
+    policy = dense_model(vocab, rng.normal(0, 1, size=(512, len(vocab))))
     encoded = encode_triples(policy, triples)
     margins = triple_margins(policy, encoded)
     from plangen.training import sequence_log_prob
@@ -269,7 +269,7 @@ def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
 
     got, got_trace = train_qit(model, pairs, qit)
     want, want_trace = reference_train_qit(model, pairs, qit)
-    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(dense_theta(got), dense_theta(want))
     assert got_trace == want_trace
 
     # A triple's two responses share their first context, so every batch
@@ -280,7 +280,7 @@ def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
     qdpo = TrainConfig(learning_rate=0.05, steps=30, batch_size=8, beta=0.1, seed=4)
     got, got_trace = train_qdpo(want, triples, qdpo)
     want, want_trace = reference_train_qdpo(want, triples, qdpo)
-    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(dense_theta(got), dense_theta(want))
     assert got_trace == want_trace
     assert len({row.margin for row in got_trace}) > 1
 
@@ -299,7 +299,7 @@ def test_kernel_equals_per_sequence_formulas(data):
     theta = rng.normal(0.0, data.draw(st.sampled_from([0.01, 1.0, 50.0])), size=(n_contexts, width))
     # Few contexts, so sequences repeat contexts within and across themselves.
     refs = [RefSequence(rng.integers(0, n_contexts, n), rng.integers(0, width, n)) for n in lengths]
-    model = TokenModel(_vocab(width), n_contexts, theta)
+    model = dense_model(_vocab(width), theta)
     packed = PackedSequences.pack(
         [EncodedSequence(r.contexts.astype(np.int32), r.ids.astype(np.int32)) for r in refs]
     )
@@ -317,10 +317,10 @@ def test_kernel_equals_per_sequence_formulas(data):
     assert np.array_equal(-log_p, [n for n, _ in nll])
     assert np.array_equal(delta, np.concatenate([d for _, d in nll]))
 
-    target, want = theta.copy(), theta.copy()
+    target, want = dense_model(model.vocab, theta), theta.copy()
     add_rows(target, got_contexts, grad)
     np.add.at(want, contexts, grad)
-    assert np.array_equal(target, want)
+    assert np.array_equal(dense_theta(target), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,7 +332,7 @@ def test_kernel_equals_per_sequence_formulas(data):
 @example(key=2**64 - 1, n_contexts=131072, steps=[(0, 0), (255, 2**64 - 1)])
 @example(key=0, n_contexts=4095, steps=[(2**63, 1)])
 def test_vectorized_context_ids_equal_scalar(key, n_contexts, steps):
-    model = TokenModel(_vocab(3), n_contexts, np.zeros((0, 3)))
+    model = TokenModel(_vocab(3), n_contexts, np.zeros(0, dtype=np.int32), np.zeros((1, 3)))
     positions = np.array([p for p, _ in steps], dtype=np.uint64)
     prev = np.array([t for _, t in steps], dtype=np.uint64)
     want = [model.context_id(key, p, t) for p, t in steps]
@@ -340,8 +340,18 @@ def test_vectorized_context_ids_equal_scalar(key, n_contexts, steps):
 
 
 def test_add_rows_rejects_a_non_contiguous_table():
+    model = TokenModel(_vocab(4), 1, np.ones(1, dtype=np.int32), np.zeros((4, 3)).T)
     with pytest.raises(ModelError, match="contiguous"):
-        add_rows(np.zeros((4, 3)).T, np.array([0]), np.ones((1, 4)))
+        add_rows(model, np.array([0]), np.ones((1, 4)))
+
+
+def test_a_model_trained_on_the_fixture_holds_under_two_megabytes(fixture_datasets):
+    """The fixture config's 131072 contexts hold only the trained rows."""
+    pairs, triples = fixture_datasets
+    qit, _ = fit_qit_from_records(pairs, qit_config(steps=5, seed=1), n_contexts=131072)
+    qdpo, _ = train_qdpo(qit, triples, qdpo_config(steps=5, seed=2), trace_margin=False)
+    for model in (qit, qdpo):
+        assert sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray)) < 2 * 2**20
 
 
 def test_dpo_grad_check_rejects_a_mismatched_reference():
