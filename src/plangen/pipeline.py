@@ -3,9 +3,10 @@
 The pipeline is the table ``STAGES``: one declaration per stage naming the
 config values it reads, the files it reads and writes, and the library
 function that does its work. ``run_pipeline`` runs the stages in order, each
-guarded by a content hash over everything its declaration names, so
-re-running an unchanged configuration touches nothing and reports every
-stage as cached. The CLI subcommands call the same stage functions. All
+guarded by a content hash over everything its declaration names and by the
+digests of the outputs it wrote, so re-running an unchanged configuration
+touches nothing and reports every stage as cached, while a changed output
+recomputes its stage. The CLI subcommands call the same stage functions. All
 artifacts are deterministic functions of the input files and the configured
 seeds.
 
@@ -21,7 +22,7 @@ Stage layout inside the run directory:
     responses_qit.jsonl       {query_id, response} on the test split
     responses_qdpo.jsonl      same, stage-two model
     report.json               dataset sizes, validity, timing quantiles
-    stages.json               the stage hashes of the last run
+    stages.json               each stage's hash and output digests, last run
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ class PipelineError(PlangenError):
 SPLIT_MODES = ("random", "by-join-count", "by-template")
 
 
+# Range rules that a config file and the CLI subcommands share.
+def check_split_ratio(ratio: float) -> None:
+    if not 0.0 < ratio < 1.0:
+        raise PipelineError(f"split ratio must be in (0, 1), got {ratio}")
+
+
+def check_workload_count(count: int) -> None:
+    if count < 1:
+        raise PipelineError(f"workload count must be at least 1, got {count}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     catalog: str = ""
@@ -113,8 +125,8 @@ class PipelineConfig:
     random_opt_seed: int = 6
 
     def __post_init__(self):
-        if not 0.0 < self.split_ratio < 1.0:
-            raise PipelineError(f"split ratio must be in (0, 1), got {self.split_ratio}")
+        check_split_ratio(self.split_ratio)
+        check_workload_count(self.workload_count)
         if self.split_mode not in SPLIT_MODES:
             raise PipelineError(f"unknown split mode {self.split_mode!r}")
         for name in ("max_len", "n_contexts"):
@@ -207,6 +219,7 @@ def require_known(path, ids, known, known_path) -> None:
 
 def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: int, seed: int):
     """Mixed workload: the count splits evenly across the join counts."""
+    check_workload_count(count)
     graph = load_join_graph(join_graph_path)
     try:
         join_counts = [int(part) for part in str(joins_spec).split(",") if part.strip() != ""]
@@ -227,6 +240,7 @@ def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: in
 
 def split_workload(queries, ratio: float, seed: int, mode: str = "random"):
     """Deterministic train/test split; returns (train, test) query lists."""
+    check_split_ratio(ratio)
     n = len(queries)
     n_train = max(1, min(n - 1, round(n * ratio))) if n > 1 else n
     if mode == "random":
@@ -593,7 +607,8 @@ class RunReport:
 
 
 class _StageRunner:
-    """Runs declared stages, skipping those whose hash matches stages.json."""
+    """Runs declared stages, skipping those whose hash and output digests
+    match stages.json."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -638,14 +653,9 @@ class _StageRunner:
         stage = STAGE_BY_NAME[name]
         stage_hash = self._stage_hash(stage)
         outputs = stage_paths(stage.outputs, self.config)
-        entry = self.manifest.get(name)
-        if entry and entry.get("hash") == stage_hash and all(p.exists() for p in outputs):
+        if self.manifest.get(name) == {"hash": stage_hash, "outputs": self._output_digests(outputs)}:
             self.statuses.append((name, "cached"))
             return
-        # Forget the stage before its outputs change, so an interrupted run
-        # never leaves a manifest entry over partial files.
-        if self.manifest.pop(name, None) is not None:
-            self._save_manifest()
         for path in outputs:
             self._digests.pop(path, None)
         try:
@@ -655,9 +665,13 @@ class _StageRunner:
         for path in outputs:
             if not path.exists():
                 raise PipelineError(f"stage {name} did not produce {path.name}")
-        self.manifest[name] = {"hash": stage_hash, "outputs": list(stage.outputs)}
+        self.manifest[name] = {"hash": stage_hash, "outputs": self._output_digests(outputs)}
         self._save_manifest()
         self.statuses.append((name, "computed"))
+
+    def _output_digests(self, paths: list[Path]) -> dict[str, str]:
+        """sha256 of each output that exists, by name."""
+        return {path.name: self._digest(path).hex() for path in paths if path.is_file()}
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:

@@ -5,6 +5,10 @@ every conjunct is either an equi-join ``a.x = b.y`` between two distinct
 tables or an integer comparison ``t.c <op> <literal>`` with op one of
 < > = <= >=. Aliases, self-joins, OR/IN/LIKE, projections and non-integer
 literals are rejected loudly. The join graph must be connected.
+
+The text is lexed in one ``finditer`` pass into (kind, text, offset) tokens
+ending in an ``eof`` token; a character no token starts with is an error
+before any parse error. The parser then walks that list by index.
 """
 
 from __future__ import annotations
@@ -101,113 +105,99 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<number>-?\d+(?:\.\d+)?)"
     r"|(?P<op><=|>=|<|>|=)"
-    r"|(?P<punct>[,.;*()]))"
+    r"|(?P<punct>[,.;*()])"
+    r"|(?P<other>\S))"
 )
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of every token, then an ``eof`` token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise SqlSyntaxError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+        if kind == "other":
+            raise SqlSyntaxError(f"unexpected character {match[kind]!r}", match.start())
+        tokens.append((kind, match[kind], match.start(kind)))
+    tokens.append(("eof", "", len(text)))
     return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self._tokens = tokens
-        self._pos = 0
-        self._length = length
-
-    def peek(self) -> tuple[str, str, int]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return ("eof", "", self._length)
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        self._pos += 1
-        return tok
-
-    def expect_word(self, keyword: str) -> None:
-        kind, value, pos = self.next()
-        if kind != "word" or value.upper() != keyword:
-            raise SqlSyntaxError(f"expected {keyword}, got {value!r}", pos)
-
-    def expect_punct(self, symbol: str) -> None:
-        kind, value, pos = self.next()
-        if kind != "punct" or value != symbol:
-            raise SqlSyntaxError(f"expected {symbol!r}, got {value!r}", pos)
-
-
-def _parse_column_ref(stream: _TokenStream) -> tuple[str, str, int]:
-    kind, table, pos = stream.next()
-    if kind != "word":
-        raise SqlSyntaxError(f"expected table name, got {table!r}", pos)
-    stream.expect_punct(".")
-    kind, column, cpos = stream.next()
-    if kind != "word":
-        raise SqlSyntaxError(f"expected column name, got {column!r}", cpos)
-    return table, column, pos
 
 
 def parse_sql(text: str) -> QuerySpec:
     """Parse one query of the supported subset into a QuerySpec."""
     tokens = _lex(text)
-    stream = _TokenStream(tokens, len(text))
+    i = 0
 
-    stream.expect_word("SELECT")
-    kind, value, pos = stream.next()
+    def take(kind: str, expected: str, value: str | None = None) -> str:
+        """The next token's text, which must be of ``kind`` and, if given,
+        ``value`` (a keyword in any case); the index moves past it."""
+        nonlocal i
+        tkind, tvalue, pos = tokens[i]
+        if tkind != kind or (value is not None and tvalue.upper() != value):
+            raise SqlSyntaxError(f"expected {expected}, got {tvalue!r}", pos)
+        i += 1
+        return tvalue
+
+    take("word", "SELECT", "SELECT")
+    kind, value, _ = tokens[i]
     if kind != "punct" or value != "*":
         raise SqlSemanticError(f"only SELECT * heads are supported, got {value!r}")
-    stream.expect_word("FROM")
+    i += 1
+    take("word", "FROM", "FROM")
 
     from_order: list[str] = []
     while True:
-        kind, value, pos = stream.next()
-        if kind != "word":
-            raise SqlSyntaxError(f"expected table name, got {value!r}", pos)
-        if value.upper() in ("WHERE", "SELECT", "FROM", "AND"):
+        kind, value, pos = tokens[i]
+        if kind == "word" and value.upper() in ("WHERE", "SELECT", "FROM", "AND"):
             raise SqlSyntaxError(f"expected table name, got keyword {value!r}", pos)
-        if value in from_order:
-            raise SqlSemanticError(f"table {value!r} listed twice (self-joins unsupported)")
-        from_order.append(value)
-        kind, value, pos = stream.peek()
-        if kind == "punct" and value == ",":
-            stream.next()
-            continue
-        if kind == "word" and value.upper() not in ("WHERE",):
+        table = take("word", "table name")
+        if table in from_order:
+            raise SqlSemanticError(f"table {table!r} listed twice (self-joins unsupported)")
+        from_order.append(table)
+        kind, value, _ = tokens[i]
+        if kind == "word" and value.upper() != "WHERE":
             raise SqlSemanticError(f"table aliases are unsupported (near {value!r})")
-        break
+        if kind != "punct" or value != ",":
+            break
+        i += 1
 
     tables = frozenset(from_order)
     joins: set[JoinPredicate] = set()
     selections: list[Selection] = []
+    connective = "WHERE"  # before the first conjunct, then AND
+    kind, value, _ = tokens[i]
+    while kind == "word" and value.upper() == connective:
+        i += 1
+        connective = "AND"
+        table = take("word", "predicate")
+        take("punct", "'.'", ".")
+        column = take("word", "column name")
+        if table not in tables:
+            raise SqlSemanticError(f"predicate references unknown table {table!r}")
+        op = take("op", "comparison operator")
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "word":
+            take("punct", "'.'", ".")
+            rtable, rcolumn = value, take("word", "column name")
+            if rtable not in tables:
+                raise SqlSemanticError(f"predicate references unknown table {rtable!r}")
+            if op != "=":
+                raise SqlSemanticError(f"non-equi join {table}.{column} {op} {rtable}.{rcolumn}")
+            if rtable == table:
+                raise SqlSemanticError(f"self-join on table {table!r} is unsupported")
+            joins.add(JoinPredicate.normalized(table, column, rtable, rcolumn))
+        elif kind == "number":
+            if "." in value:
+                raise SqlSemanticError(f"non-integer literal {value!r}")
+            selections.append(Selection(table, column, op, int(value)))
+        else:
+            raise SqlSyntaxError(f"expected column reference or integer, got {value!r}", pos)
+        kind, value, _ = tokens[i]
+        if kind == "word" and value.upper() in ("OR", "IN", "LIKE", "NOT", "BETWEEN"):
+            raise SqlSemanticError(f"unsupported construct {value!r}")
 
-    kind, value, pos = stream.peek()
-    if kind == "word" and value.upper() == "WHERE":
-        stream.next()
-        while True:
-            _parse_conjunct(stream, tables, joins, selections)
-            kind, value, pos = stream.peek()
-            if kind == "word" and value.upper() == "AND":
-                stream.next()
-                continue
-            if kind == "word" and value.upper() in ("OR", "IN", "LIKE", "NOT", "BETWEEN"):
-                raise SqlSemanticError(f"unsupported construct {value!r}")
-            break
-
-    kind, value, pos = stream.next()
-    if kind != "punct" or value != ";":
-        raise SqlSyntaxError(f"expected ';', got {value!r}", pos)
-    kind, value, pos = stream.peek()
+    take("punct", "';'", ";")
+    kind, value, pos = tokens[i]
     if kind != "eof":
         raise SqlSyntaxError(f"trailing input {value!r}", pos)
 
@@ -219,42 +209,6 @@ def parse_sql(text: str) -> QuerySpec:
         selections=tuple(sorted(selections)),
         raw_sql=text,
     )
-
-
-def _parse_conjunct(
-    stream: _TokenStream,
-    tables: frozenset[str],
-    joins: set[JoinPredicate],
-    selections: list[Selection],
-) -> None:
-    kind, value, pos = stream.peek()
-    if kind != "word":
-        raise SqlSyntaxError(f"expected predicate, got {value!r}", pos)
-    table, column, tpos = _parse_column_ref(stream)
-    if table not in tables:
-        raise SqlSemanticError(f"predicate references unknown table {table!r}")
-
-    okind, op, opos = stream.next()
-    if okind != "op":
-        raise SqlSyntaxError(f"expected comparison operator, got {op!r}", opos)
-
-    kind, value, vpos = stream.peek()
-    if kind == "word":
-        rtable, rcolumn, _ = _parse_column_ref(stream)
-        if rtable not in tables:
-            raise SqlSemanticError(f"predicate references unknown table {rtable!r}")
-        if op != "=":
-            raise SqlSemanticError(f"non-equi join {table}.{column} {op} {rtable}.{rcolumn}")
-        if rtable == table:
-            raise SqlSemanticError(f"self-join on table {table!r} is unsupported")
-        joins.add(JoinPredicate.normalized(table, column, rtable, rcolumn))
-    elif kind == "number":
-        stream.next()
-        if "." in value:
-            raise SqlSemanticError(f"non-integer literal {value!r}")
-        selections.append(Selection(table, column, op, int(value)))
-    else:
-        raise SqlSyntaxError(f"expected column reference or integer, got {value!r}", vpos)
 
 
 def _check_connected(tables: frozenset[str], joins: Iterable[JoinPredicate]) -> None:

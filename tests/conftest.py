@@ -32,7 +32,19 @@ from plangen.hints import HintError
 from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
-from plangen.sql import QuerySpec, fnv1a64, parse_sql, render_sql, template_key, template_of
+from plangen.sql import (
+    JoinPredicate,
+    QuerySpec,
+    Selection,
+    SqlSemanticError,
+    SqlSyntaxError,
+    _check_connected,
+    fnv1a64,
+    parse_sql,
+    render_sql,
+    template_key,
+    template_of,
+)
 from plangen.tokenizer import detokenize, tokenize
 from plangen.training import TraceRow
 
@@ -771,3 +783,167 @@ def reference_decode_query(model, query, catalog, pool, demo_mode, demo_seed, ma
     rng = random.Random(f"{demo_seed}:infer:{label}")
     _ref_prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
     return model.greedy_decode(template_key(template_of(query)), max_len)
+
+
+# --- reference SQL parser: the match-per-token lexer and token-stream parser
+# that plangen.sql replaced with one finditer pass and a parse by index, kept
+# as the differential oracle of tests/test_sql.py.
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>-?\d+(?:\.\d+)?)"
+    r"|(?P<op><=|>=|<|>|=)"
+    r"|(?P<punct>[,.;*()]))"
+)
+
+
+def _ref_lex(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REF_TOKEN_RE.match(text, pos)
+        if match is None:
+            if text[pos:].strip() == "":
+                break
+            raise SqlSyntaxError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
+        pos = match.end()
+    return tokens
+
+
+class _RefTokenStream:
+    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
+        self._tokens = tokens
+        self._pos = 0
+        self._length = length
+
+    def peek(self) -> tuple[str, str, int]:
+        if self._pos < len(self._tokens):
+            return self._tokens[self._pos]
+        return ("eof", "", self._length)
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        self._pos += 1
+        return tok
+
+    def expect_word(self, keyword: str) -> None:
+        kind, value, pos = self.next()
+        if kind != "word" or value.upper() != keyword:
+            raise SqlSyntaxError(f"expected {keyword}, got {value!r}", pos)
+
+    def expect_punct(self, symbol: str) -> None:
+        kind, value, pos = self.next()
+        if kind != "punct" or value != symbol:
+            raise SqlSyntaxError(f"expected {symbol!r}, got {value!r}", pos)
+
+
+def _ref_parse_column_ref(stream: _RefTokenStream) -> tuple[str, str, int]:
+    kind, table, pos = stream.next()
+    if kind != "word":
+        raise SqlSyntaxError(f"expected table name, got {table!r}", pos)
+    stream.expect_punct(".")
+    kind, column, cpos = stream.next()
+    if kind != "word":
+        raise SqlSyntaxError(f"expected column name, got {column!r}", cpos)
+    return table, column, pos
+
+
+def reference_parse_sql(text: str) -> QuerySpec:
+    """parse_sql as it was before the one-pass lexer."""
+    tokens = _ref_lex(text)
+    stream = _RefTokenStream(tokens, len(text))
+
+    stream.expect_word("SELECT")
+    kind, value, pos = stream.next()
+    if kind != "punct" or value != "*":
+        raise SqlSemanticError(f"only SELECT * heads are supported, got {value!r}")
+    stream.expect_word("FROM")
+
+    from_order: list[str] = []
+    while True:
+        kind, value, pos = stream.next()
+        if kind != "word":
+            raise SqlSyntaxError(f"expected table name, got {value!r}", pos)
+        if value.upper() in ("WHERE", "SELECT", "FROM", "AND"):
+            raise SqlSyntaxError(f"expected table name, got keyword {value!r}", pos)
+        if value in from_order:
+            raise SqlSemanticError(f"table {value!r} listed twice (self-joins unsupported)")
+        from_order.append(value)
+        kind, value, pos = stream.peek()
+        if kind == "punct" and value == ",":
+            stream.next()
+            continue
+        if kind == "word" and value.upper() not in ("WHERE",):
+            raise SqlSemanticError(f"table aliases are unsupported (near {value!r})")
+        break
+
+    tables = frozenset(from_order)
+    joins: set[JoinPredicate] = set()
+    selections: list[Selection] = []
+
+    kind, value, pos = stream.peek()
+    if kind == "word" and value.upper() == "WHERE":
+        stream.next()
+        while True:
+            _ref_parse_conjunct(stream, tables, joins, selections)
+            kind, value, pos = stream.peek()
+            if kind == "word" and value.upper() == "AND":
+                stream.next()
+                continue
+            if kind == "word" and value.upper() in ("OR", "IN", "LIKE", "NOT", "BETWEEN"):
+                raise SqlSemanticError(f"unsupported construct {value!r}")
+            break
+
+    kind, value, pos = stream.next()
+    if kind != "punct" or value != ";":
+        raise SqlSyntaxError(f"expected ';', got {value!r}", pos)
+    kind, value, pos = stream.peek()
+    if kind != "eof":
+        raise SqlSyntaxError(f"trailing input {value!r}", pos)
+
+    _check_connected(tables, joins)
+    return QuerySpec(
+        tables=tables,
+        from_order=tuple(from_order),
+        joins=frozenset(joins),
+        selections=tuple(sorted(selections)),
+        raw_sql=text,
+    )
+
+
+def _ref_parse_conjunct(
+    stream: _RefTokenStream,
+    tables: frozenset[str],
+    joins: set[JoinPredicate],
+    selections: list[Selection],
+) -> None:
+    kind, value, pos = stream.peek()
+    if kind != "word":
+        raise SqlSyntaxError(f"expected predicate, got {value!r}", pos)
+    table, column, tpos = _ref_parse_column_ref(stream)
+    if table not in tables:
+        raise SqlSemanticError(f"predicate references unknown table {table!r}")
+
+    okind, op, opos = stream.next()
+    if okind != "op":
+        raise SqlSyntaxError(f"expected comparison operator, got {op!r}", opos)
+
+    kind, value, vpos = stream.peek()
+    if kind == "word":
+        rtable, rcolumn, _ = _ref_parse_column_ref(stream)
+        if rtable not in tables:
+            raise SqlSemanticError(f"predicate references unknown table {rtable!r}")
+        if op != "=":
+            raise SqlSemanticError(f"non-equi join {table}.{column} {op} {rtable}.{rcolumn}")
+        if rtable == table:
+            raise SqlSemanticError(f"self-join on table {table!r} is unsupported")
+        joins.add(JoinPredicate.normalized(table, column, rtable, rcolumn))
+    elif kind == "number":
+        stream.next()
+        if "." in value:
+            raise SqlSemanticError(f"non-integer literal {value!r}")
+        selections.append(Selection(table, column, op, int(value)))
+    else:
+        raise SqlSyntaxError(f"expected column reference or integer, got {value!r}", vpos)

@@ -1,9 +1,12 @@
 import base64
+import functools
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,14 +25,17 @@ from plangen.errors import PlangenError
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
 from plangen.pipeline import (
+    STAGES,
     PipelineConfig,
     PipelineError,
     build_preferences_from_logs,
+    call_stage,
     infer_responses,
     nearest_rank,
     run_optimizers,
     run_pipeline,
     split_workload,
+    stage_paths,
     stage_workload,
     timing_summary,
 )
@@ -215,6 +221,138 @@ def test_interrupted_stage_is_recomputed(tmp_path, monkeypatch):
     result = run_pipeline(config)
     assert dict(result.stages)["dpo"] == "computed"
     assert (tmp_path / "run" / "dpo.jsonl").read_bytes() == complete
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _keep_five_lines(path: Path) -> None:
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:5]))
+
+
+def _unreadable(path: Path) -> None:
+    path.write_text("{not json\n")
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, stage",
+    [("dpo.jsonl", _keep_five_lines, "dpo"), ("report.json", _unreadable, "report")],
+)
+def test_changed_output_recomputes_to_a_fresh_run(tmp_path, name, corrupt, stage):
+    """A stage whose output no longer holds what it wrote is not cached."""
+    run_pipeline(fast_config(tmp_path / "fresh"))
+    run_pipeline(fast_config(tmp_path / "run"))
+    corrupt(tmp_path / "run" / name)
+    statuses = dict(run_pipeline(fast_config(tmp_path / "run")).stages)
+    assert statuses[stage] == "computed"
+    assert _tree_bytes(tmp_path / "run") == _tree_bytes(tmp_path / "fresh")
+
+
+def test_stages_json_without_output_digests_recomputes(tmp_path):
+    """A manifest written before outputs were digested lists only names; an
+    entry that is not an object at all is stale too."""
+    config = fast_config(tmp_path / "run")
+    run_pipeline(config)
+    fresh = _tree_bytes(tmp_path / "run")
+    manifest_path = tmp_path / "run" / "stages.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest.values():
+        entry["outputs"] = sorted(entry["outputs"])
+    manifest["workload"] = "stale"
+    manifest_path.write_text(json.dumps(manifest))
+    result = run_pipeline(config)
+    assert all(status == "computed" for _, status in result.stages)
+    assert _tree_bytes(tmp_path / "run") == fresh
+    assert all(status == "cached" for _, status in run_pipeline(config).stages)
+
+
+@pytest.fixture(scope="module")
+def completed_fast_run(tmp_path_factory) -> Path:
+    run_dir = tmp_path_factory.mktemp("completed") / "run"
+    run_pipeline(fast_config(run_dir))
+    return run_dir
+
+
+_OUTPUT_NAMES = sorted(name for stage in STAGES for name in stage.outputs)
+_output_damage = st.tuples(
+    st.sampled_from(_OUTPUT_NAMES),
+    st.sampled_from(["truncate", "flip", "append", "replace", "delete"]),
+    st.integers(0, 2**20),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(damage=st.lists(_output_damage, min_size=1, max_size=3))
+def test_rerun_after_damaged_outputs_equals_a_fresh_run(completed_fast_run, damage):
+    fresh = _tree_bytes(completed_fast_run)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(completed_fast_run, run_dir)
+        for name, kind, n in damage:
+            path = run_dir / name
+            data = path.read_bytes() if path.exists() else b""
+            if kind == "delete":
+                path.unlink(missing_ok=True)
+            elif kind == "truncate":
+                path.write_bytes(data[: n % max(len(data), 1)])
+            elif kind == "flip" and data:
+                at = n % len(data)
+                path.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+            elif kind == "append":
+                path.write_bytes(data + b"\n")
+            else:
+                path.write_bytes(b"x" * (n % 64))
+        now = _tree_bytes(run_dir)
+        damaged = {name for name in _OUTPUT_NAMES if now.get(name) != fresh[name]}
+        result = run_pipeline(fast_config(run_dir))
+        recomputed = {name for name, status in result.stages if status == "computed"}
+        assert {stage.name for stage in STAGES if damaged & set(stage.outputs)} <= recomputed
+        assert _tree_bytes(run_dir) == fresh
+
+
+_read_paths: list[Path] | None = None
+
+
+def _record_reads(event, args):
+    """Audit hook: while _read_paths is a list, add each file opened read-only."""
+    if event == "open" and _read_paths is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        if args[2] is None or args[2] & os.O_ACCMODE == os.O_RDONLY:
+            _read_paths.append(Path(os.fsdecode(args[0])).resolve())
+
+
+@functools.cache
+def _install_read_hook() -> None:
+    sys.addaudithook(_record_reads)  # audit hooks cannot be removed
+
+
+def test_every_stage_reads_only_its_declared_inputs(completed_fast_run, tmp_path):
+    """The other half of the cache contract: every file a stage reads is in
+    its hash. A directory input stands for the files under it."""
+    global _read_paths
+    run_dir = tmp_path / "run"
+    shutil.copytree(completed_fast_run, run_dir)
+    config = fast_config(run_dir)
+    _install_read_hook()
+    for stage in STAGES:
+        call_stage(stage, config)  # warm: imports the stage's lazily imported modules
+        declared = [path.resolve() for path in stage_paths(stage.inputs, config)]
+        _read_paths = []
+        try:
+            call_stage(stage, config)
+            reads = set(_read_paths)
+        finally:
+            _read_paths = None
+        undeclared = sorted(str(path) for path in reads if not _within(path, declared))
+        assert not undeclared, (stage.name, undeclared)
+        unread = [str(d) for d in declared if not any(_within(path, [d]) for path in reads)]
+        assert not unread, (stage.name, unread)
+    assert _tree_bytes(run_dir) == _tree_bytes(completed_fast_run)
+
+
+def _within(path: Path, inputs) -> bool:
+    """``path`` is one of ``inputs`` or a file under one of them."""
+    return any(path == given or given in path.parents for given in inputs)
 
 
 def test_run_optimizers_log_matches_golden_digest(tmp_path):
@@ -1036,6 +1174,51 @@ def _report_build_plans_of_unknown_query(tmp_path):
     return args, f"{plans}: q0003: query not in {test}"
 
 
+def _split_workload_ratio(tmp_path, ratio):
+    workload = tmp_path / "workload.sql"
+    workload.write_text("".join(f"SELECT * FROM title WHERE title.kind_id < {k};\n" for k in range(60)))
+    return ["split-workload", "--workload", workload, "--ratio", ratio, "--out-train",
+            tmp_path / "train.sql", "--out-test", tmp_path / "test.sql"], (
+        f"error: split ratio must be in (0, 1), got {float(ratio)}\n"
+    )
+
+
+def _split_workload_ratio_above_one(tmp_path):
+    return _split_workload_ratio(tmp_path, 1.5)
+
+
+def _split_workload_negative_ratio(tmp_path):
+    return _split_workload_ratio(tmp_path, -1)
+
+
+def _gen_workload_negative_count(tmp_path):
+    args = _gen_workload(tmp_path, FIXTURES / "catalog.txt", FIXTURES / "joins.txt")
+    return args + ["--count", -5], "error: workload count must be at least 1, got -5\n"
+
+
+def _negative_workload_count_in_config(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "workload_count = -5\n", encoding="utf-8")
+    return ["run", "--config", cfg], f"error: {cfg}: workload count must be at least 1, got -5\n"
+
+
+def _grad_check_samples(tmp_path, samples):
+    args, _ = _train_qit_with_contexts(tmp_path, 64)
+    assert invoke(*args, "--steps", 1).exit_code == 0
+    return ["grad-check", "--model", tmp_path / "qit.ckpt", "--loss", "sft", "--sft",
+            tmp_path / "sft.jsonl", "--samples", samples], (
+        f"error: --samples must be at least 1, got {samples}: nothing would be checked\n"
+    )
+
+
+def _grad_check_zero_samples(tmp_path):
+    return _grad_check_samples(tmp_path, 0)
+
+
+def _grad_check_negative_samples(tmp_path):
+    return _grad_check_samples(tmp_path, -3)
+
+
 @pytest.mark.parametrize(
     "case",
     [_bad_config_value, _bad_join_counts, _zero_join_count, _checkpoint_without_vocab,
@@ -1059,7 +1242,9 @@ def _report_build_plans_of_unknown_query(tmp_path):
      _extend_dpo_plan_log_query_not_in_sft, _train_qdpo_prompt_without_input,
      _grad_check_dpo_prompt_without_input, _extend_dpo_optimizer_already_in_plans,
      _report_build_test_query_without_plans, _report_build_plans_of_unknown_query,
-     _gen_sft_workload_query_without_plans, _infer_table_absent_from_catalog],
+     _gen_sft_workload_query_without_plans, _infer_table_absent_from_catalog,
+     _split_workload_ratio_above_one, _split_workload_negative_ratio, _gen_workload_negative_count,
+     _negative_workload_count_in_config, _grad_check_zero_samples, _grad_check_negative_samples],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)

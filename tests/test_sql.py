@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plangen.catalog import load_catalog
+from plangen.errors import PlangenError
 from plangen.sql import (
     JoinPredicate,
     Selection,
@@ -11,7 +13,8 @@ from plangen.sql import (
     render_sql,
     template_of,
 )
-from tests.conftest import MOVIE_SQL
+from plangen.workload import gen_workload, load_join_graph
+from tests.conftest import FIXTURES_DIR, MOVIE_SQL, reference_parse_sql
 
 
 def test_parse_movie_query(movie_query):
@@ -129,3 +132,80 @@ def test_template_invariant_under_permutation_and_literals(order, literal):
         "AND title.movie_id = movie_info_idx.movie_id AND title.product_year < 7;"
     )
     assert template_of(parse_sql(sql)) == template_of(base)
+
+
+# --- differential properties against the parser the one-pass lexer replaced ---
+
+_CATALOG = load_catalog(FIXTURES_DIR / "catalog.txt")
+_JOIN_GRAPH = load_join_graph(FIXTURES_DIR / "joins.txt")
+_SQL_PIECES = [
+    "SELECT", "FROM", "WHERE", "AND", "OR", "IN", "select", "where", "and", "*", ",", ".", ";",
+    "=", "<=", ">=", "<", ">", "-", "0", "42", "1.5", "-7", "(", ")", " ", "\n", "\t", "title",
+    "movie_id", "t.", "$", "\u0663", "\u00a0",
+]
+_sql_edits = st.tuples(
+    st.sampled_from(["insert", "delete", "truncate", "swapcase"]),
+    st.integers(0, 10_000),
+    st.integers(1, 12),
+    st.sampled_from(_SQL_PIECES),
+)
+
+
+def _workload_sql(n_joins: int, seed: int) -> str:
+    return gen_workload(_CATALOG, _JOIN_GRAPH, n_joins, 1, seed)[0].raw_sql
+
+
+def _parse_outcome(parse, text):
+    """The QuerySpec, or the error's class and message (offset included)."""
+    try:
+        return parse(text)
+    except PlangenError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "   \n", "SELECT", "select * from a;", "SELECT * FROM a $;", "SELECT * FROM a;$",
+        "SELECT * FROM a;  \t\n", "SELECT * FROM a;;", "SELECT * FROM a, ;",
+        "SELECT * FROM a WHERE a.x = 1 WHERE a.y = 2;", "SELECT * FROM a WHERE a.x = \u0663;",
+        "SELECT\u00a0*\u00a0FROM a;", "SELECT * FROM a WHERE a.x = -;", "SELECT * FROM a WHERE a.x == 1;",
+        "SELECT * FROM a, b WHERE a.x = b.y AND a.z <= -4 AND b.w >= 7 AND b.v <> 1;",
+        "SELECT * FROM a WHERE a . x = 1 ;", "SELECT * FROM where;", "SELECT * FROM a WHERE a.x = 1 AND;",
+    ],
+)
+def test_parse_sql_agrees_with_reference_on_edge_cases(text):
+    assert _parse_outcome(parse_sql, text) == _parse_outcome(reference_parse_sql, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_joins=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_parse_sql_agrees_with_reference_on_workload_queries(n_joins, seed):
+    sql = _workload_sql(n_joins, seed)
+    parsed = parse_sql(sql)
+    assert parsed == reference_parse_sql(sql)
+    assert parsed.raw_sql == sql and len(parsed.joins) == n_joins
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_joins=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(_sql_edits, min_size=1, max_size=4),
+)
+def test_parse_sql_agrees_with_reference_on_mutated_text(n_joins, seed, edits):
+    """Insertions of SQL characters and keywords, deletions, truncations and
+    case changes: the same QuerySpec, or the same error class, message and
+    offset."""
+    text = _workload_sql(n_joins, seed)
+    for kind, index, width, piece in edits:
+        at = index % (len(text) + 1)
+        if kind == "insert":
+            text = text[:at] + piece + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + width:]
+        elif kind == "swapcase":
+            text = text[:at] + text[at:at + 4 * width].swapcase() + text[at + 4 * width:]
+        else:
+            text = text[:at]
+    assert _parse_outcome(parse_sql, text) == _parse_outcome(reference_parse_sql, text)
