@@ -22,6 +22,7 @@ from .jsonl import read_text
 from .model import DEFAULT_CONTEXTS, load_model
 from .plans import bracket_to_tree
 from .preferences import DEFAULT_RATIO_THRESHOLD
+from .report import format_report
 from .sql import parse_sql, render_sql, template_key
 from .training import (
     DEFAULT_BATCH_SIZE,
@@ -220,7 +221,8 @@ def validate_cmd(corpus, queries, responses):
     if corpus:
         summary = classify_corpus_file(corpus)
     elif queries and responses:
-        summary = classify_corpus(pl.read_responses(responses, pl.read_workload(queries)))
+        workload = pl.read_workload(queries)
+        summary = classify_corpus(zip(pl.read_responses(responses, workload), workload))
     else:
         raise click.UsageError("pass --corpus, or --queries with --responses")
     click.echo(summary.line())
@@ -308,7 +310,7 @@ def report_cmd(run_dir, build, tables_dir, as_json):
     if as_json:
         click.echo(json.dumps(report, sort_keys=True))
     else:
-        click.echo(pl.format_report(report))
+        click.echo(format_report(report))
 
 
 @cli.command("run")
@@ -334,7 +336,7 @@ def run_cmd(config_path, **flags):
     result = pl.run_pipeline(config)
     for name, status in result.stages:
         click.echo(f"stage {name}: {status} in {result.seconds[name]:.3f} s")
-    click.echo(pl.format_report(result.report))
+    click.echo(format_report(result.report))
 
 
 def main():

@@ -6,9 +6,10 @@ function that does its work. ``run_pipeline`` runs the stages in order, each
 guarded by a content hash over everything its declaration names and by the
 digests of the outputs it wrote, so re-running an unchanged configuration
 touches nothing and reports every stage as cached, while a changed output
-recomputes its stage. The CLI subcommands call the same stage functions. All
-artifacts are deterministic functions of the input files and the configured
-seeds.
+recomputes its stage. The CLI subcommands call the same stage functions. The
+report stage reads the test split's artifacts and leaves how they are judged
+to ``plangen.report``. All artifacts are deterministic functions of the input
+files and the configured seeds.
 
 Stage layout inside the run directory:
 
@@ -29,14 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, validator
+from . import __version__
 from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
@@ -61,7 +61,8 @@ from .preferences import (
     sort_triples,
     write_preference_file,
 )
-from .sql import QuerySpec, parse_sql, render_sql, template_key, template_of
+from .report import build_report, query_rows
+from .sql import parse_sql, render_sql, template_key, template_of
 from .training import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_BETA,
@@ -90,6 +91,11 @@ SPLIT_MODES = ("random", "by-join-count", "by-template")
 def check_split_ratio(ratio: float) -> None:
     if not 0.0 < ratio < 1.0:
         raise PipelineError(f"split ratio must be in (0, 1), got {ratio}")
+
+
+def check_split_mode(mode: str) -> None:
+    if mode not in SPLIT_MODES:
+        raise PipelineError(f"unknown split mode {mode!r}")
 
 
 def check_workload_count(count: int) -> None:
@@ -127,8 +133,7 @@ class PipelineConfig:
     def __post_init__(self):
         check_split_ratio(self.split_ratio)
         check_workload_count(self.workload_count)
-        if self.split_mode not in SPLIT_MODES:
-            raise PipelineError(f"unknown split mode {self.split_mode!r}")
+        check_split_mode(self.split_mode)
         for name in ("max_len", "n_contexts"):
             if getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -185,10 +190,10 @@ def write_workload(queries, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_responses(path: str | Path, queries) -> list[tuple[str, QuerySpec]]:
-    """(response, query) for each query, in query order, from a file of
-    {query_id, response} rows: every query has exactly one row and every row
-    names a query."""
+def read_responses(path: str | Path, queries) -> list[str]:
+    """Each query's response, in query order, from a file of {query_id,
+    response} rows: every query has exactly one row and every row names a
+    query."""
     by_id = dict(zip(query_ids(queries), queries))
     responses: dict[str, str] = {}
 
@@ -203,7 +208,7 @@ def read_responses(path: str | Path, queries) -> list[tuple[str, QuerySpec]]:
     missing = [qid for qid in by_id if qid not in responses]
     if missing:
         raise PipelineError(f"{path}: no response for {missing[0]}")
-    return [(responses[qid], query) for qid, query in by_id.items()]
+    return [responses[qid] for qid in by_id]
 
 
 def require_known(path, ids, known, known_path) -> None:
@@ -241,6 +246,7 @@ def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: in
 def split_workload(queries, ratio: float, seed: int, mode: str = "random"):
     """Deterministic train/test split; returns (train, test) query lists."""
     check_split_ratio(ratio)
+    check_split_mode(mode)
     n = len(queries)
     n_train = max(1, min(n - 1, round(n * ratio))) if n > 1 else n
     if mode == "random":
@@ -330,62 +336,6 @@ def infer_responses(model, queries, catalog: Catalog, pool, demo_mode: str, demo
         {"query_id": qid, "response": decode_query(model, query, catalog, pool, demo_mode, max_len)}
         for qid, query in zip(query_ids(queries), queries)
     ]
-
-
-def nearest_rank(sorted_values, percentile: float):
-    """Nearest-rank percentile over an ascending list."""
-    if not sorted_values:
-        raise PipelineError("no values to take a percentile of")
-    rank = max(1, math.ceil(percentile / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
-def timing_summary(values) -> dict:
-    ordered = sorted(values)
-    return {
-        "count": len(ordered),
-        "mean": sum(ordered) / len(ordered),
-        "median": nearest_rank(ordered, 50),
-        "p75": nearest_rank(ordered, 75),
-        "p95": nearest_rank(ordered, 95),
-        "p99": nearest_rank(ordered, 99),
-    }
-
-
-def build_report(plans_test: PlanLog, model_responses, tables) -> dict:
-    """Validity and timing quantiles per plan source over the test split;
-    ``model_responses`` maps a source to its ``read_responses`` pairs."""
-    timings: dict[str, list[int]] = {}
-    for query_timings in plans_test.values():
-        for timing in query_timings:
-            timings.setdefault(timing.optimizer_id, []).append(timing.time)
-
-    validity = {}
-    for source, pairs in model_responses.items():
-        counts = {"E1": 0, "E2": 0, "E3": 0}
-        times = []  # of the valid responses
-        for response, query in pairs:
-            report = validator.validate(response, query)
-            if report.valid:
-                times.append(micro_execute(report.plan, query, tables, source).time)
-            for code in report.errors:
-                counts[code] += 1
-        validity[source] = {
-            "total": len(pairs),
-            "valid": len(times),
-            "rate": len(times) / len(pairs) if pairs else 0.0,
-            "errors": counts,
-        }
-        if times:
-            timings[source] = times
-
-    return {
-        "validity": validity,
-        "timings": {
-            source: timing_summary(values)
-            for source, values in sorted(timings.items())
-        },
-    }
 
 
 # --- stage functions: plain paths in, files out (shared with the CLI) ---
@@ -493,7 +443,7 @@ def report_stage(
     log, test_ids = read_plan_log(plans_test), query_ids(test_queries)
     require_known(plans_test, log, test_ids, test)
     require_known(test, test_ids, log, plans_test)
-    report = build_report(log, responses, load_tables(tables))
+    report = build_report(query_rows(test_queries, log, responses, load_tables(tables)), responses)
     report["datasets"] = {
         "workload": _count_records(workload),
         "train": _count_records(train),
@@ -691,33 +641,3 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         seconds[stage.name] = time.perf_counter() - start
     report = read_json(out / "report.json")
     return RunReport(report=report, stages=runner.statuses, seconds=seconds)
-
-
-def format_report(report: dict) -> str:
-    """Human-readable table: one row per plan source."""
-    lines = []
-    datasets = report.get("datasets", {})
-    if datasets:
-        lines.append(
-            "queries: {workload} total, {train} train, {test} test; "
-            "sft records: {sft_records}; preference triples: {dpo_triples}".format(**datasets)
-        )
-    validity = report.get("validity", {})
-    for source in sorted(validity):
-        v = validity[source]
-        errors = v["errors"]
-        lines.append(
-            f"validity[{source}]: {v['valid']}/{v['total']} valid "
-            f"(E1={errors['E1']} E2={errors['E2']} E3={errors['E3']})"
-        )
-    timings = report.get("timings", {})
-    if timings:
-        header = f"{'source':<10} {'Mean':>10} {'Median':>10} {'75th':>10} {'95th':>10} {'99th':>10}"
-        lines.append(header)
-        for source in sorted(timings):
-            t = timings[source]
-            lines.append(
-                f"{source:<10} {t['mean']:>10.1f} {t['median']:>10} {t['p75']:>10} "
-                f"{t['p95']:>10} {t['p99']:>10}"
-            )
-    return "\n".join(lines)

@@ -271,6 +271,8 @@ def grad_check(
     """
     if h <= 0:
         raise TrainingError("finite-difference step must be positive")
+    if n_params < 1:
+        raise TrainingError(f"n_params must be at least 1, got {n_params}: nothing would be checked")
     rng = np.random.Generator(np.random.PCG64(seed))
     n_cols = len(model.vocab)
     entries = set()

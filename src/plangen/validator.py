@@ -140,21 +140,21 @@ class CorpusSummary:
         return f"E1={self.e1} E2={self.e2} E3={self.e3} total={self.total_invalid}"
 
 
+def tally(reports: Iterable[ValidationReport]) -> CorpusSummary:
+    """Count reports by class; a report with several errors counts once per class."""
+    reports = list(reports)
+    return CorpusSummary(
+        e1=sum(E1_TABLE_NUMBER_MISMATCH in r.errors for r in reports),
+        e2=sum(E2_TABLE_MISMATCH in r.errors for r in reports),
+        e3=sum(E3_OPERATOR_MISMATCH in r.errors for r in reports),
+        total_invalid=sum(not r.valid for r in reports),
+        total=len(reports),
+    )
+
+
 def classify_corpus(responses: Iterable[tuple[str, QuerySpec]]) -> CorpusSummary:
-    """Aggregate validate() over a corpus; multi-error responses count once per class."""
-    summary = CorpusSummary()
-    for text, query in responses:
-        summary.total += 1
-        report = validate(text, query)
-        if E1_TABLE_NUMBER_MISMATCH in report.errors:
-            summary.e1 += 1
-        if E2_TABLE_MISMATCH in report.errors:
-            summary.e2 += 1
-        if E3_OPERATOR_MISMATCH in report.errors:
-            summary.e3 += 1
-        if not report.valid:
-            summary.total_invalid += 1
-    return summary
+    """Tally validate() over a corpus of (response, query) pairs."""
+    return tally(validate(text, query) for text, query in responses)
 
 
 def classify_corpus_file(path: str | Path) -> CorpusSummary:

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plangen.catalog import Catalog, MicroTable, catalog_from_tables, save_catalog, save_table
+from plangen.catalog import (
+    Catalog, MicroTable, catalog_from_tables, load_tables, save_catalog, save_table,
+)
 from plangen.costs import CostModel
 from plangen.dataset import (
     DEMO_MODES,
@@ -28,10 +30,14 @@ from plangen.dataset import (
     extract_input_statistics,
 )
 from plangen.errors import PlangenError
+from plangen.executor import micro_execute, read_plan_log
 from plangen.hints import HintError
+from plangen.jsonl import read_lines
 from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
+from plangen.pipeline import read_responses
 from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
+from plangen.report import timing_summary
 from plangen.sql import (
     JoinPredicate,
     QuerySpec,
@@ -47,6 +53,7 @@ from plangen.sql import (
 )
 from plangen.tokenizer import detokenize, tokenize
 from plangen.training import TraceRow
+from plangen.validator import validate
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -947,3 +954,63 @@ def _ref_parse_conjunct(
         selections.append(Selection(table, column, op, int(value)))
     else:
         raise SqlSyntaxError(f"expected column reference or integer, got {value!r}", vpos)
+
+
+# --- per-source report reference: the report stage as it ran before the
+# per-query rows, folding straight into per-source lists and timing each
+# valid model plan on its own, with no memo; the oracle of tests/test_report.py.
+
+
+def reference_build_report(plans_test, model_responses, tables) -> dict:
+    """Validity and timing quantiles per plan source over the test split;
+    ``model_responses`` maps a source to its (response, query) pairs."""
+    timings: dict[str, list[int]] = {}
+    for query_timings in plans_test.values():
+        for timing in query_timings:
+            timings.setdefault(timing.optimizer_id, []).append(timing.time)
+
+    validity = {}
+    for source, pairs in model_responses.items():
+        counts = {"E1": 0, "E2": 0, "E3": 0}
+        times = []  # of the valid responses
+        for response, query in pairs:
+            report = validate(response, query)
+            if report.valid:
+                times.append(micro_execute(report.plan, query, tables, source).time)
+            for code in report.errors:
+                counts[code] += 1
+        validity[source] = {
+            "total": len(pairs),
+            "valid": len(times),
+            "rate": len(times) / len(pairs) if pairs else 0.0,
+            "errors": counts,
+        }
+        if times:
+            timings[source] = times
+
+    return {
+        "validity": validity,
+        "timings": {
+            source: timing_summary(values)
+            for source, values in sorted(timings.items())
+        },
+    }
+
+
+def reference_report_json(run_dir: Path, tables_dir) -> bytes:
+    """The bytes the report stage wrote for a run directory."""
+    test_queries = read_lines(run_dir / "test.sql", parse_sql)
+    responses = {}
+    for source in ("qit", "qdpo"):
+        texts = read_responses(run_dir / f"responses_{source}.jsonl", test_queries)
+        responses[source] = list(zip(texts, test_queries))
+    log = read_plan_log(run_dir / "plans_test.jsonl")
+    report = reference_build_report(log, responses, load_tables(tables_dir))
+    report["datasets"] = {
+        "workload": len(read_lines(run_dir / "workload.sql", str)),
+        "train": len(read_lines(run_dir / "train.sql", str)),
+        "test": len(test_queries),
+        "sft_records": len(read_lines(run_dir / "sft.jsonl", str)),
+        "dpo_triples": len(read_lines(run_dir / "dpo.jsonl", str)),
+    }
+    return (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8")

@@ -554,7 +554,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         s for s, t in report["timings"].items() if all(k in t for k in ("mean", "median", "p75", "p95", "p99"))
     ]
     assert len(sources_with_quantiles) >= 4
-    from plangen.pipeline import format_report
+    from plangen.report import format_report
 
     table = format_report(report)
     for column in ("Mean", "Median", "75th", "95th", "99th"):

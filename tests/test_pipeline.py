@@ -31,15 +31,14 @@ from plangen.pipeline import (
     build_preferences_from_logs,
     call_stage,
     infer_responses,
-    nearest_rank,
     run_optimizers,
     run_pipeline,
     split_workload,
     stage_paths,
     stage_workload,
-    timing_summary,
 )
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
+from plangen.report import nearest_rank, timing_summary
 from plangen.sql import parse_sql, render_sql, template_key, template_of
 from tests.conftest import reference_decode_query
 
@@ -82,6 +81,14 @@ def test_config_unknown_key(tmp_path):
 def test_config_invalid_ratio():
     with pytest.raises(PipelineError, match="split ratio"):
         PipelineConfig(split_ratio=1.5)
+
+
+def test_config_and_split_reject_an_unknown_split_mode():
+    queries = [parse_sql(f"SELECT * FROM title WHERE title.kind_id = {i};") for i in range(5)]
+    for split in (lambda: PipelineConfig(split_mode="bogus"),
+                  lambda: split_workload(queries, 0.8, 2, mode="bogus")):
+        with pytest.raises(PipelineError, match="^unknown split mode 'bogus'$"):
+            split()
 
 
 @pytest.mark.parametrize(

@@ -159,13 +159,12 @@ def test_negative_lr_rejected():
         TrainConfig(learning_rate=-1.0, steps=1)
 
 
-def test_grad_check_zero_params_vacuous(overfit_pair):
+@pytest.mark.parametrize("n_params", [0, -3])
+def test_grad_check_rejects_checking_no_params(overfit_pair, n_params):
     vocab = build_vocab([overfit_pair[1]])
     model = TokenModel.create(vocab, 512)
-    report = sft_grad_check(model, [overfit_pair], n_params=0)
-    assert report.checked == 0
-    assert report.passed
-    assert report.max_rel_error == 0.0
+    with pytest.raises(TrainingError, match=f"^n_params must be at least 1, got {n_params}:"):
+        sft_grad_check(model, [overfit_pair], n_params=n_params)
 
 
 def test_sft_grad_check(overfit_pair):
