@@ -330,9 +330,10 @@ def report_cmd(run_dir, build, tables_dir, as_json):
 @_domain_errors
 def run_cmd(config_path, **flags):
     """Run the whole pipeline from a config file; flags override the file."""
-    config = pl.PipelineConfig.from_file(config_path) if config_path else pl.PipelineConfig()
-    overrides = {k: v for k, v in flags.items() if v is not None}
-    config = config.with_overrides(**overrides)
+    if config_path:
+        config = pl.PipelineConfig.from_file(config_path, **flags)
+    else:
+        config = pl.PipelineConfig().with_overrides(**flags)
     result = pl.run_pipeline(config)
     for name, status in result.stages:
         click.echo(f"stage {name}: {status} in {result.seconds[name]:.3f} s")

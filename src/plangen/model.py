@@ -22,11 +22,10 @@ times the vocabulary; every read gathers ``rows[slots[ctx]]`` and sees the
 floats a dense table would hold.
 
 Decoding is greedy. An untouched context's logits are all zero, so its
-argmax is token 0, <bos>, and a template the model never saw emits <bos>
-until ``max_len``. The context of a step after <bos> depends only on its
-position, so ``greedy_decode`` hashes and argmaxes those steps a block of
-positions at a time; row-wise argmax picks the same first maximum as the
-argmax of one row, so responses equal step-by-step decoding.
+argmax is token 0, <bos>: ``greedy_decode`` argmaxes only touched rows, and
+reads a run of <bos> steps, whose contexts depend only on their positions,
+a block at a time up to its first other token. Responses equal step-by-step
+decoding.
 """
 
 from __future__ import annotations
@@ -56,12 +55,24 @@ class ModelError(PlangenError):
 
 
 def _splitmix(x):
-    """splitmix64 of a Python int, or elementwise of a numpy uint64 array
-    (whose arithmetic wraps modulo 2**64 by itself)."""
+    """splitmix64 of a Python int, or of each entry of a numpy uint64 array."""
+    if isinstance(x, np.ndarray):  # wraps modulo 2**64 by itself: no masks, half the cost
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
+
+
+def _after_bos(start: int, end: int) -> np.ndarray:
+    """Key-free inner hash of the steps after <bos> (id 0) at start..end-1."""
+    return _splitmix(np.arange(start, end, dtype=np.uint64) ^ np.uint64(_splitmix(0)))
+
+
+_AFTER_BOS = _after_bos(0, _BOS_BLOCK)  # every block that ends by position _BOS_BLOCK
 
 
 @dataclass
@@ -176,30 +187,36 @@ class TokenModel:
         return log_p, contexts, grad
 
     def greedy_decode(self, key: int, max_len: int) -> str:
-        """Argmax decoding up to ``max_len`` steps or <eos>. The steps after
-        <bos> are read from blocks of _BOS_BLOCK positions hashed and
-        argmaxed at once; every other step hashes and argmaxes one row."""
+        """Argmax decoding up to ``max_len`` steps or <eos>. A run of <bos> is
+        read _BOS_BLOCK positions at a time and appends one <bos>: detokenize
+        resets its spacing on a run once. Other steps hash one context each."""
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
         bos, eos = self.vocab.bos_id, self.vocab.eos_id
         rows, slots = self.rows, self.slots
         out: list[int] = []
-        prev = bos
-        block_start, after_bos = 0, []
-        for position in range(max_len):
-            if prev == bos:
-                if not block_start <= position < block_start + len(after_bos):
-                    block_start = position
-                    steps = np.arange(position, min(position + _BOS_BLOCK, max_len), dtype=np.uint64)
-                    contexts = self.context_id(key, steps, np.full(len(steps), bos, dtype=np.uint64))
-                    after_bos = rows[slots[contexts.astype(np.intp)]].argmax(axis=1).tolist()
-                token = after_bos[position - block_start]
+        position, prev = 0, bos
+        while position < max_len:
+            if out and prev == bos:  # a run of <bos>, after its first step
+                end = min(position + _BOS_BLOCK, max_len)
+                inner = _AFTER_BOS[position:end] if end <= _BOS_BLOCK else _after_bos(position, end)
+                at = slots[(_splitmix(inner ^ key) % self.n_contexts).astype(np.intp)]
+                touched = at.nonzero()[0]
+                tokens = rows[at[touched]].argmax(axis=1)
+                ends = (tokens != bos).nonzero()[0]
+                if not len(ends):  # <bos> up to the block's end
+                    position = end
+                    continue
+                position += int(touched[ends[0]])
+                token = int(tokens[ends[0]])
             else:
-                token = int(np.argmax(rows[slots[self.context_id(key, position, prev)]]))
+                slot = slots.item(self.context_id(key, position, prev))
+                token = int(rows[slot].argmax()) if slot else bos
             if token == eos:
                 break
-            out.append(token)  # <bos> too: detokenize resets its spacing on it
+            out.append(token)  # a <bos> here starts a run
             prev = token
+            position += 1
         return detokenize(self.vocab.decode(out))
 
 

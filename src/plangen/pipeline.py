@@ -133,6 +133,9 @@ class PipelineConfig:
     def __post_init__(self):
         check_split_ratio(self.split_ratio)
         check_workload_count(self.workload_count)
+        if self.workload_count < 2:
+            message = "workload count must be at least 2 to split into train and test"
+            raise PipelineError(f"{message}, got {self.workload_count}")
         check_split_mode(self.split_mode)
         for name in ("max_len", "n_contexts"):
             if getattr(self, name) < 1:
@@ -141,7 +144,10 @@ class PipelineConfig:
             raise PipelineError(f"n_contexts must be at most {MAX_CONTEXTS}, got {self.n_contexts}")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
+    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
+        """The config a file sets, then ``overrides`` (None keeps the file's
+        value); an error names the file."""
+
         def setting(raw: str) -> tuple[str, str] | None:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -155,7 +161,7 @@ class PipelineConfig:
 
         values = dict(read_lines(path, setting))
         try:
-            return cls().with_overrides(**values)
+            return cls().with_overrides(**values).with_overrides(**overrides)
         except PipelineError as exc:
             raise PipelineError(f"{path}: {exc}") from None
 
@@ -244,7 +250,8 @@ def stage_workload(catalog: Catalog, join_graph_path, joins_spec: str, count: in
 
 
 def split_workload(queries, ratio: float, seed: int, mode: str = "random"):
-    """Deterministic train/test split; returns (train, test) query lists."""
+    """Deterministic train/test split; returns (train, test) query lists,
+    and raises if either would be empty."""
     check_split_ratio(ratio)
     check_split_mode(mode)
     n = len(queries)
@@ -276,6 +283,9 @@ def split_workload(queries, ratio: float, seed: int, mode: str = "random"):
                 break
         train_idx = [i for i, key in enumerate(query_keys) if key not in held]
     test_idx = sorted(set(range(n)) - set(train_idx))
+    for side, picked in (("train", train_idx), ("test", test_idx)):
+        if not picked:
+            raise PipelineError(f"{mode} split at ratio {ratio} of {n} queries leaves {side} empty")
     return [queries[i] for i in train_idx], [queries[i] for i in test_idx]
 
 

@@ -321,10 +321,11 @@ def reference_save_model(vocab, theta: np.ndarray, path) -> None:
 # must return the same string (tests/test_model.py).
 
 
-def reference_greedy_decode(model, key: int, max_len: int) -> str:
+def reference_greedy_decode(model, key: int, max_len: int, theta=None) -> str:
+    """``theta``, the model's ``dense_theta``, saves building it per call."""
     if max_len <= 0:
         raise ModelError(f"max_len must be positive, got {max_len}")
-    theta = dense_theta(model)
+    theta = dense_theta(model) if theta is None else theta
     out: list[int] = []
     prev = model.vocab.bos_id
     for position in range(max_len):

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plangen.catalog import serialize_stats
+from plangen.catalog import load_catalog, serialize_stats
 from plangen.dataset import Demonstration, build_prompt
 from plangen.model import ModelError, TokenModel, add_rows, load_model, save_model
+from plangen.pipeline import PipelineConfig, run_pipeline, stage_workload
 from plangen.sql import render_sql, template_key, template_of
 from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, split_tokens
 from plangen.training import (
@@ -18,6 +20,7 @@ from plangen.training import (
 )
 from plangen.workload import gen_workload, load_join_graph
 from tests.conftest import (
+    FIXTURES_DIR,
     dense_model,
     dense_theta,
     reference_greedy_decode,
@@ -208,41 +211,78 @@ def test_greedy_decode_deterministic(random_model):
 
 
 # Rows of a decoding model: mostly untrained (all zeros, so <bos> wins),
-# plus trained rows with <bos> or <eos> on top, tied maxima, or no pattern.
-_ROW_KINDS = ("zero", "zero", "zero", "bos", "eos", "tie", "random")
+# plus trained rows with <bos>, <eos> or an opening bracket on top (the only
+# tokens whose spacing a <bos> after them changes), tied maxima, or no pattern.
+_ROW_KINDS = ("zero", "zero", "zero", "bos", "eos", "open", "tie", "random")
+# Positions around the edges of the first two blocks of <bos> steps, which
+# start one or two steps after a run's first <bos>.
+_BLOCK_EDGES = (0, 1, 2, 255, 256, 257, 258, 511, 512, 513, 514)
+
+
+def _decoding_row(rng, vocab, kind):
+    row = rng.normal(0.0, 1.0, size=len(vocab))
+    if kind == "bos":
+        row[vocab.bos_id] = row.max() + rng.uniform(0.1, 1.0)
+    elif kind == "eos":
+        row[vocab.eos_id] = row.max() + rng.uniform(0.1, 1.0)
+    elif kind == "open":
+        row[vocab.token_id(rng.choice(["(", "["]))] = row.max() + rng.uniform(0.1, 1.0)
+    elif kind == "tie":
+        row[rng.choice(len(vocab), size=2, replace=False)] = row.max() + 1.0
+    return row
 
 
 @st.composite
 def decoding_models(draw):
-    """A model with few contexts, so steps share rows, over a random mix of
-    row kinds; a zero row is left to the slab's shared zero row."""
-    vocab, n_contexts = build_vocab(RESPONSES), draw(st.integers(1, 24))
-    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n_contexts, max_size=n_contexts))
+    """(model, key) over a random mix of row kinds; a zero row is left to
+    the slab's shared zero row. Either few contexts, so steps share rows, or
+    many, mostly untouched, with rows planted at the contexts of steps after
+    <bos> at block edges for the key, so a <bos> run can fill a whole block
+    and end just past it."""
+    vocab, key = build_vocab(RESPONSES), draw(st.integers(0, 2**64 - 1))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
-    width = len(vocab)
-    contexts, rows = [], []
-    for ctx, kind in enumerate(kinds):
-        if kind == "zero":
-            continue
-        row = rng.normal(0.0, 1.0, size=width)
-        if kind == "bos":
-            row[vocab.bos_id] = row.max() + rng.uniform(0.1, 1.0)
-        elif kind == "eos":
-            row[vocab.eos_id] = row.max() + rng.uniform(0.1, 1.0)
-        elif kind == "tie":
-            row[rng.choice(width, size=2, replace=False)] = row.max() + 1.0
-        contexts.append(ctx)
-        rows.append(row)
-    return TokenModel.from_rows(vocab, n_contexts, contexts, np.reshape(rows, (-1, width)))
+    kinds = {}
+    if draw(st.booleans()):
+        n_contexts = draw(st.integers(1, 24))
+        contexts = range(n_contexts)
+    else:
+        n_contexts = draw(st.integers(2**12, 2**16))
+        contexts = draw(st.lists(st.integers(0, n_contexts - 1), max_size=8))
+        hasher = TokenModel.create(vocab, n_contexts)
+        for position in draw(st.lists(st.sampled_from(_BLOCK_EDGES), min_size=1, max_size=3)):
+            ctx = hasher.context_id(key, position, vocab.bos_id)
+            kinds[ctx] = draw(st.sampled_from(_ROW_KINDS[3:]))  # a planted row is trained
+    for ctx in contexts:
+        kinds.setdefault(ctx, draw(st.sampled_from(_ROW_KINDS)))
+    trained = [(ctx, kind) for ctx, kind in sorted(kinds.items()) if kind != "zero"]
+    rows = [_decoding_row(rng, vocab, kind) for _, kind in trained]
+    model = TokenModel.from_rows(vocab, n_contexts, [ctx for ctx, _ in trained],
+                                 np.reshape(rows, (-1, len(vocab))))
+    return model, key
 
 
-@settings(max_examples=100, deadline=None)
-@given(model=decoding_models(), key=st.integers(0, 2**64 - 1), max_len=st.integers(1, 600))
-def test_greedy_decode_equals_the_step_by_step_reference(model, key, max_len):
+@settings(max_examples=150, deadline=None)
+@given(case=decoding_models(), max_len=st.integers(1, 600))
+def test_greedy_decode_equals_the_step_by_step_reference(case, max_len):
     """Reading the after-<bos> steps a block at a time returns what decoding
     one step at a time does, at any max_len and across block edges."""
+    model, key = case
+    theta = dense_theta(model)
     for n in (max_len, 255, 256, 257, 512, 513):
-        assert model.greedy_decode(key, n) == reference_greedy_decode(model, key, n)
+        assert model.greedy_decode(key, n) == reference_greedy_decode(model, key, n, theta)
+
+
+@pytest.mark.parametrize("position", _BLOCK_EDGES)
+def test_greedy_decode_finds_the_one_trained_row_at_a_block_edge(position):
+    """The only trained row is at the step after <bos> at ``position``, with
+    a bracket on top: the decode runs <bos> up to it, whatever block holds it."""
+    vocab, key = build_vocab(RESPONSES), 7
+    ctx = TokenModel.create(vocab, 2**16).context_id(key, position, vocab.bos_id)
+    row = _decoding_row(np.random.Generator(np.random.PCG64(position)), vocab, "open")
+    model = TokenModel.from_rows(vocab, 2**16, [ctx], row[np.newaxis])
+    for max_len in (max(position, 1), position + 1, 600):
+        assert model.greedy_decode(key, max_len) == reference_greedy_decode(model, key, max_len)
+    assert model.greedy_decode(key, 600) in ("(", "[")
 
 
 def test_greedy_decode_of_a_huge_max_len_stops_at_eos(vocab):
@@ -255,6 +295,64 @@ def test_greedy_decode_of_a_huge_max_len_stops_at_eos(vocab):
     row[0, vocab.eos_id] = 1.0
     model = TokenModel.from_rows(vocab, 4096, [contexts[5]], row)
     assert model.greedy_decode(key, 10**12) == ""
+
+
+@pytest.fixture(scope="module")
+def fixture_qdpo(tmp_path_factory):
+    """The fixture run's qdpo model and the template keys of 300 fresh
+    join-1..5 queries, most of whose templates it never trained on."""
+    run_dir = tmp_path_factory.mktemp("fixture") / "run"
+    config = PipelineConfig.from_file(FIXTURES_DIR / "pipeline.cfg")
+    run_pipeline(config.with_overrides(out_dir=str(run_dir), tables=str(FIXTURES_DIR / "tables"),
+                                       catalog=str(FIXTURES_DIR / "catalog.txt"),
+                                       join_graph=str(FIXTURES_DIR / "joins.txt")))
+    catalog = load_catalog(FIXTURES_DIR / "catalog.txt")
+    queries = stage_workload(catalog, FIXTURES_DIR / "joins.txt", "1,2,3,4,5", 300, 21)
+    return load_model(run_dir / "qdpo.ckpt"), [template_key(template_of(q)) for q in queries]
+
+
+def test_greedy_decode_equals_the_reference_on_the_trained_fixture_model(fixture_qdpo):
+    """A real model's contexts are mostly untouched, so an unseen template's
+    <bos> run spans whole blocks and meets trained rows of other templates
+    inside them, which the Hypothesis models, with at most 24 contexts, never
+    show."""
+    model, keys = fixture_qdpo
+    theta = dense_theta(model)
+    texts = set()
+    for key in keys:
+        for max_len in (1, 255, 256, 257, 600):
+            text = model.greedy_decode(key, max_len)
+            assert text == reference_greedy_decode(model, key, max_len, theta), (key, max_len)
+            texts.add(text)
+    assert "" in texts and len(texts) > 10
+
+
+def test_decoding_allocates_per_block_never_per_context():
+    """A million contexts and an untrained key: every step is <bos>, so the
+    decode reads whole blocks up to max_len. Some rows are trained, with <bos>
+    on top, so blocks gather rows; with 64 tokens one block of gathered rows
+    for every position (256 x 64 floats) would not fit under the bound."""
+    vocab = Vocabulary((BOS, EOS, UNK, *(f"w{i}" for i in range(61))))
+    rng = np.random.Generator(np.random.PCG64(5))
+    contexts = rng.choice(2**20, size=2**14, replace=False)
+    rows = rng.normal(0.0, 1.0, size=(len(contexts), len(vocab)))
+    rows[:, vocab.bos_id] = rows.max(axis=1) + 1.0
+    model = TokenModel.from_rows(vocab, 2**20, contexts, rows)
+    before = {name: value.copy() if isinstance(value, np.ndarray) else value
+              for name, value in vars(model).items()}
+    for max_len in (256, 4096):
+        tracemalloc.start()
+        try:
+            assert model.greedy_decode(12345, max_len) == ""
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (max_len, peak)
+    assert vars(model).keys() == before.keys()
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert vars(model)[name].nbytes == value.nbytes
+            assert np.array_equal(vars(model)[name], value)
 
 
 def _model_bytes(model: TokenModel) -> int:

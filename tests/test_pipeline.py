@@ -91,6 +91,43 @@ def test_config_and_split_reject_an_unknown_split_mode():
             split()
 
 
+def _fixture_queries_of_one_template():
+    """The fixture workload's nine queries of its most common template."""
+    queries = stage_workload(load_catalog(FIXTURES / "catalog.txt"), FIXTURES / "joins.txt",
+                             "1,2,3", 60, 1)
+    key = "movie_keyword,title|movie_keyword.movie_id = title.movie_id"
+    return [q for q in queries if template_of(q).key() == key]
+
+
+def test_split_never_leaves_a_side_empty():
+    """One query cannot fill both sides, and by-template cannot hold out a
+    template that is the whole workload."""
+    one = [parse_sql("SELECT * FROM title WHERE title.kind_id = 1;")]
+    for mode, side in (("random", "test"), ("by-join-count", "test"), ("by-template", "train")):
+        with pytest.raises(PipelineError, match=f"^{mode} split at ratio 0.8 of 1 queries leaves {side} empty$"):
+            split_workload(one, 0.8, 0, mode)
+    nine = _fixture_queries_of_one_template()
+    assert len(nine) == 9
+    with pytest.raises(PipelineError, match="^by-template split at ratio 0.8 of 9 queries leaves train empty$"):
+        split_workload(nine, 0.8, 0, "by-template")
+    train, test = split_workload(nine, 0.8, 0, "random")
+    assert (len(train), len(test)) == (7, 2)
+
+
+def test_run_refuses_a_one_query_workload_as_the_config_loads(tmp_path):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
+    result = invoke("run", "--config", cfg, "--workload-count", 1, "--demo-mode", "none")
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {cfg}: workload count must be at least 2 to split into train and test, got 1\n"
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(PipelineError, match="^workload count must be at least 2"):
+        PipelineConfig(workload_count=1)
+    args = _gen_workload(tmp_path, FIXTURES / "catalog.txt", FIXTURES / "joins.txt")
+    assert invoke(*args, "--count", 1).exit_code == 0
+    assert len((tmp_path / "workload.sql").read_text().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "setting", ["max_len = 0", "max_len = -1", "n_contexts = 0", "n_contexts = 2147483648"]
 )
@@ -1198,6 +1235,15 @@ def _split_workload_negative_ratio(tmp_path):
     return _split_workload_ratio(tmp_path, -1)
 
 
+def _split_workload_by_template_of_one_template(tmp_path):
+    workload = tmp_path / "workload.sql"
+    workload.write_text("".join(render_sql(q) + "\n" for q in _fixture_queries_of_one_template()))
+    return ["split-workload", "--workload", workload, "--mode", "by-template", "--out-train",
+            tmp_path / "train.sql", "--out-test", tmp_path / "test.sql"], (
+        "error: by-template split at ratio 0.8 of 9 queries leaves train empty\n"
+    )
+
+
 def _gen_workload_negative_count(tmp_path):
     args = _gen_workload(tmp_path, FIXTURES / "catalog.txt", FIXTURES / "joins.txt")
     return args + ["--count", -5], "error: workload count must be at least 1, got -5\n"
@@ -1251,7 +1297,7 @@ def _grad_check_negative_samples(tmp_path):
      _report_build_test_query_without_plans, _report_build_plans_of_unknown_query,
      _gen_sft_workload_query_without_plans, _infer_table_absent_from_catalog,
      _split_workload_ratio_above_one, _split_workload_negative_ratio, _gen_workload_negative_count,
-     _negative_workload_count_in_config, _grad_check_zero_samples, _grad_check_negative_samples],
+     _split_workload_by_template_of_one_template, _negative_workload_count_in_config, _grad_check_zero_samples, _grad_check_negative_samples],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)
