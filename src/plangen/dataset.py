@@ -29,7 +29,7 @@ from .errors import PlangenError
 from .executor import PlanLog, best_timing
 from .jsonl import read_jsonl, write_jsonl
 from .plans import render_response
-from .sql import QuerySpec, QueryTemplate, parse_sql, render_sql, template_of
+from .sql import QuerySpec, QueryTemplate, parse_once, render_sql, template_of
 
 INSTRUCTION_TEXT = (
     "You are a SQL query optimizer. You will be given a multi-table SQL query "
@@ -194,11 +194,17 @@ def build_sft_dataset(
             )
         )
 
+    by_template: dict[QueryTemplate, list[InstructionRecord]] = {}
+    for bare in pool:
+        by_template.setdefault(bare.template, []).append(bare)
     records = []
     for query, bare in zip(workload, pool):
         # String seeding hashes with sha512, stable across processes.
         rng = random.Random(f"{seed}:{bare.query_id}")
-        candidates = [r for r in pool if r.query_id != bare.query_id]
+        # Other records matter only to a query without a sibling.
+        candidates = [r for r in by_template[bare.template] if r.query_id != bare.query_id]
+        if not candidates:
+            candidates = [r for r in pool if r.query_id != bare.query_id]
         record = select_demonstration(query, candidates, demo_mode, rng, bare.query_id)
         demo = None
         if record is not None:
@@ -221,7 +227,7 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
     def record(raw: dict) -> InstructionRecord:
         sql = extract_input_sql(raw["prompt"])
         return InstructionRecord(
-            raw["query_id"], raw["prompt"], raw["response"], sql, template_of(parse_sql(sql))
+            raw["query_id"], raw["prompt"], raw["response"], sql, template_of(parse_once(sql))
         )
 
     return read_jsonl(path, {"query_id": str, "prompt": str, "response": str}, record)

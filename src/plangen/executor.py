@@ -78,12 +78,15 @@ def read_plan_log(path: str | Path) -> PlanLog:
     """Each query's timings in file order. A bad bracket, a non-positive time or
     a query's second plan from one optimizer is reported as ``path:line``."""
     log: PlanLog = {}
+    trees: dict[str, PlanTree] = {}  # plan trees are frozen, so one serves every repeat
 
     def add(row: dict) -> None:
         timings = log.setdefault(row["query_id"], [])
         if any(t.optimizer_id == row["optimizer"] for t in timings):
             raise ExecutionError(f"second plan of {row['optimizer']!r} for {row['query_id']}")
-        timings.append(PlanTiming(row["optimizer"], bracket_to_tree(row["bracket"]), row["time_units"]))
+        if row["bracket"] not in trees:
+            trees[row["bracket"]] = bracket_to_tree(row["bracket"])
+        timings.append(PlanTiming(row["optimizer"], trees[row["bracket"]], row["time_units"]))
 
     fields = {"query_id": str, "optimizer": str, "bracket": str, "time_units": NUMBER}
     read_jsonl(path, fields, add)

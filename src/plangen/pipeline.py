@@ -40,6 +40,7 @@ from . import __version__
 from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
+    NoDemonstrationAvailable,
     build_sft_dataset,
     demonstration_siblings,
     extract_input_sql,
@@ -62,7 +63,7 @@ from .preferences import (
     write_preference_file,
 )
 from .report import build_report, query_rows
-from .sql import parse_sql, render_sql, template_key, template_of
+from .sql import parse_memo, parse_once, render_sql, template_key, template_of
 from .training import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_BETA,
@@ -188,7 +189,7 @@ class PipelineConfig:
 
 
 def read_workload(path: str | Path) -> list:
-    return read_lines(path, parse_sql)
+    return read_lines(path, parse_once)
 
 
 def write_workload(queries, path: str | Path) -> None:
@@ -361,7 +362,11 @@ def workload_stage(catalog, join_graph, out, joins: str, count: int, seed: int):
 
 
 def split_stage(workload, train_out, test_out, ratio: float, seed: int, mode: str):
-    train, test = split_workload(read_workload(workload), ratio, seed, mode)
+    check_split_ratio(ratio)  # a range error names no file
+    try:
+        train, test = split_workload(read_workload(workload), ratio, seed, mode)
+    except PipelineError as exc:
+        raise located(exc, workload) from None
     write_workload(train, train_out)
     write_workload(test, test_out)
     return train, test
@@ -381,7 +386,10 @@ def sft_stage(workload, plans, catalog, out, demo_mode: str, seed: int):
     ids = query_ids(queries)
     require_known(plans, log, ids, workload)
     require_known(workload, ids, log, plans)
-    records = build_sft_dataset(queries, log, load_catalog(catalog), demo_mode, seed)
+    try:
+        records = build_sft_dataset(queries, log, load_catalog(catalog), demo_mode, seed)
+    except NoDemonstrationAvailable as exc:
+        raise located(exc, workload) from None
     write_dataset(records, out)
     return records
 
@@ -421,7 +429,7 @@ def read_triples(path) -> list[tuple[int, str, str]]:
     for t in triples:
         if t.prompt not in keys:
             try:
-                keys[t.prompt] = template_key(template_of(parse_sql(extract_input_sql(t.prompt))))
+                keys[t.prompt] = template_key(template_of(parse_once(extract_input_sql(t.prompt))))
             except PlangenError as exc:
                 raise located(exc, f"{path}: {t.query_id}") from None
     return [(keys[t.prompt], t.chosen, t.rejected) for t in triples]
@@ -429,15 +437,13 @@ def read_triples(path) -> list[tuple[int, str, str]]:
 
 def infer_stage(model, workload, catalog, pool, out, demo_mode: str, max_len: int):
     """Batch inference; ``pool`` may be None when ``demo_mode`` is none."""
-    rows = infer_responses(
-        load_model(model),
-        read_workload(workload),
-        load_catalog(catalog),
-        load_dataset(pool) if pool else [],
-        demo_mode,
-        demo_seed=None,
-        max_len=max_len,
-    )
+    model, queries, catalog = load_model(model), read_workload(workload), load_catalog(catalog)
+    try:
+        rows = infer_responses(
+            model, queries, catalog, load_dataset(pool) if pool else [], demo_mode, None, max_len
+        )
+    except NoDemonstrationAvailable as exc:
+        raise located(exc, pool) from None
     write_jsonl(rows, out)
     return rows
 
@@ -645,9 +651,10 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     runner = _StageRunner(config)
     seconds = {}
-    for stage in STAGES:
-        start = time.perf_counter()
-        runner.run(stage.name)
-        seconds[stage.name] = time.perf_counter() - start
+    with parse_memo():  # each distinct query text is parsed once per run
+        for stage in STAGES:
+            start = time.perf_counter()
+            runner.run(stage.name)
+            seconds[stage.name] = time.perf_counter() - start
     report = read_json(out / "report.json")
     return RunReport(report=report, stages=runner.statuses, seconds=seconds)

@@ -14,6 +14,8 @@ before any parse error. The parser then walks that list by index.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -209,6 +211,31 @@ def parse_sql(text: str) -> QuerySpec:
         selections=tuple(sorted(selections)),
         raw_sql=text,
     )
+
+
+_MEMO: ContextVar[dict[str, QuerySpec] | None] = ContextVar("parse_memo", default=None)
+
+
+@contextmanager
+def parse_memo():
+    """Within the block, ``parse_once`` parses each distinct text once. A
+    QuerySpec is frozen and carries its text, so one stands for every read;
+    a text that fails is not stored, so it fails again on every read."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def parse_once(text: str) -> QuerySpec:
+    """``parse_sql`` of ``text``, shared within a ``parse_memo`` block."""
+    memo = _MEMO.get()
+    if memo is None:
+        return parse_sql(text)
+    if text not in memo:
+        memo[text] = parse_sql(text)
+    return memo[text]
 
 
 def _check_connected(tables: frozenset[str], joins: Iterable[JoinPredicate]) -> None:

@@ -162,7 +162,8 @@ def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray
 def _encode_pairs(model: TokenModel, pairs: Sequence[tuple[int, str]]) -> PackedSequences:
     if not pairs:
         raise TrainingError("nothing to encode")
-    return PackedSequences.pack([model.encode_response(key, response) for key, response in pairs])
+    encoded = {pair: model.encode_response(*pair) for pair in dict.fromkeys(pairs)}
+    return PackedSequences.pack([encoded[pair] for pair in pairs])
 
 
 # --- stage two: preference optimization ---

@@ -10,7 +10,7 @@ import operator
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +24,21 @@ from plangen.dataset import (
     DEMO_MODES,
     DatasetError,
     Demonstration,
+    InstructionRecord,
     NoDemonstrationAvailable,
     build_prompt,
     extract_input_sql,
     extract_input_statistics,
+    query_ids,
 )
 from plangen.errors import PlangenError
-from plangen.executor import micro_execute, read_plan_log
+from plangen.executor import best_timing, micro_execute, read_plan_log
 from plangen.hints import HintError
 from plangen.jsonl import read_lines
 from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.pipeline import read_responses
-from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, tree_to_bracket
+from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, render_response, tree_to_bracket
 from plangen.report import timing_summary
 from plangen.sql import (
     JoinPredicate,
@@ -791,6 +793,33 @@ def reference_decode_query(model, query, catalog, pool, demo_mode, demo_seed, ma
     rng = random.Random(f"{demo_seed}:infer:{label}")
     _ref_prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, sql)
     return model.greedy_decode(template_key(template_of(query)), max_len)
+
+
+def reference_build_sft_dataset(workload, plan_logs, catalog, demo_mode="strict", seed=0):
+    """SFT assembly that offers each query every other record of the pool as
+    a candidate; dataset.build_sft_dataset must return the same records and
+    raise the same errors (tests/test_dataset.py)."""
+    pool = []
+    for query_id, query in zip(query_ids(workload), workload):
+        if not plan_logs.get(query_id):
+            raise DatasetError(f"missing plan log for query {query_id}")
+        pool.append(
+            InstructionRecord(
+                query_id=query_id,
+                prompt=build_prompt(query, catalog),
+                response=render_response(best_timing(plan_logs[query_id]).plan),
+                sql=render_sql(query),
+                template=template_of(query),
+            )
+        )
+    records = []
+    for query, bare in zip(workload, pool):
+        rng = random.Random(f"{seed}:{bare.query_id}")
+        candidates = [r for r in pool if r.query_id != bare.query_id]
+        prompt = _ref_prompt_with_demonstration(query, catalog, candidates, demo_mode, rng, bare.query_id)
+        records.append(replace(bare, prompt=prompt))
+    records.sort(key=lambda r: r.query_id)
+    return records
 
 
 # --- reference SQL parser: the match-per-token lexer and token-stream parser

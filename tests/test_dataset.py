@@ -1,7 +1,10 @@
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plangen.dataset import (
     INSTRUCTION_TEXT,
@@ -18,11 +21,13 @@ from plangen.dataset import (
     select_demonstration,
     write_dataset,
 )
-from plangen.catalog import serialize_stats
+from plangen.catalog import load_catalog, serialize_stats
 from plangen.executor import PlanTiming
-from plangen.plans import bracket_to_tree, parse_response
+from plangen.pipeline import stage_workload
+from plangen.plans import Join, Leaf, bracket_to_tree, parse_response
 from plangen.sql import parse_sql, render_sql, template_of
 from plangen.validator import validate
+from tests.conftest import FIXTURES_DIR, reference_build_sft_dataset
 
 
 def test_prompt_golden_no_demo(movie_query, movie_catalog):
@@ -267,3 +272,41 @@ def test_dataset_file_round_trip_and_determinism(tmp_path, micro_catalog):
 
     raw = [json.loads(line) for line in a.read_text().splitlines()]
     assert set(raw[0]) == {"query_id", "prompt", "response"}
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_queries():
+    """The fixture workload and catalog; the workload's nine queries of its
+    most common template form a pool of one template."""
+    catalog = load_catalog(FIXTURES_DIR / "catalog.txt")
+    return stage_workload(catalog, FIXTURES_DIR / "joins.txt", "1,2,3", 60, 1), catalog
+
+
+def _left_deep(query):
+    first, *rest = sorted(query.tables)
+    plan = Leaf(first)
+    for table in rest:
+        plan = Join("HashJoin", plan, Leaf(table))
+    return plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_sft_dataset_equals_the_reference(data):
+    queries, catalog = _fixture_queries()
+    key = "movie_keyword,title|movie_keyword.movie_id = title.movie_id"
+    if data.draw(st.booleans(), label="one template"):
+        queries = [q for q in queries if template_of(q).key() == key]
+    # Drawn with repeats, so a workload can hold one SQL text under two ids.
+    workload = data.draw(st.lists(st.sampled_from(queries), min_size=1, max_size=12), label="workload")
+    log = {qid: [PlanTiming("dp", _left_deep(q), 1)] for qid, q in zip(query_ids(workload), workload)}
+    mode = data.draw(st.sampled_from(["strict", "fallback", "none"]), label="mode")
+    seed = data.draw(st.integers(0, 9), label="seed")
+
+    def outcome(build):
+        try:
+            return build(workload, log, catalog, mode, seed)
+        except NoDemonstrationAvailable as exc:
+            return str(exc)
+
+    assert outcome(build_sft_dataset) == outcome(reference_build_sft_dataset)

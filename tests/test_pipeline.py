@@ -8,6 +8,7 @@ import re
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from plangen.dataset import (
 from plangen.errors import PlangenError
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
+from plangen import pipeline, sql
 from plangen.pipeline import (
+    SPLIT_MODES,
     STAGES,
     PipelineConfig,
     PipelineError,
@@ -32,6 +35,7 @@ from plangen.pipeline import (
     call_stage,
     infer_responses,
     run_optimizers,
+    read_workload,
     run_pipeline,
     split_workload,
     stage_paths,
@@ -39,7 +43,7 @@ from plangen.pipeline import (
 )
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
 from plangen.report import nearest_rank, timing_summary
-from plangen.sql import parse_sql, render_sql, template_key, template_of
+from plangen.sql import SqlSemanticError, parse_memo, parse_sql, render_sql, template_key, template_of
 from tests.conftest import reference_decode_query
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -126,6 +130,77 @@ def test_run_refuses_a_one_query_workload_as_the_config_loads(tmp_path):
     args = _gen_workload(tmp_path, FIXTURES / "catalog.txt", FIXTURES / "joins.txt")
     assert invoke(*args, "--count", 1).exit_code == 0
     assert len((tmp_path / "workload.sql").read_text().splitlines()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 6),
+    joins=st.sampled_from(["1", "2", "3", "1,2", "1,2,3"]),
+    split_mode=st.sampled_from(SPLIT_MODES),
+    demo_mode=st.sampled_from(DEMO_MODES),
+)
+def test_a_small_run_judges_something_or_exits_1_naming_a_file(count, joins, split_mode, demo_mode):
+    """No config runs to a report over an empty test split or SFT set, and
+    every refusal names the config or the input file it found wanting; an
+    exception other than a located error would escape ``invoke``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, run_dir = Path(tmp) / "pipeline.cfg", Path(tmp) / "run"
+        cfg.write_text(_fixture_config_text(run_dir) + "qit_steps = 2\nqdpo_steps = 2\n"
+                       "n_contexts = 4096\nmax_len = 16\n", encoding="utf-8")
+        result = invoke("run", "--config", cfg, "--workload-count", count, "--workload-joins", joins,
+                        "--split-mode", split_mode, "--demo-mode", demo_mode)
+        if result.exit_code == 0:
+            datasets = json.loads((run_dir / "report.json").read_text())["datasets"]
+            assert datasets["test"] > 0 and datasets["sft_records"] > 0
+        else:
+            assert result.exit_code == 1, result.output
+            located = rf"^error: ({re.escape(str(cfg))}|stage [a-z-]+: {re.escape(str(run_dir))}/[a-z_.]+): "
+            assert re.match(located, result.output), result.output
+
+
+def test_a_run_parses_each_distinct_query_text_once_and_the_next_run_again(tmp_path, monkeypatch):
+    parsed = []
+    parse = sql.parse_sql
+    monkeypatch.setattr(sql, "parse_sql", lambda text: parsed.append(text) or parse(text))
+    config = fast_config(tmp_path / "first", workload_count=12, qit_steps=2, qdpo_steps=2,
+                         n_contexts=4096)
+    run_pipeline(config)
+    texts = (tmp_path / "first" / "workload.sql").read_text().splitlines()
+    assert sorted(parsed) == sorted(set(texts))
+
+    def fault(*args):
+        raise PlangenError("injected fault")
+
+    parsed.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "build_preferences_from_logs", fault)
+        with pytest.raises(PipelineError, match="^stage dpo: injected fault$"):
+            run_pipeline(replace(config, out_dir=str(tmp_path / "failed")))
+    assert sorted(parsed) == sorted(set(texts))
+    # The failed run left no memo behind: outside a run every read parses,
+    # and a fresh run parses each text once again.
+    parsed.clear()
+    read_workload(tmp_path / "first" / "workload.sql")
+    assert parsed == texts
+    parsed.clear()
+    run_pipeline(replace(config, out_dir=str(tmp_path / "second")))
+    assert sorted(parsed) == sorted(set(texts))
+
+
+def test_a_bad_workload_line_is_located_on_every_read(tmp_path):
+    good, bad = "SELECT * FROM title;", "SELECT * FROM title WHERE title.kind_id = 1.5;"
+    first, second = tmp_path / "first.sql", tmp_path / "second.sql"
+    first.write_text(f"{good}\n{bad}\n")
+    second.write_text(f"{bad}\n")
+    with parse_memo():
+        for path, line in ((first, 2), (first, 2), (second, 1)):
+            with pytest.raises(SqlSemanticError, match=f"^{re.escape(str(path))}:{line}: non-integer"):
+                read_workload(path)
+        for _ in range(2):
+            result = invoke("split-workload", "--workload", first, "--out-train",
+                            tmp_path / "train.sql", "--out-test", tmp_path / "test.sql")
+            assert result.exit_code == 1
+            assert result.output == f"error: {first}:2: non-integer literal '1.5'\n"
 
 
 @pytest.mark.parametrize(
@@ -449,6 +524,17 @@ def plan_logs(draw):
             for name in names
         ]
     return log
+
+
+def test_read_plan_log_names_the_first_line_of_a_repeated_bad_bracket(tmp_path):
+    row = {"query_id": "q0001", "optimizer": "dp", "bracket": "HashJoin(cast_info title)",
+           "time_units": 70}
+    bad = {"optimizer": "greedy", "bracket": "HashJoin(cast_info"}
+    path = tmp_path / "plans.jsonl"
+    write_jsonl([row, {**row, "query_id": "q0002"}, {**row, **bad}, {**row, **bad, "query_id": "q0002"}],
+                path)
+    with pytest.raises(PlangenError, match=f"^{re.escape(str(path))}:3: "):
+        read_plan_log(path)
 
 
 @settings(max_examples=80, deadline=None)
@@ -937,7 +1023,7 @@ def _gen_sft_strict_without_sibling(tmp_path):
                                     ("q0003", "movie_keyword"))], plans)
     return ["gen-sft", "--workload", train, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
             "--demo-mode", "strict", "--out", tmp_path / "sft.jsonl"], (
-        "error: no record shares the template of query q0002\n"
+        f"error: {train}: no record shares the template of query q0002\n"
     )
 
 
@@ -991,7 +1077,7 @@ def _gen_sft_fallback_on_one_query(tmp_path):
     plans.write_text("".join(line + "\n" for line in plans.read_text().splitlines()[:2]))
     return ["gen-sft", "--workload", workload, "--plans", plans, "--catalog", FIXTURES / "catalog.txt",
             "--demo-mode", "fallback", "--out", tmp_path / "sft_one.jsonl"], (
-        "error: no candidate record is left for the demonstration of query q0001\n"
+        f"error: {workload}: no candidate record is left for the demonstration of query q0001\n"
     )
 
 
@@ -1240,7 +1326,7 @@ def _split_workload_by_template_of_one_template(tmp_path):
     workload.write_text("".join(render_sql(q) + "\n" for q in _fixture_queries_of_one_template()))
     return ["split-workload", "--workload", workload, "--mode", "by-template", "--out-train",
             tmp_path / "train.sql", "--out-test", tmp_path / "test.sql"], (
-        "error: by-template split at ratio 0.8 of 9 queries leaves train empty\n"
+        f"error: {workload}: by-template split at ratio 0.8 of 9 queries leaves train empty\n"
     )
 
 

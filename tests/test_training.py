@@ -16,6 +16,7 @@ from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab
 from plangen.training import (
     TrainConfig,
     TrainingError,
+    _encode_pairs,
     dpo_grad_check,
     encode_triples,
     fit_qit_from_records,
@@ -282,6 +283,21 @@ def test_packed_training_equals_sequence_at_a_time_reference(fixture_datasets):
     assert np.array_equal(dense_theta(got), dense_theta(want))
     assert got_trace == want_trace
     assert len({row.margin for row in got_trace}) > 1
+
+
+def test_encode_pairs_packs_a_repeated_pair_as_its_own_encode(fixture_datasets):
+    """Each distinct pair is encoded once; the packed arrays equal packing
+    one encode per pair, bit for bit."""
+    _, triples = fixture_datasets
+    pairs = [(key, response) for key, *responses in triples for response in responses]
+    assert len(set(pairs)) < len(pairs)  # a chosen plan serves several triples
+    model = TokenModel.create(build_vocab([response for _, response in pairs]), 509)
+    got = _encode_pairs(model, pairs)
+    want = PackedSequences.pack([model.encode_response(key, response) for key, response in pairs])
+    for name in ("rows", "slots", "ids", "starts", "lengths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert [(n, m.tobytes()) for n, m in got.groups] == [(n, m.tobytes()) for n, m in want.groups]
 
 
 def _vocab(size: int) -> Vocabulary:
