@@ -73,6 +73,11 @@ def _json_object(text: str, fields: Mapping = {}) -> dict:
         raise InputError(f"not valid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(row, dict):
         raise InputError("not a JSON object")
+    return require_fields(row, fields)
+
+
+def require_fields(row: dict, fields: Mapping) -> dict:
+    """``row``, if it holds ``fields`` of their types."""
     missing = [key for key in fields if key not in row]
     if missing:
         raise InputError(f"missing key {missing[0]!r}")

@@ -39,12 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PlangenError
-from .jsonl import NUMBER, read_json
+from .jsonl import NUMBER, read_json, require_fields
 from .tokenizer import Vocabulary, detokenize, tokenize
 
 _MASK = (1 << 64) - 1
 
-CHECKPOINT_FORMAT = "plangen-token-model/1"
+CHECKPOINT_FORMAT = "plangen-token-model/2"
 DEFAULT_CONTEXTS = 4096
 MAX_CONTEXTS = 2**31 - 1  # context ids are int32 in EncodedSequence and PackedSequences
 _BOS_BLOCK = 256  # positions per block of after-<bos> steps
@@ -84,7 +84,7 @@ class TokenModel:
 
     @classmethod
     def create(cls, vocab: Vocabulary, n_contexts: int = DEFAULT_CONTEXTS) -> "TokenModel":
-        if not isinstance(n_contexts, int) or not 1 <= n_contexts <= MAX_CONTEXTS:
+        if type(n_contexts) is not int or not 1 <= n_contexts <= MAX_CONTEXTS:  # nor a bool
             raise ModelError(
                 f"n_contexts must be an integer from 1 to {MAX_CONTEXTS}, got {n_contexts!r}"
             )
@@ -278,57 +278,44 @@ def add_rows(model: TokenModel, contexts: np.ndarray, rows: np.ndarray) -> None:
 
 
 def save_model(model: TokenModel, path: str | Path) -> None:
-    """Write a checkpoint, storing only rows that left their zero init."""
-    nonzero = np.flatnonzero(model.rows.any(axis=1)[model.slots])
-    rows = {
-        str(int(ctx)): base64.b64encode(
-            np.ascontiguousarray(model.logits(ctx), dtype="<f8").tobytes()
-        ).decode("ascii")
-        for ctx in nonzero
-    }
+    """Write a checkpoint: the contexts whose rows left their zero init,
+    ascending, and those rows as one little-endian float64 blob."""
+    contexts = np.flatnonzero(model.rows.any(axis=1)[model.slots])
     payload = {
         "format": CHECKPOINT_FORMAT,
         "n_contexts": model.n_contexts,
         "vocab": list(model.vocab.tokens),
-        "dtype": "<f8",
-        "rows": rows,
+        "rows": contexts.tolist(),
+        "logits": base64.b64encode(model.logits(contexts).astype("<f8", copy=False)).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as out:  # streamed, never one string
         json.dump(payload, out, sort_keys=True)
 
 
 def load_model(path: str | Path) -> TokenModel:
-    return read_json(path, {"n_contexts": NUMBER, "vocab": list, "rows": dict}, _from_checkpoint)
+    return read_json(path, convert=_from_checkpoint)
 
 
 def _from_checkpoint(payload: dict) -> TokenModel:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ModelError(f"unsupported checkpoint format {payload.get('format')!r}")
+    require_fields(payload, {"n_contexts": NUMBER, "vocab": list, "rows": list, "logits": str})
     if not all(isinstance(token, str) for token in payload["vocab"]):
         raise ModelError("vocab holds a token that is not a string")
-    vocab = Vocabulary(tuple(payload["vocab"]))
-    contexts, rows = [], []
-    for key, blob in payload["rows"].items():
-        try:
-            ctx = int(key)
-        except ValueError:
-            raise ModelError(f"row key {key!r} is not an integer") from None
-        if key != str(ctx):  # so no two keys, such as "5" and "05", name one row
-            raise ModelError(f"row key {key!r} is not the canonical decimal of context {ctx}")
-        if not 0 <= ctx < payload["n_contexts"]:
-            raise ModelError(f"row {ctx} outside the context table")
-        if not isinstance(blob, str):
-            raise ModelError(f"row {ctx} is not a base64 string")
-        try:
-            row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
-        except ValueError:  # bad base64, or not whole float64 values
-            raise ModelError(f"row {ctx} is not base64 of float64 values") from None
-        if len(row) != len(vocab):
-            raise ModelError(f"row {ctx} does not match the vocabulary size")
-        contexts.append(ctx)
-        rows.append(row)
-    rows = np.reshape(rows, (len(rows), len(vocab)))
-    model = TokenModel.from_rows(vocab, payload["n_contexts"], contexts, rows)
-    if not np.isfinite(model.rows).all():
+    vocab, contexts = Vocabulary(tuple(payload["vocab"])), payload["rows"]
+    if not set(map(type, contexts)) <= {int}:  # a bool is not a context
+        raise ModelError("rows holds a context that is not an integer")
+    if contexts and not 0 <= min(contexts) <= max(contexts) < payload["n_contexts"]:
+        raise ModelError("rows holds a context outside the context table")
+    if (np.diff(contexts) <= 0).any():  # a context past int64 means an n_contexts create refuses
+        raise ModelError("rows are not strictly ascending")
+    try:
+        blob = base64.b64decode(payload["logits"], validate=True)
+    except ValueError:  # a non-base64 character, bad padding or non-ASCII text
+        raise ModelError("logits is not base64") from None
+    if len(blob) != 8 * len(contexts) * len(vocab):
+        raise ModelError(f"logits hold {len(blob)} bytes, not {len(contexts)} x {len(vocab)} float64 values")
+    logits = np.frombuffer(blob, dtype="<f8").reshape(len(contexts), len(vocab))
+    if not np.isfinite(logits).all():
         raise ModelError("non-finite parameters")
-    return model
+    return TokenModel.from_rows(vocab, payload["n_contexts"], contexts, logits)

@@ -3,12 +3,13 @@
 The pipeline is the table ``STAGES``: one declaration per stage naming the
 config values it reads, the files it reads and writes, and the library
 function that does its work. ``run_pipeline`` runs the stages in order, each
-guarded by a content hash over everything its declaration names and by the
-digests of the outputs it wrote, so re-running an unchanged configuration
-touches nothing and reports every stage as cached, while a changed output
-recomputes its stage. The CLI subcommands call the same stage functions. The
-report stage reads the test split's artifacts and leaves how they are judged
-to ``plangen.report``. All artifacts are deterministic functions of the input
+guarded by a content hash over everything its declaration names and the
+package's sources, and by the digests of the outputs it wrote, so re-running
+an unchanged configuration touches nothing and reports every stage as
+cached, while a changed output recomputes its stage and a source edit every
+stage. The CLI subcommands call the same stage functions. The report stage
+reads the test split's artifacts and leaves how they are judged to
+``plangen.report``. All artifacts are deterministic functions of the input
 files and the configured seeds.
 
 Stage layout inside the run directory:
@@ -28,6 +29,7 @@ Stage layout inside the run directory:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -36,7 +38,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
 from .catalog import Catalog, load_catalog, load_tables
 from .costs import CostModel
 from .dataset import (
@@ -572,6 +573,15 @@ class RunReport:
         return [name for name, status in self.stages if status == "cached"]
 
 
+@functools.cache
+def source_digest(package: Path = Path(__file__).parent) -> str:
+    """sha256 of the sorted names and bytes of the .py files in ``package``."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 class _StageRunner:
     """Runs declared stages, skipping those whose hash and output digests
     match stages.json."""
@@ -598,7 +608,7 @@ class _StageRunner:
 
     def _stage_hash(self, stage: Stage) -> str:
         declaration = {
-            "version": __version__,
+            "code": source_digest(),
             "stage": stage.name,
             "function": stage.fn.__name__,
             "inputs": stage.inputs,

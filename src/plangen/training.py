@@ -209,8 +209,7 @@ def _rewards(log_p: np.ndarray, reference: np.ndarray, beta: float) -> list[floa
 
 
 def train_qdpo(
-    policy_init: TokenModel, triples: Sequence[tuple[int, str, str]], config: TrainConfig,
-    trace_margin: bool = True,
+    policy_init: TokenModel, triples: Sequence[tuple[int, str, str]], config: TrainConfig
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Preference optimization against the frozen initial model.
 
@@ -231,8 +230,7 @@ def train_qdpo(
         loss, contexts, rows = _dpo_loss_grad(policy, encoded, batch, config.beta)
         rows *= -config.learning_rate
         add_rows(policy, contexts, rows)
-        margin = mean_margin(policy, encoded) if trace_margin else None
-        trace.append(TraceRow(step=step, loss=loss, margin=margin))
+        trace.append(TraceRow(step=step, loss=loss, margin=mean_margin(policy, encoded)))
     return policy, trace
 
 

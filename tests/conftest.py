@@ -34,7 +34,7 @@ from plangen.dataset import (
 from plangen.errors import PlangenError
 from plangen.executor import best_timing, micro_execute, read_plan_log
 from plangen.hints import HintError
-from plangen.jsonl import read_lines
+from plangen.jsonl import NUMBER, read_json, read_lines
 from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.pipeline import read_responses
@@ -53,7 +53,7 @@ from plangen.sql import (
     template_key,
     template_of,
 )
-from plangen.tokenizer import detokenize, tokenize
+from plangen.tokenizer import Vocabulary, detokenize, tokenize
 from plangen.training import TraceRow
 from plangen.validator import validate
 
@@ -297,23 +297,83 @@ def dense_model(vocab, theta: np.ndarray) -> TokenModel:
 
 
 def reference_save_model(vocab, theta: np.ndarray, path) -> None:
-    """The checkpoint writer over a dense table: only rows that left their zero init."""
-    nonzero = np.flatnonzero(theta.any(axis=1))
-    rows = {
-        str(int(ctx)): base64.b64encode(
-            np.ascontiguousarray(theta[ctx], dtype="<f8").tobytes()
-        ).decode("ascii")
-        for ctx in nonzero
-    }
+    """The checkpoint writer over a dense table: the contexts whose rows left
+    their zero init, ascending, and those rows as one blob."""
+    contexts = np.flatnonzero(theta.any(axis=1))
     payload = {
         "format": CHECKPOINT_FORMAT,
         "n_contexts": len(theta),
         "vocab": list(vocab.tokens),
+        "rows": [int(ctx) for ctx in contexts],
+        "logits": base64.b64encode(theta[contexts].astype("<f8").tobytes()).decode("ascii"),
+    }
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(payload, out, sort_keys=True)
+
+
+# --- checkpoint format /1 ---
+#
+# The format before /2: one base64 string of each non-zero row, keyed by the
+# canonical decimal of its context. Its writer and loader are kept here to
+# show that a /1 checkpoint and its /2 re-save hold the same logits.
+
+FORMAT_1 = "plangen-token-model/1"
+
+
+def save_model_format_1(model, path) -> None:
+    nonzero = np.flatnonzero(model.rows.any(axis=1)[model.slots])
+    rows = {
+        str(int(ctx)): base64.b64encode(
+            np.ascontiguousarray(model.logits(ctx), dtype="<f8").tobytes()
+        ).decode("ascii")
+        for ctx in nonzero
+    }
+    payload = {
+        "format": FORMAT_1,
+        "n_contexts": model.n_contexts,
+        "vocab": list(model.vocab.tokens),
         "dtype": "<f8",
         "rows": rows,
     }
     with open(path, "w", encoding="utf-8") as out:
         json.dump(payload, out, sort_keys=True)
+
+
+def load_model_format_1(path) -> TokenModel:
+    return read_json(path, {"n_contexts": NUMBER, "vocab": list, "rows": dict}, _from_format_1)
+
+
+def _from_format_1(payload: dict) -> TokenModel:
+    if payload.get("format") != FORMAT_1:
+        raise ModelError(f"unsupported checkpoint format {payload.get('format')!r}")
+    if not all(isinstance(token, str) for token in payload["vocab"]):
+        raise ModelError("vocab holds a token that is not a string")
+    vocab = Vocabulary(tuple(payload["vocab"]))
+    contexts, rows = [], []
+    for key, blob in payload["rows"].items():
+        try:
+            ctx = int(key)
+        except ValueError:
+            raise ModelError(f"row key {key!r} is not an integer") from None
+        if key != str(ctx):  # so no two keys, such as "5" and "05", name one row
+            raise ModelError(f"row key {key!r} is not the canonical decimal of context {ctx}")
+        if not 0 <= ctx < payload["n_contexts"]:
+            raise ModelError(f"row {ctx} outside the context table")
+        if not isinstance(blob, str):
+            raise ModelError(f"row {ctx} is not a base64 string")
+        try:
+            row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
+        except ValueError:  # bad base64, or not whole float64 values
+            raise ModelError(f"row {ctx} is not base64 of float64 values") from None
+        if len(row) != len(vocab):
+            raise ModelError(f"row {ctx} does not match the vocabulary size")
+        contexts.append(ctx)
+        rows.append(row)
+    rows = np.reshape(rows, (len(rows), len(vocab)))
+    model = TokenModel.from_rows(vocab, payload["n_contexts"], contexts, rows)
+    if not np.isfinite(model.rows).all():
+        raise ModelError("non-finite parameters")
+    return model
 
 
 # --- step-by-step decoding reference ---
@@ -431,7 +491,7 @@ def reference_train_qit(model, pairs, config):
     return dense_model(model.vocab, trained), trace
 
 
-def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
+def reference_train_qdpo(policy_init, triples, config):
     reference = dense_theta(policy_init)
     policy = reference.copy()
     encoded = []
@@ -463,12 +523,10 @@ def reference_train_qdpo(policy_init, triples, config, trace_margin=True):
         loss /= len(batch)
         for contexts, delta in updates:
             np.add.at(policy, contexts, -config.learning_rate * delta)
-        margin = None
-        if trace_margin:
-            total = 0.0
-            for chosen, rejected in encoded:
-                total += ref_log_prob(policy, chosen) - ref_log_prob(policy, rejected)
-            margin = total / len(encoded)
+        total = 0.0
+        for chosen, rejected in encoded:
+            total += ref_log_prob(policy, chosen) - ref_log_prob(policy, rejected)
+        margin = total / len(encoded)
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
     return dense_model(policy_init.vocab, policy), trace
 

@@ -431,12 +431,7 @@ def test_criterion_8_gradient_checks():
     # The check perturbs only a copy of the policy, never the reference.
     assert dense_theta(reference).tobytes() == before
     # The frozen reference is untouched by training itself.
-    train_qdpo(
-        reference,
-        triples,
-        TrainConfig(learning_rate=0.01, steps=5, beta=0.1, seed=1),
-        trace_margin=False,
-    )
+    train_qdpo(reference, triples, TrainConfig(learning_rate=0.01, steps=5, beta=0.1, seed=1))
     assert dense_theta(reference).tobytes() == before
     passed(8, "finite differences agree within 1e-5 on 200+ parameters; reference frozen")
 
@@ -514,7 +509,7 @@ def test_criterion_9_two_stage_training(preference_fixture):
     runs = {}
     for beta in (0.05, 0.5):
         config = TrainConfig(learning_rate=0.4, steps=3000, batch_size=8, beta=beta, seed=96)
-        trained, _ = train_qdpo(sft_model, triples, config, trace_margin=False)
+        trained, _ = train_qdpo(sft_model, triples, config)
         runs[beta] = float(np.linalg.norm(dense_theta(trained) - dense_theta(sft_model)))
     assert runs[0.5] < runs[0.05]
     passed(9, "overfit reproduction; margins rise on >=95% of 50 triples; beta controls divergence")

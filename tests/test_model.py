@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,9 +25,11 @@ from tests.conftest import (
     FIXTURES_DIR,
     dense_model,
     dense_theta,
+    load_model_format_1,
     reference_greedy_decode,
     reference_prompt_key,
     reference_save_model,
+    save_model_format_1,
 )
 
 RESPONSES = [
@@ -192,6 +196,59 @@ def test_checkpoint_round_trip(tmp_path, random_model):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_saved_model_loads_with_every_logit_and_resaves_its_bytes(tmp_path_factory, data):
+    """Any context count, any touched set (none included, rows reserved in
+    any order) and rows left at zero: the loaded model reads the same logits
+    for every context, its slab holds only the non-zero rows, and saving it
+    again writes the same bytes."""
+    n_contexts = data.draw(st.integers(1, 2**17), label="n_contexts")
+    vocab = Vocabulary((BOS, EOS, UNK, *(f"w{i}" for i in range(data.draw(st.integers(0, 5))))))
+    touched = data.draw(st.lists(st.integers(0, n_contexts - 1), max_size=40, unique=True), label="touched")
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0)
+    row = st.lists(value, min_size=len(vocab), max_size=len(vocab)) | st.just([0.0] * len(vocab))
+    rows = np.array(data.draw(st.lists(row, min_size=len(touched), max_size=len(touched))), dtype=float)
+    model = TokenModel.create(vocab, n_contexts)
+    model.reserve(touched)
+    model.rows[model.slots[touched]] = rows.reshape(len(touched), len(vocab)) + 0.0  # no -0.0
+    out = tmp_path_factory.mktemp("round_trip")
+    save_model(model, out / "a.ckpt")
+    loaded = load_model(out / "a.ckpt")
+    every = np.arange(n_contexts)
+    assert loaded.logits(every).tobytes() == model.logits(every).tobytes()
+    assert len(loaded.rows) == 1 + int(model.rows.any(axis=1).sum())
+    save_model(loaded, out / "b.ckpt")
+    assert (out / "a.ckpt").read_bytes() == (out / "b.ckpt").read_bytes()
+
+
+# sha256 of the fixture run's checkpoints as the format /1 writer wrote them.
+FIXTURE_FORMAT_1_SHA256 = {
+    "qit": "9be4b6063b97dd4dd02dc2856f935834ff15ca8f64605ce7faf1c84394ae47ae",
+    "qdpo": "b58ffe8691597840fd961cea4fea443156f14a96e28d0e454472ab7a474532b8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMAT_1_SHA256))
+def test_a_format_1_checkpoint_holds_the_logits_of_its_format_2_resave(fixture_run_dir, tmp_path, name):
+    """The fixture run's model written as /1 has the bytes the /1 writer
+    gave it; read back by the /1 loader it re-saves as the run's /2 bytes,
+    and both formats give every context the same logits. The /2 loader
+    refuses the /1 file, naming it and its format."""
+    ckpt = fixture_run_dir / f"{name}.ckpt"
+    model, old = load_model(ckpt), tmp_path / "format_1.ckpt"
+    save_model_format_1(model, old)
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == FIXTURE_FORMAT_1_SHA256[name]
+    from_old = load_model_format_1(old)
+    save_model(from_old, tmp_path / "resaved.ckpt")
+    assert (tmp_path / "resaved.ckpt").read_bytes() == ckpt.read_bytes()
+    every = np.arange(model.n_contexts)
+    assert from_old.logits(every).tobytes() == model.logits(every).tobytes()
+    refusal = f"{old}: unsupported checkpoint format 'plangen-token-model/1'"
+    with pytest.raises(ModelError, match=f"^{re.escape(refusal)}$"):
+        load_model(old)
+
+
 def test_checkpoint_rejects_non_finite(tmp_path, random_model):
     theta = dense_theta(random_model)
     theta[0, 0] = np.inf
@@ -298,17 +355,22 @@ def test_greedy_decode_of_a_huge_max_len_stops_at_eos(vocab):
 
 
 @pytest.fixture(scope="module")
-def fixture_qdpo(tmp_path_factory):
-    """The fixture run's qdpo model and the template keys of 300 fresh
-    join-1..5 queries, most of whose templates it never trained on."""
+def fixture_run_dir(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("fixture") / "run"
     config = PipelineConfig.from_file(FIXTURES_DIR / "pipeline.cfg")
     run_pipeline(config.with_overrides(out_dir=str(run_dir), tables=str(FIXTURES_DIR / "tables"),
                                        catalog=str(FIXTURES_DIR / "catalog.txt"),
                                        join_graph=str(FIXTURES_DIR / "joins.txt")))
+    return run_dir
+
+
+@pytest.fixture(scope="module")
+def fixture_qdpo(fixture_run_dir):
+    """The fixture run's qdpo model and the template keys of 300 fresh
+    join-1..5 queries, most of whose templates it never trained on."""
     catalog = load_catalog(FIXTURES_DIR / "catalog.txt")
     queries = stage_workload(catalog, FIXTURES_DIR / "joins.txt", "1,2,3,4,5", 300, 21)
-    return load_model(run_dir / "qdpo.ckpt"), [template_key(template_of(q)) for q in queries]
+    return load_model(fixture_run_dir / "qdpo.ckpt"), [template_key(template_of(q)) for q in queries]
 
 
 def test_greedy_decode_equals_the_reference_on_the_trained_fixture_model(fixture_qdpo):

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -384,6 +385,71 @@ def test_stages_json_without_output_digests_recomputes(tmp_path):
     assert all(status == "computed" for _, status in result.stages)
     assert _tree_bytes(tmp_path / "run") == fresh
     assert all(status == "cached" for _, status in run_pipeline(config).stages)
+
+
+# Runs the config argv[1] into each run directory that follows, with plangen
+# imported from PYTHONPATH, and prints where plangen came from and each run's
+# stage statuses.
+_RUN_SCRIPT = """
+import json, sys
+import plangen
+from plangen.pipeline import PipelineConfig, run_pipeline
+config = PipelineConfig.from_file(sys.argv[1])
+runs = [dict(run_pipeline(config.with_overrides(out_dir=d)).stages) for d in sys.argv[2:]]
+print(json.dumps({"package": plangen.__file__, "runs": runs}))
+"""
+
+
+def _run_with_package(root: Path, config: Path, *run_dirs: Path) -> list[dict]:
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    result = subprocess.run([sys.executable, "-c", _RUN_SCRIPT, config, *run_dirs],
+                            env=env, capture_output=True, text=True, check=True)
+    out = json.loads(result.stdout)
+    assert Path(out["package"]).resolve().parent == (root / "plangen").resolve()
+    return out["runs"]
+
+
+def _copy_package(root: Path) -> Path:
+    package = root / "plangen"
+    shutil.copytree(Path(pipeline.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    return package
+
+
+def test_a_source_edit_recomputes_every_stage_to_a_fresh_run(tmp_path):
+    """A run directory made by one copy of the package is fully cached under
+    that copy; after a one-byte edit of its sources every stage recomputes,
+    and the run directory equals a fresh run of the edited copy."""
+    package = _copy_package(tmp_path / "src")
+    config = tmp_path / "fast.cfg"
+    config.write_text(_fixture_config_text(tmp_path / "unused") + "workload_count = 20\n"
+                      "workload_joins = 1,2\nqit_steps = 150\nqdpo_steps = 40\nn_contexts = 65536\n")
+    first, again = _run_with_package(tmp_path / "src", config, tmp_path / "run", tmp_path / "run")
+    assert set(first.values()) == {"computed"} and set(again.values()) == {"cached"}
+    model_py = package / "model.py"
+    model_py.write_bytes(model_py.read_bytes() + b"\n")
+    edited, fresh = _run_with_package(tmp_path / "src", config, tmp_path / "run", tmp_path / "fresh")
+    assert len(edited) == len(STAGES) and set(edited.values()) == {"computed"}
+    assert set(fresh.values()) == {"computed"}
+    assert _tree_bytes(tmp_path / "run") == _tree_bytes(tmp_path / "fresh")
+
+
+def test_source_digest_covers_each_package_source_and_nothing_else(tmp_path):
+    package = _copy_package(tmp_path)
+    digest = pipeline.source_digest.__wrapped__  # uncached: the copy changes below
+    base = digest(package)
+    assert base == pipeline.source_digest()
+    (tmp_path / "setup.py").write_text("x = 1\n")  # beside the package, not in it
+    (package / "notes.txt").write_text("x = 1\n")  # not a source
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "model.py").write_text("x = 1\n")
+    assert digest(package) == base
+    for path in sorted(package.glob("*.py")):
+        source = path.read_bytes()
+        path.write_bytes(source + b"\n")
+        assert digest(package) != base, path.name
+        path.write_bytes(source)
+    (package / "extra.py").write_text("")
+    assert digest(package) != base
 
 
 @pytest.fixture(scope="module")
@@ -806,7 +872,7 @@ def _zero_join_count(tmp_path):
 def _checkpoint_without_vocab(tmp_path):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text(
-        json.dumps({"format": "plangen-token-model/1", "n_contexts": 4, "rows": {}}),
+        json.dumps({"format": "plangen-token-model/2", "n_contexts": 4, "rows": [], "logits": ""}),
         encoding="utf-8",
     )
     sql = tmp_path / "q.sql"
@@ -914,16 +980,25 @@ def _train_qit_too_many_contexts(tmp_path):
 
 def _infer_with_checkpoint(tmp_path, **fields):
     ckpt = tmp_path / "bad.ckpt"
-    payload = {"format": "plangen-token-model/1", "n_contexts": 4,
-               "vocab": ["<bos>", "<eos>", "<unk>"], "rows": {}, **fields}
+    payload = {"format": "plangen-token-model/2", "n_contexts": 4,
+               "vocab": ["<bos>", "<eos>", "<unk>"], "rows": [], "logits": "", **fields}
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     sql = tmp_path / "q.sql"
     sql.write_text("SELECT * FROM title;")
     return ["infer", "--model", ckpt, "--sql", sql, "--catalog", FIXTURES / "catalog.txt"]
 
 
+def _logits(*rows):
+    """The ``logits`` blob of rows of three float64 values."""
+    return base64.b64encode(np.array(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _checkpoint_with_fractional_contexts(tmp_path):
     return _infer_with_checkpoint(tmp_path, n_contexts=4.5), "bad.ckpt: n_contexts"
+
+
+def _checkpoint_with_boolean_context_count(tmp_path):
+    return _infer_with_checkpoint(tmp_path, n_contexts=True), "bad.ckpt: n_contexts"
 
 
 def _checkpoint_with_too_many_contexts(tmp_path):
@@ -931,19 +1006,68 @@ def _checkpoint_with_too_many_contexts(tmp_path):
 
 
 def _checkpoint_with_bad_row_key(tmp_path):
-    return _infer_with_checkpoint(tmp_path, rows={"x1": "AAAA"}), "bad.ckpt: row key 'x1'"
+    args = _infer_with_checkpoint(tmp_path, rows=["1"], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: rows holds a context that is not an integer"
+
+
+def _checkpoint_with_fractional_context(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[1.0], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: rows holds a context that is not an integer"
+
+
+def _checkpoint_with_bool_context(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[True], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: rows holds a context that is not an integer"
 
 
 def _checkpoint_with_two_keys_for_one_row(tmp_path):
-    def row(value):
-        return base64.b64encode(np.full(3, value, dtype="<f8").tobytes()).decode("ascii")
+    args = _infer_with_checkpoint(tmp_path, n_contexts=8, rows=[5, 5], logits=_logits([1.0] * 3, [2.0] * 3))
+    return args, "bad.ckpt: rows are not strictly ascending"
 
-    rows = {"5": row(1.0), "05": row(2.0)}
-    return _infer_with_checkpoint(tmp_path, n_contexts=8, rows=rows), "bad.ckpt: row key '05'"
+
+def _checkpoint_with_descending_contexts(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[2, 1], logits=_logits([1.0] * 3, [2.0] * 3))
+    return args, "bad.ckpt: rows are not strictly ascending"
+
+
+def _checkpoint_with_context_out_of_range(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[4], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: rows holds a context outside the context table"
+
+
+def _checkpoint_with_negative_context(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[-1], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: rows holds a context outside the context table"
+
+
+def _checkpoint_with_rows_not_a_list(tmp_path):
+    return _infer_with_checkpoint(tmp_path, rows={"1": _logits([1.0, 2.0, 3.0])}), (
+        "bad.ckpt: 'rows' must be a list, not dict"
+    )
 
 
 def _checkpoint_with_numeric_row(tmp_path):
-    return _infer_with_checkpoint(tmp_path, rows={"1": 5}), "bad.ckpt: row 1 is not a base64"
+    return _infer_with_checkpoint(tmp_path, rows=[1], logits=5), "bad.ckpt: 'logits' must be a string, not int"
+
+
+def _checkpoint_with_bad_base64(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[1], logits=_logits([1.0, 2.0, 3.0])[:-1] + "!")
+    return args, "bad.ckpt: logits is not base64"
+
+
+def _checkpoint_with_logits_of_another_length(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[1, 2], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: logits hold 24 bytes, not 2 x 3 float64 values"
+
+
+def _checkpoint_with_non_finite_logit(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, rows=[1], logits=_logits([1.0, float("nan"), 3.0]))
+    return args, "bad.ckpt: non-finite parameters"
+
+
+def _checkpoint_in_format_1(tmp_path):
+    args = _infer_with_checkpoint(tmp_path, format="plangen-token-model/1", rows={"1": _logits([1.0, 2.0, 3.0])})
+    return args, "bad.ckpt: unsupported checkpoint format 'plangen-token-model/1'"
 
 
 def _unreadable_stages_json(tmp_path):
@@ -1367,7 +1491,12 @@ def _grad_check_negative_samples(tmp_path):
      _train_qit_zero_contexts, _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
      _too_many_contexts_in_config, _train_qit_too_many_contexts, _checkpoint_with_too_many_contexts,
      _checkpoint_with_two_keys_for_one_row,
-     _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _unreadable_stages_json,
+     _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _checkpoint_with_fractional_context,
+     _checkpoint_with_bool_context, _checkpoint_with_descending_contexts,
+     _checkpoint_with_context_out_of_range, _checkpoint_with_negative_context,
+     _checkpoint_with_rows_not_a_list, _checkpoint_with_bad_base64,
+     _checkpoint_with_logits_of_another_length, _checkpoint_with_non_finite_logit,
+     _checkpoint_in_format_1, _checkpoint_with_boolean_context_count, _unreadable_stages_json,
      _unreadable_report_json, _plan_log_with_zero_time, _plan_log_with_bad_bracket,
      _plan_log_with_repeated_optimizer, _plan_log_with_one_plan, _undecodable_corpus,
      _plan_log_is_a_directory, _bad_join_edge, _bad_catalog_field, _ragged_table_row,

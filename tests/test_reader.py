@@ -34,8 +34,8 @@ SAMPLE_LINES = [
     "movie_id,kind_id",
     "0,1",
     '{"query_id": "q0001", "response": "x"}',
-    '{"format": "plangen-token-model/1", "n_contexts": 4, "vocab": ["<bos>", "<eos>", "<unk>"], '
-    '"rows": {"1": "AAAA"}}',
+    '{"format": "plangen-token-model/2", "n_contexts": 4, "vocab": ["<bos>", "<eos>", "<unk>"], '
+    '"rows": [1], "logits": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}',
 ]
 CONTENTS = (
     st.binary()

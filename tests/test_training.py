@@ -197,14 +197,8 @@ def test_beta_controls_divergence():
     triples = _toy_triples()
     vocab = build_vocab([t[1] for t in triples] + [t[2] for t in triples])
     policy = TokenModel.create(vocab, 512)
-    small, _ = train_qdpo(
-        policy, triples, qdpo_config(steps=2500, learning_rate=0.05, beta=0.05, seed=3),
-        trace_margin=False,
-    )
-    large, _ = train_qdpo(
-        policy, triples, qdpo_config(steps=2500, learning_rate=0.05, beta=0.5, seed=3),
-        trace_margin=False,
-    )
+    small, _ = train_qdpo(policy, triples, qdpo_config(steps=2500, learning_rate=0.05, beta=0.05, seed=3))
+    large, _ = train_qdpo(policy, triples, qdpo_config(steps=2500, learning_rate=0.05, beta=0.5, seed=3))
     disp_small = float(np.linalg.norm(dense_theta(small) - dense_theta(policy)))
     disp_large = float(np.linalg.norm(dense_theta(large) - dense_theta(policy)))
     assert disp_large < disp_small
@@ -364,7 +358,7 @@ def test_a_model_trained_on_the_fixture_holds_under_two_megabytes(fixture_datase
     """The fixture config's 131072 contexts hold only the trained rows."""
     pairs, triples = fixture_datasets
     qit, _ = fit_qit_from_records(pairs, qit_config(steps=5, seed=1), n_contexts=131072)
-    qdpo, _ = train_qdpo(qit, triples, qdpo_config(steps=5, seed=2), trace_margin=False)
+    qdpo, _ = train_qdpo(qit, triples, qdpo_config(steps=5, seed=2))
     for model in (qit, qdpo):
         assert sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray)) < 2 * 2**20
 
