@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PlangenError
 from .jsonl import read_lines
@@ -61,9 +61,6 @@ class Catalog:
     """
 
     tables: dict[str, tuple[tuple[str, ColumnStats], ...]]
-
-    def table_names(self) -> list[str]:
-        return list(self.tables)
 
     def columns(self, table: str) -> tuple[tuple[str, ColumnStats], ...]:
         try:
@@ -141,17 +138,6 @@ def load_catalog(path: str | Path) -> Catalog:
     return Catalog(tables)
 
 
-def save_catalog(catalog: Catalog) -> str:
-    """Render a Catalog back to the pipe-delimited file format."""
-    lines = []
-    for name, cols in catalog.tables.items():
-        fields = [name] + [
-            f"{cname}:{s.min_value}:{s.max_value}:{s.distinct_count}" for cname, s in cols
-        ]
-        lines.append("|".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def load_table(path: str | Path) -> MicroTable:
     """Read a micro table file; the table name is the file stem."""
     path = Path(path)
@@ -186,12 +172,6 @@ def load_tables(directory: str | Path) -> dict[str, MicroTable]:
     return {path.stem: load_table(path) for path in paths}
 
 
-def save_table(table: MicroTable) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(str(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
-
-
 def derive_stats(table: MicroTable) -> list[tuple[str, ColumnStats]]:
     """Exact min/max/distinct per column; empty columns yield [0,0,0]."""
     out = []
@@ -202,10 +182,6 @@ def derive_stats(table: MicroTable) -> list[tuple[str, ColumnStats]]:
         else:
             out.append((cname, ColumnStats(min(values), max(values), len(set(values)))))
     return out
-
-
-def catalog_from_tables(tables: Iterable[MicroTable]) -> Catalog:
-    return Catalog({t.name: tuple(derive_stats(t)) for t in tables})
 
 
 def serialize_stats(catalog: Catalog, tables: Sequence[str]) -> str:

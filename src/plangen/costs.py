@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import plans
 from .catalog import Catalog, ColumnStats
 from .sql import JoinPredicate, QuerySpec, Selection
 
@@ -62,14 +61,6 @@ class CostModel:
         """Estimated result size of joining a connected table subset."""
         estimates = self.estimates(query)
         return estimates.cardinality(estimates.mask(tables))
-
-    def plan_cost(self, plan: plans.PlanTree, query: QuerySpec) -> float:
-        """Sum of estimated intermediate cardinalities over the join nodes."""
-        estimates = self.estimates(query)
-        total = 0.0
-        for node in plans.join_nodes(plan):
-            total += estimates.cardinality(estimates.mask(plans.leaves(node)))
-        return total
 
 
 @dataclass(frozen=True)

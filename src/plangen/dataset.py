@@ -12,7 +12,7 @@ from the other records, a sibling with the same query template (same tables
 and join predicates), or in ``fallback`` mode the most similar record. The
 tabular model conditions only on ``sql.template_key``, so inference
 (``pipeline.decode_query``) builds no prompt; it keeps only the rule of
-``demonstration_siblings``, under which ``strict`` fails without a sibling
+``require_demonstration``, under which ``strict`` fails without a sibling
 and ``fallback`` without any candidate, over the pool records whose SQL
 text is not the query's.
 """
@@ -104,26 +104,30 @@ def extract_input_statistics(prompt: str) -> str:
     return prompt[at + len(marker):]
 
 
-def demonstration_siblings(
-    template: QueryTemplate, candidates: Sequence[InstructionRecord], mode: str, label: str
-) -> list[InstructionRecord]:
-    """The candidates sharing ``template``, in candidate order; none in ``none`` mode.
-
-    Raises NoDemonstrationAvailable, naming the query by ``label``, when
-    ``strict`` finds no sibling or ``fallback`` no candidate at all.
-    """
+def require_demonstration(
+    template: QueryTemplate, pool: Sequence[InstructionRecord], mode: str, label: str, sql: str | None = None
+) -> None:
+    """Raise NoDemonstrationAvailable, naming the query by ``label``, when
+    ``strict`` finds no pool record sharing ``template`` or ``fallback`` no
+    record at all, counting only records whose SQL text is not ``sql``. Each
+    scan stops at its first match; ``none`` mode scans nothing."""
     if mode not in DEMO_MODES:
         raise DatasetError(f"unknown demonstration mode {mode!r}")
-    if mode == "none":
-        return []
-    siblings = [r for r in candidates if r.template == template]
-    if not siblings and mode == "strict":
+    if mode == "strict" and not any(r.template == template and r.sql != sql for r in pool):
         raise NoDemonstrationAvailable(f"no record shares the template of query {label}")
-    if not candidates:
+    if mode == "fallback" and not any(r.sql != sql for r in pool):
         raise NoDemonstrationAvailable(
             f"no candidate record is left for the demonstration of query {label}"
         )
-    return siblings
+
+
+def demonstration_siblings(
+    template: QueryTemplate, candidates: Sequence[InstructionRecord], mode: str, label: str
+) -> list[InstructionRecord]:
+    """The candidates sharing ``template``, in candidate order; none in ``none``
+    mode. Raises as ``require_demonstration`` over every candidate does."""
+    require_demonstration(template, candidates, mode, label)
+    return [r for r in candidates if r.template == template] if mode != "none" else []
 
 
 def select_demonstration(

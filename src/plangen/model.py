@@ -24,13 +24,16 @@ floats a dense table would hold.
 Decoding is greedy. An untouched context's logits are all zero, so its
 argmax is token 0, <bos>: ``greedy_decode`` argmaxes only touched rows, and
 reads a run of <bos> steps, whose contexts depend only on their positions,
-a block at a time up to its first other token. Responses equal step-by-step
-decoding.
+a block at a time up to its first other token. Below ``_BOS_BLOCK`` the
+key-free inner hash of a step is read from a table built once per
+vocabulary size, so a step hashes once, and a decode gathers the first
+block's rows at most once. Responses equal step-by-step decoding.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,7 +75,16 @@ def _after_bos(start: int, end: int) -> np.ndarray:
     return _splitmix(np.arange(start, end, dtype=np.uint64) ^ np.uint64(_splitmix(0)))
 
 
-_AFTER_BOS = _after_bos(0, _BOS_BLOCK)  # every block that ends by position _BOS_BLOCK
+_AFTER_BOS = _after_bos(0, _BOS_BLOCK)  # the after-<bos> steps below _BOS_BLOCK
+
+
+@functools.lru_cache(maxsize=8)
+def _inner_hashes(width: int) -> list[list[int]]:
+    """``_splitmix(position ^ _splitmix(prev))`` as Python ints, indexed
+    [position][prev] for every position below _BOS_BLOCK and token id below
+    ``width``: a step's context is then one splitmix of key ^ this."""
+    positions = np.arange(_BOS_BLOCK, dtype=np.uint64)[:, np.newaxis]
+    return _splitmix(positions ^ _splitmix(np.arange(width, dtype=np.uint64))).tolist()
 
 
 @dataclass
@@ -89,6 +101,7 @@ class TokenModel:
                 f"n_contexts must be an integer from 1 to {MAX_CONTEXTS}, got {n_contexts!r}"
             )
         slots = np.zeros(n_contexts, dtype=np.int32)
+        _inner_hashes(len(vocab))  # built here, so no decode pays for it
         return cls(vocab, n_contexts, slots, np.zeros((1, len(vocab))))
 
     @classmethod
@@ -188,19 +201,28 @@ class TokenModel:
 
     def greedy_decode(self, key: int, max_len: int) -> str:
         """Argmax decoding up to ``max_len`` steps or <eos>. A run of <bos> is
-        read _BOS_BLOCK positions at a time and appends one <bos>: detokenize
-        resets its spacing on a run once. Other steps hash one context each."""
+        read up to _BOS_BLOCK positions at a time and appends one <bos>:
+        detokenize resets its spacing on a run once. The rows of the block
+        below _BOS_BLOCK are gathered at the first run and sliced by later
+        ones. Other steps hash one context each, through ``_inner_hashes``
+        below _BOS_BLOCK and through ``context_id`` past it."""
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
-        bos, eos = self.vocab.bos_id, self.vocab.eos_id
-        rows, slots = self.rows, self.slots
+        bos, eos, n_contexts = self.vocab.bos_id, self.vocab.eos_id, self.n_contexts
+        rows, slots, inner = self.rows, self.slots, _inner_hashes(len(self.vocab))
+        first = None  # slots of the after-<bos> steps below min(_BOS_BLOCK, max_len)
         out: list[int] = []
         position, prev = 0, bos
         while position < max_len:
             if out and prev == bos:  # a run of <bos>, after its first step
-                end = min(position + _BOS_BLOCK, max_len)
-                inner = _AFTER_BOS[position:end] if end <= _BOS_BLOCK else _after_bos(position, end)
-                at = slots[(_splitmix(inner ^ key) % self.n_contexts).astype(np.intp)]
+                if position < _BOS_BLOCK:
+                    end = min(_BOS_BLOCK, max_len)
+                    if first is None:
+                        first = slots[(_splitmix(_AFTER_BOS[:end] ^ key) % n_contexts).astype(np.intp)]
+                    at = first[position:]
+                else:
+                    end = min(position + _BOS_BLOCK, max_len)
+                    at = slots[(_splitmix(_after_bos(position, end) ^ key) % n_contexts).astype(np.intp)]
                 touched = at.nonzero()[0]
                 tokens = rows[at[touched]].argmax(axis=1)
                 ends = (tokens != bos).nonzero()[0]
@@ -210,7 +232,13 @@ class TokenModel:
                 position += int(touched[ends[0]])
                 token = int(tokens[ends[0]])
             else:
-                slot = slots.item(self.context_id(key, position, prev))
+                if position < _BOS_BLOCK:  # _splitmix(key ^ inner), inlined
+                    x = ((key ^ inner[position][prev]) + 0x9E3779B97F4A7C15) & _MASK
+                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+                    slot = slots.item((x ^ (x >> 31)) % n_contexts)
+                else:
+                    slot = slots.item(self.context_id(key, position, prev))
                 token = int(rows[slot].argmax()) if slot else bos
             if token == eos:
                 break

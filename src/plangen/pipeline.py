@@ -43,10 +43,10 @@ from .costs import CostModel
 from .dataset import (
     NoDemonstrationAvailable,
     build_sft_dataset,
-    demonstration_siblings,
     extract_input_sql,
     load_dataset,
     query_ids,
+    require_demonstration,
     write_dataset,
 )
 from .errors import PlangenError
@@ -326,12 +326,13 @@ def build_preferences_from_logs(
 def decode_query(model, query, catalog: Catalog, pool, demo_mode: str, max_len: int) -> str:
     """Greedy-decode one query from its template key. No prompt is built,
     since the token model reads only the key, but the errors of prompt
-    assembly stay: a missing demonstration (``demonstration_siblings``, where
-    no pool record with the query's SQL text is a candidate), then a table
-    the catalog lacks."""
+    assembly stay: a missing demonstration (``require_demonstration``, where
+    no pool record with the query's SQL text is a candidate, and the pool is
+    scanned only up to the first record that settles it), then a table the
+    catalog lacks."""
     sql = render_sql(query)
     template = template_of(query)
-    demonstration_siblings(template, [r for r in pool if r.sql != sql], demo_mode, sql)
+    require_demonstration(template, pool, demo_mode, sql, sql)
     for table in query.from_order:
         catalog.columns(table)
     return model.greedy_decode(template_key(template), max_len)
@@ -568,9 +569,6 @@ class RunReport:
     report: dict
     stages: list[tuple[str, str]]
     seconds: dict[str, float]  # wall time per stage; kept out of the run directory
-
-    def cache_hits(self) -> list[str]:
-        return [name for name, status in self.stages if status == "cached"]
 
 
 @functools.cache

@@ -115,10 +115,6 @@ def join_nodes(plan: PlanTree) -> list[Join]:
     return join_nodes(plan.left) + join_nodes(plan.right) + [plan]
 
 
-def join_count(plan: PlanTree) -> int:
-    return len(join_nodes(plan))
-
-
 def validate_plan(plan: PlanTree) -> None:
     """Reject trees whose leaves repeat a table name."""
     names = leaves(plan)

@@ -13,6 +13,7 @@ before any parse error. The parser then walks that list by index.
 
 from __future__ import annotations
 
+import functools
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -273,8 +274,10 @@ def template_of(query: QuerySpec) -> QueryTemplate:
     return QueryTemplate(tables=query.tables, joins=query.joins)
 
 
+@functools.lru_cache(maxsize=4096)
 def template_key(template: QueryTemplate) -> int:
-    """The 64-bit key the token model conditions on."""
+    """The 64-bit key the token model conditions on; each template is keyed
+    once while it stays among the 4096 most recently keyed."""
     return fnv1a64("template:" + template.key())
 
 

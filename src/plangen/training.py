@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,14 +63,6 @@ class TrainConfig:
             raise TrainingError(f"batch size must be positive, got {self.batch_size}")
         if self.beta <= 0:
             raise TrainingError(f"beta must be positive, got {self.beta}")
-
-
-def qit_config(**overrides) -> TrainConfig:
-    return replace(TrainConfig(learning_rate=QIT_LEARNING_RATE, steps=QIT_STEPS), **overrides)
-
-
-def qdpo_config(**overrides) -> TrainConfig:
-    return replace(TrainConfig(learning_rate=QDPO_LEARNING_RATE, steps=QDPO_STEPS), **overrides)
 
 
 # --- objectives ---

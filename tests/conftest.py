@@ -12,13 +12,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from plangen.catalog import (
-    Catalog, MicroTable, catalog_from_tables, load_tables, save_catalog, save_table,
-)
+from plangen.catalog import Catalog, MicroTable, derive_stats, load_tables
 from plangen.costs import CostModel
 from plangen.dataset import (
     DEMO_MODES,
@@ -37,8 +36,10 @@ from plangen.hints import HintError
 from plangen.jsonl import NUMBER, read_json, read_lines
 from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
-from plangen.pipeline import read_responses
-from plangen.plans import JOIN_OPERATORS, Join, Leaf, PlanTree, leaves, render_response, tree_to_bracket
+from plangen.pipeline import RunReport, read_responses
+from plangen.plans import (
+    JOIN_OPERATORS, Join, Leaf, PlanTree, join_nodes, leaves, render_response, tree_to_bracket,
+)
 from plangen.report import timing_summary
 from plangen.sql import (
     JoinPredicate,
@@ -54,10 +55,66 @@ from plangen.sql import (
     template_of,
 )
 from plangen.tokenizer import Vocabulary, detokenize, tokenize
-from plangen.training import TraceRow
+from plangen.training import (
+    QDPO_LEARNING_RATE, QDPO_STEPS, QIT_LEARNING_RATE, QIT_STEPS, TraceRow, TrainConfig,
+)
 from plangen.validator import validate
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# --- helpers only tests use ---
+
+
+def plan_cost(model: CostModel, plan: PlanTree, query: QuerySpec) -> float:
+    """Sum of estimated intermediate cardinalities over the join nodes."""
+    estimates = model.estimates(query)
+    total = 0.0
+    for node in join_nodes(plan):
+        total += estimates.cardinality(estimates.mask(leaves(node)))
+    return total
+
+
+def qit_config(**overrides) -> TrainConfig:
+    return replace(TrainConfig(learning_rate=QIT_LEARNING_RATE, steps=QIT_STEPS), **overrides)
+
+
+def qdpo_config(**overrides) -> TrainConfig:
+    return replace(TrainConfig(learning_rate=QDPO_LEARNING_RATE, steps=QDPO_STEPS), **overrides)
+
+
+def save_catalog(catalog: Catalog) -> str:
+    """Render a Catalog back to the pipe-delimited file format."""
+    lines = []
+    for name, cols in catalog.tables.items():
+        fields = [name] + [
+            f"{cname}:{s.min_value}:{s.max_value}:{s.distinct_count}" for cname, s in cols
+        ]
+        lines.append("|".join(fields))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def save_table(table: MicroTable) -> str:
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(str(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def catalog_from_tables(tables: Iterable[MicroTable]) -> Catalog:
+    return Catalog({t.name: tuple(derive_stats(t)) for t in tables})
+
+
+def table_names(catalog: Catalog) -> list[str]:
+    return list(catalog.tables)
+
+
+def join_count(plan: PlanTree) -> int:
+    return len(join_nodes(plan))
+
+
+def cache_hits(report: RunReport) -> list[str]:
+    return [name for name, status in report.stages if status == "cached"]
+
 
 # Fig. 3 style catalog used by the golden prompt/statistics tests.
 MOVIE_CATALOG_TEXT = """\
@@ -843,6 +900,24 @@ def _ref_prompt_with_demonstration(query, catalog, candidates, mode, rng, label)
     if record is not None:
         demo = Demonstration(record.sql, extract_input_statistics(record.prompt), record.response)
     return build_prompt(query, catalog, demo)
+
+
+def reference_demonstration_siblings(template, candidates, mode, label):
+    """dataset.demonstration_siblings as it read when decode_query called it
+    over a copy of the pool without the query's own text;
+    dataset.require_demonstration must raise what that call raised."""
+    if mode not in DEMO_MODES:
+        raise DatasetError(f"unknown demonstration mode {mode!r}")
+    if mode == "none":
+        return []
+    siblings = [r for r in candidates if r.template == template]
+    if not siblings and mode == "strict":
+        raise NoDemonstrationAvailable(f"no record shares the template of query {label}")
+    if not candidates:
+        raise NoDemonstrationAvailable(
+            f"no candidate record is left for the demonstration of query {label}"
+        )
+    return siblings
 
 
 def reference_decode_query(model, query, catalog, pool, demo_mode, demo_seed, max_len, label) -> str:

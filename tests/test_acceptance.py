@@ -40,7 +40,6 @@ from plangen.training import (
     dpo_reward_diff,
     encode_triples,
     fit_qit_from_records,
-    qit_config,
     sequence_log_prob,
     sft_grad_check,
     sft_loss,
@@ -55,6 +54,8 @@ from tests.conftest import (
     canonical_multiset,
     dense_model,
     dense_theta,
+    plan_cost,
+    qit_config,
     random_plan,
     reference_time,
 )
@@ -306,8 +307,8 @@ def test_criterion_5_dp_optimality(fixture_catalog, fixture_graph):
     for combo in _connected_subsets(fixture_graph):
         query = _induced_query(combo, fixture_graph)
         best = dp_optimize(query, model)
-        brute = min(model.plan_cost(p, query) for p in _all_shapes(combo, query))
-        assert model.plan_cost(best, query) == brute
+        brute = min(plan_cost(model, p, query) for p in _all_shapes(combo, query))
+        assert plan_cost(model, best, query) == brute
         checked += 1
     assert checked >= 20
     passed(5, f"DP cost equals exhaustive minimum on all {checked} connected queries")

@@ -8,16 +8,15 @@ from plangen.catalog import (
     CatalogError,
     ColumnStats,
     MicroTable,
-    catalog_from_tables,
     derive_stats,
     load_catalog,
-    save_catalog,
     serialize_stats,
 )
+from tests.conftest import catalog_from_tables, save_catalog, table_names
 
 
 def test_load_catalog_movie_tables(tmp_path, movie_catalog):
-    assert movie_catalog.table_names() == ["title", "movie_companies", "movie_info_idx"]
+    assert table_names(movie_catalog) == ["title", "movie_companies", "movie_info_idx"]
     cols = movie_catalog.columns("title")
     assert [c for c, _ in cols] == ["movie_id", "kind_id", "product_year", "imdb_id"]
     assert cols[0][1] == ColumnStats(0, 2527968, 2527969)
@@ -28,7 +27,7 @@ def test_load_catalog_empty_file(tmp_path):
     path = tmp_path / "empty.cat"
     path.write_text("", encoding="utf-8")
     catalog = load_catalog(path)
-    assert catalog.table_names() == []
+    assert table_names(catalog) == []
 
 
 def test_load_catalog_duplicate_table(tmp_path):
@@ -146,7 +145,7 @@ def test_serialize_stats_reparse_recovers_fields(movie_catalog):
     # (table, column, min, max, distinct) tuple exactly.
     import re
 
-    text = serialize_stats(movie_catalog, movie_catalog.table_names())
+    text = serialize_stats(movie_catalog, table_names(movie_catalog))
     assert text.endswith(".")
     recovered = {}
     for block in text[:-1].split(",\n"):

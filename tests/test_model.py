@@ -10,10 +10,20 @@ from hypothesis import strategies as st
 
 from plangen.catalog import load_catalog, serialize_stats
 from plangen.dataset import Demonstration, build_prompt
-from plangen.model import ModelError, TokenModel, add_rows, load_model, save_model
+from plangen.model import (
+    _BOS_BLOCK,
+    MAX_CONTEXTS,
+    ModelError,
+    TokenModel,
+    _inner_hashes,
+    _splitmix,
+    add_rows,
+    load_model,
+    save_model,
+)
 from plangen.pipeline import PipelineConfig, run_pipeline, stage_workload
 from plangen.sql import render_sql, template_key, template_of
-from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, split_tokens
+from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, detokenize, split_tokens
 from plangen.training import (
     dpo_loss,
     dpo_reward_diff,
@@ -415,6 +425,51 @@ def test_decoding_allocates_per_block_never_per_context():
         if isinstance(value, np.ndarray):
             assert vars(model)[name].nbytes == value.nbytes
             assert np.array_equal(vars(model)[name], value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), n_contexts=st.integers(1, MAX_CONTEXTS),
+       position=st.integers(0, _BOS_BLOCK - 1), width=st.integers(3, 64))
+def test_one_hash_of_the_inner_table_is_the_context_of_a_step(key, n_contexts, position, width):
+    """Below _BOS_BLOCK a decode step hashes key ^ _inner_hashes(|V|)[position][prev]
+    once, and for every token id that is context_id's three-hash context."""
+    vocab = Vocabulary((BOS, EOS, UNK, *(f"w{i}" for i in range(width - 3))))
+    hasher = TokenModel(vocab, n_contexts, np.zeros(0, dtype=np.int32), np.zeros((1, width)))
+    inner = _inner_hashes(width)
+    assert len(inner) == _BOS_BLOCK and {len(row) for row in inner} == {width}
+    for prev in range(width):
+        assert _splitmix(key ^ inner[position][prev]) % n_contexts == hasher.context_id(key, position, prev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), n_contexts=st.integers(2**18, 2**20), data=st.data())
+def test_a_decode_follows_a_trained_chain_across_the_first_block_edge(key, n_contexts, data):
+    """Rows planted at context_id of each step of a response of up to 300
+    tokens, none of them <bos>, then <eos>: the decode reads the steps below
+    _BOS_BLOCK through the one-hash table and the later ones through
+    context_id, and returns the whole response at any max_len."""
+    vocab = build_vocab(RESPONSES)
+    tokens = data.draw(st.lists(st.integers(2, len(vocab) - 1), max_size=300), label="tokens")
+    hasher = TokenModel.create(vocab, n_contexts)
+    contexts = [hasher.context_id(key, i, prev) for i, prev in enumerate([vocab.bos_id, *tokens])]
+    assume(len(set(contexts)) == len(contexts))
+    rows = np.zeros((len(contexts), len(vocab)))
+    rows[np.arange(len(contexts)), [*tokens, vocab.eos_id]] = 1.0
+    model = TokenModel.from_rows(vocab, n_contexts, contexts, rows)
+    for max_len in (1, max(len(tokens), 1), len(tokens) + 1, 600):
+        assert model.greedy_decode(key, max_len) == detokenize(vocab.decode(tokens[:max_len]))
+
+
+# The sha256 of the fixture qdpo model's responses to fixture_qdpo's keys at
+# max_len 1, 256 and 600, joined by NUL, as decoding returned them before
+# the one-hash step: a decode change that moves a response fails here.
+FIXTURE_DECODE_DIGEST = "4b7508d85a86c5534ae7d48a5cb2e0583207f135c7ef686624056fa76939e1e9"
+
+
+def test_the_fixture_model_decodes_the_recorded_responses(fixture_qdpo):
+    model, keys = fixture_qdpo
+    texts = [model.greedy_decode(key, max_len) for max_len in (1, 256, 600) for key in keys]
+    assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == FIXTURE_DECODE_DIGEST
 
 
 def _model_bytes(model: TokenModel) -> int:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plangen.catalog import MicroTable, catalog_from_tables, load_catalog, load_tables
+from plangen.catalog import MicroTable, load_catalog, load_tables
 from plangen.costs import CostModel
 from plangen.executor import ExecutionError, execute_plan, micro_execute
 from plangen.optimizers import (
@@ -22,6 +22,8 @@ from tests.conftest import (
     brute_force_counts,
     brute_force_join,
     canonical_multiset,
+    catalog_from_tables,
+    plan_cost,
     reference_dp_optimize,
     reference_greedy_optimize,
     reference_random_optimize,
@@ -61,7 +63,7 @@ def all_bushy_plans(tables, query):
 
 
 def brute_force_min_cost(query, model):
-    costs = [model.plan_cost(p, query) for p in all_bushy_plans(query.tables, query)]
+    costs = [plan_cost(model, p, query) for p in all_bushy_plans(query.tables, query)]
     assert costs, "query has no connected plan"
     return min(costs)
 
@@ -99,7 +101,7 @@ def test_dp_matches_brute_force_on_chain(chain_fixture):
     _, catalog, query = chain_fixture
     model = CostModel(catalog)
     plan = dp_optimize(query, model)
-    assert model.plan_cost(plan, query) == brute_force_min_cost(query, model)
+    assert plan_cost(model, plan, query) == brute_force_min_cost(query, model)
 
 
 def test_dp_selective_table_joined_early(chain_fixture):
@@ -111,7 +113,7 @@ def test_dp_selective_table_joined_early(chain_fixture):
     )
     model = CostModel(catalog)
     plan = dp_optimize(query, model)
-    assert model.plan_cost(plan, query) == brute_force_min_cost(query, model)
+    assert plan_cost(model, plan, query) == brute_force_min_cost(query, model)
 
 
 def test_dp_rejects_too_many_tables(micro_catalog):
@@ -361,9 +363,9 @@ def test_dp_never_worse_than_other_personalities(micro_catalog, micro_join_lines
     model = CostModel(micro_catalog)
     for n_joins in (1, 2, 3):
         for i, q in enumerate(gen_workload(micro_catalog, graph, n_joins, 10, seed=n_joins)):
-            dp_cost = model.plan_cost(dp_optimize(q, model), q)
-            assert dp_cost <= model.plan_cost(greedy_optimize(q, model), q) + 1e-9
-            assert dp_cost <= model.plan_cost(random_optimize(q, seed=i), q) + 1e-9
+            dp_cost = plan_cost(model, dp_optimize(q, model), q)
+            assert dp_cost <= plan_cost(model, greedy_optimize(q, model), q) + 1e-9
+            assert dp_cost <= plan_cost(model, random_optimize(q, seed=i), q) + 1e-9
             assert dp_cost == brute_force_min_cost(q, model)
 
 

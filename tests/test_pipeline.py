@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plangen.catalog import Catalog, load_catalog, load_tables
 from plangen.cli import cli
 from plangen.dataset import (
-    DEMO_MODES, InstructionRecord, build_prompt, build_sft_dataset, query_ids,
+    DEMO_MODES, InstructionRecord, build_prompt, build_sft_dataset, demonstration_siblings, query_ids,
+    require_demonstration,
 )
 from plangen.errors import PlangenError
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
@@ -45,7 +46,7 @@ from plangen.pipeline import (
 from plangen.plans import JOIN_OPERATORS, Join, Leaf
 from plangen.report import nearest_rank, timing_summary
 from plangen.sql import SqlSemanticError, parse_memo, parse_sql, render_sql, template_key, template_of
-from tests.conftest import reference_decode_query
+from tests.conftest import cache_hits, reference_decode_query, reference_demonstration_siblings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -278,7 +279,7 @@ def test_pipeline_rerun_all_cached(tmp_path):
     second = run_pipeline(config)
     assert all(status == "cached" for _, status in second.stages)
     assert first.report == second.report
-    assert second.cache_hits() == [name for name, _ in second.stages]
+    assert cache_hits(second) == [name for name, _ in second.stages]
     for result in (first, second):
         assert list(result.seconds) == [name for name, _ in result.stages]
         assert all(seconds >= 0 for seconds in result.seconds.values())
@@ -1655,6 +1656,53 @@ def test_inference_equals_the_demonstration_drawing_reference(
     if isinstance(got, list):
         # The model receives the query's template key.
         assert [row["response"] for row in got] == [template_key(template_of(q)) for q in queries]
+
+
+def _records(sqls):
+    return [InstructionRecord(qid, f"prompt of {qid}", f"response of {qid}", render_sql(query), template_of(query))
+            for qid, query in zip(query_ids(sqls), map(parse_sql, sqls))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool_sqls=st.lists(st.sampled_from(_POOL_SQLS), max_size=5),
+    query_sql=st.sampled_from(_POOL_SQLS),
+    mode=st.sampled_from((*DEMO_MODES, "bogus")),
+)
+@example(pool_sqls=[], query_sql=_POOL_SQLS[0], mode="strict")
+@example(pool_sqls=[], query_sql=_POOL_SQLS[0], mode="fallback")
+@example(pool_sqls=[_POOL_SQLS[0]] * 2, query_sql=_POOL_SQLS[0], mode="fallback")
+@example(pool_sqls=[_POOL_SQLS[0]], query_sql=_POOL_SQLS[0], mode="strict")
+@example(pool_sqls=[_POOL_SQLS[3], _POOL_SQLS[0]], query_sql=_POOL_SQLS[0], mode="strict")
+@example(pool_sqls=[_POOL_SQLS[1]], query_sql=_POOL_SQLS[0], mode="bogus")
+def test_the_demonstration_check_raises_what_the_sibling_list_over_a_pool_copy_raised(
+    pool_sqls, query_sql, mode
+):
+    # Every mode, an unknown one too; an empty pool, a pool of only the
+    # query's own text, and strict with no sibling of another text. The check
+    # raises the same error class and message as the sibling list over the
+    # pool records whose text is not the query's, or nothing where it did not.
+    pool, query = _records(pool_sqls), parse_sql(query_sql)
+    sql, template = render_sql(query), template_of(query)
+
+    def reference_check():
+        reference_demonstration_siblings(template, [r for r in pool if r.sql != sql], mode, sql)
+
+    assert _outcome(lambda: require_demonstration(template, pool, mode, sql, sql)) == _outcome(reference_check)
+    assert (_outcome(lambda: demonstration_siblings(template, pool, mode, sql))
+            == _outcome(lambda: reference_demonstration_siblings(template, pool, mode, sql)))
+
+
+def test_the_demonstration_check_stops_at_the_record_that_settles_it():
+    own, sibling, _, other = _records(_POOL_SQLS[:4])
+
+    def pool(*settling):
+        yield from settling
+        raise AssertionError("the check read past the record that settles it")
+
+    require_demonstration(own.template, pool(own, other), "fallback", own.sql, own.sql)
+    require_demonstration(own.template, pool(own, other, sibling), "strict", own.sql, own.sql)
+    require_demonstration(own.template, pool(), "none", own.sql, own.sql)
 
 
 def test_cli_grad_check(tmp_path):

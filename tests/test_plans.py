@@ -21,7 +21,6 @@ from plangen.plans import (
     UnbalancedBracket,
     UnknownOperator,
     bracket_to_tree,
-    join_count,
     leaves,
     parse_response,
     path_to_tree,
@@ -29,7 +28,7 @@ from plangen.plans import (
     tree_to_bracket,
     tree_to_path,
 )
-from tests.conftest import random_plan
+from tests.conftest import join_count, random_plan
 
 MOVIE_BRACKET = "HashJoin(movie_info_idx HashJoin(movie_companies title))"
 

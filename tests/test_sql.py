@@ -6,11 +6,14 @@ from plangen.catalog import load_catalog
 from plangen.errors import PlangenError
 from plangen.sql import (
     JoinPredicate,
+    QueryTemplate,
     Selection,
     SqlSemanticError,
     SqlSyntaxError,
+    fnv1a64,
     parse_sql,
     render_sql,
+    template_key,
     template_of,
 )
 from plangen.workload import gen_workload, load_join_graph
@@ -209,3 +212,37 @@ def test_parse_sql_agrees_with_reference_on_mutated_text(n_joins, seed, edits):
         else:
             text = text[:at]
     assert _parse_outcome(parse_sql, text) == _parse_outcome(reference_parse_sql, text)
+
+
+_NAMES = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _templates(draw):
+    """Templates of random, possibly non-ASCII, table and column names."""
+    tables = sorted(draw(st.frozensets(_NAMES, min_size=1, max_size=5)))
+    side = st.tuples(st.sampled_from(tables), _NAMES)
+    joins = draw(st.frozensets(st.builds(lambda a, b: JoinPredicate.normalized(*a, *b), side, side), max_size=4))
+    return QueryTemplate(frozenset(tables), joins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(template=_templates())
+def test_template_key_is_the_fnv1a64_of_the_template_text(template):
+    expected = fnv1a64("template:" + template.key())
+    assert template_key(template) == expected
+    assert template_key(template) == expected  # now from the cache
+
+
+def test_equal_templates_from_different_texts_share_one_cache_entry_of_a_fixed_size():
+    template_key.cache_clear()
+    a = template_of(parse_sql("SELECT * FROM cast_info, title WHERE cast_info.movie_id = title.movie_id "
+                              "AND title.kind_id > 2;"))
+    b = template_of(parse_sql("SELECT * FROM title, cast_info WHERE title.movie_id = cast_info.movie_id;"))
+    assert a == b and a is not b
+    assert template_key(a) == template_key(b) == fnv1a64("template:" + a.key())
+    info = template_key.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for i in range(info.maxsize + 10):
+        template_key(QueryTemplate(frozenset({f"t{i}"}), frozenset()))
+    assert template_key.cache_info().currsize == info.maxsize

@@ -21,8 +21,6 @@ from plangen.training import (
     encode_triples,
     fit_qit_from_records,
     mean_margin,
-    qdpo_config,
-    qit_config,
     sft_grad_check,
     train_qdpo,
     train_qit,
@@ -34,6 +32,8 @@ from tests.conftest import (
     RefSequence,
     dense_model,
     dense_theta,
+    qdpo_config,
+    qit_config,
     ref_encode_response,
     ref_log_prob,
     ref_log_prob_row_grad,
