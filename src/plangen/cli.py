@@ -19,7 +19,7 @@ from .dataset import DEMO_MODES, load_dataset
 from .errors import PlangenError
 from .hints import emit_hints
 from .jsonl import read_text
-from .model import DEFAULT_CONTEXTS, load_model
+from .model import load_model
 from .plans import bracket_to_tree
 from .preferences import DEFAULT_RATIO_THRESHOLD
 from .report import format_report
@@ -147,12 +147,11 @@ def extend_dpo_cmd(plans_new, plans, sft, dpo, r0, out):
 @click.option("--steps", default=QIT_STEPS, show_default=True, type=int)
 @click.option("--batch-size", default=DEFAULT_BATCH_SIZE, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--contexts", default=DEFAULT_CONTEXTS, show_default=True, type=int)
 @click.option("--trace", type=click.Path(), default=None, help="Loss trace CSV path.")
 @_domain_errors
-def train_qit_cmd(sft, out, lr, steps, batch_size, seed, contexts, trace):
+def train_qit_cmd(sft, out, lr, steps, batch_size, seed, trace):
     """Stage one: instruction tuning on the SFT dataset."""
-    rows = pl.qit_stage(sft, out, trace, lr, steps, batch_size, seed, contexts)
+    rows = pl.qit_stage(sft, out, trace, lr, steps, batch_size, seed)
     final = rows[-1].loss if rows else float("nan")
     click.echo(f"trained {steps} steps; final batch loss {final:.4f}; saved {out}")
 

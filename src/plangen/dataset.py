@@ -30,6 +30,7 @@ from .executor import PlanLog, best_timing
 from .jsonl import read_jsonl, write_jsonl
 from .plans import render_response
 from .sql import QuerySpec, QueryTemplate, parse_once, render_sql, template_of
+from .tokenizer import check_response
 
 INSTRUCTION_TEXT = (
     "You are a SQL query optimizer. You will be given a multi-table SQL query "
@@ -231,7 +232,7 @@ def load_dataset(path: str | Path) -> list[InstructionRecord]:
     def record(raw: dict) -> InstructionRecord:
         sql = extract_input_sql(raw["prompt"])
         return InstructionRecord(
-            raw["query_id"], raw["prompt"], raw["response"], sql, template_of(parse_once(sql))
+            raw["query_id"], raw["prompt"], check_response(raw["response"]), sql, template_of(parse_once(sql))
         )
 
     return read_jsonl(path, {"query_id": str, "prompt": str, "response": str}, record)

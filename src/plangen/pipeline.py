@@ -52,7 +52,7 @@ from .dataset import (
 from .errors import PlangenError
 from .executor import PlanLog, micro_execute, read_plan_log, write_plan_log
 from .jsonl import located, read_json, read_jsonl, read_lines, write_jsonl
-from .model import DEFAULT_CONTEXTS, MAX_CONTEXTS, load_model, save_model
+from .model import load_model, save_model
 from .optimizers import dp_optimize, greedy_optimize, random_optimize
 from .preferences import (
     DEFAULT_RATIO_THRESHOLD,
@@ -128,7 +128,6 @@ class PipelineConfig:
     qdpo_lr: float = QDPO_LEARNING_RATE
     qdpo_steps: int = QDPO_STEPS
     qdpo_seed: int = 5
-    n_contexts: int = DEFAULT_CONTEXTS
     max_len: int = 256
     random_opt_seed: int = 6
 
@@ -139,11 +138,8 @@ class PipelineConfig:
             message = "workload count must be at least 2 to split into train and test"
             raise PipelineError(f"{message}, got {self.workload_count}")
         check_split_mode(self.split_mode)
-        for name in ("max_len", "n_contexts"):
-            if getattr(self, name) < 1:
-                raise PipelineError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.n_contexts > MAX_CONTEXTS:
-            raise PipelineError(f"n_contexts must be at most {MAX_CONTEXTS}, got {self.n_contexts}")
+        if self.max_len < 1:
+            raise PipelineError(f"max_len must be at least 1, got {self.max_len}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
@@ -402,10 +398,10 @@ def dpo_stage(plans, sft, out, r0: float):
     return triples
 
 
-def qit_stage(sft, out, trace_out, lr: float, steps: int, batch_size: int, seed: int, contexts: int):
+def qit_stage(sft, out, trace_out, lr: float, steps: int, batch_size: int, seed: int):
     pairs = [(template_key(r.template), r.response) for r in load_dataset(sft)]
     config = TrainConfig(learning_rate=lr, steps=steps, batch_size=batch_size, seed=seed)
-    model, trace = fit_qit_from_records(pairs, config, contexts)
+    model, trace = fit_qit_from_records(pairs, config)
     save_model(model, out)
     if trace_out:
         write_trace(trace, trace_out)
@@ -533,7 +529,7 @@ STAGES = (
           ("demo_mode", "demo_seed")),
     Stage("dpo", dpo_stage, ("plans_train.jsonl", "sft.jsonl"), ("dpo.jsonl",), ("r0",)),
     Stage("train-qit", qit_stage, ("sft.jsonl",), ("qit.ckpt", "qit_trace.csv"),
-          ("qit_lr", "qit_steps", "batch_size", "qit_seed", "n_contexts")),
+          ("qit_lr", "qit_steps", "batch_size", "qit_seed")),
     Stage("train-qdpo", qdpo_stage, ("dpo.jsonl", "qit.ckpt"), ("qdpo.ckpt", "qdpo_trace.csv"),
           ("qdpo_lr", "qdpo_steps", "batch_size", "beta", "qdpo_seed")),
     Stage("infer-qit", infer_stage, ("qit.ckpt", "test.sql", "catalog", "sft.jsonl"),

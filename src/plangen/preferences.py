@@ -18,6 +18,7 @@ from .errors import PlangenError
 from .executor import PlanTiming, best_timing
 from .jsonl import NUMBER, read_jsonl, write_jsonl
 from .plans import render_response
+from .tokenizer import check_response
 
 
 DEFAULT_RATIO_THRESHOLD = 0.95
@@ -119,16 +120,17 @@ def load_preference_file(path: str | Path) -> list[PreferenceTriple]:
         "query_id": str, "prompt": str, "chosen": str, "rejected": str,
         "t_star": NUMBER, "t_rejected": NUMBER,
     }
-    return [
-        PreferenceTriple(
+
+    def triple(raw: dict) -> PreferenceTriple:
+        return PreferenceTriple(
             query_id=raw["query_id"],
             prompt=raw["prompt"],
-            chosen=raw["chosen"],
-            rejected=raw["rejected"],
+            chosen=check_response(raw["chosen"], "chosen"),
+            rejected=check_response(raw["rejected"], "rejected"),
             t_chosen=raw["t_star"],
             t_rejected=raw["t_rejected"],
             chosen_optimizer=raw.get("chosen_optimizer", ""),
             rejected_optimizer=raw.get("rejected_optimizer", ""),
         )
-        for raw in read_jsonl(path, fields)
-    ]
+
+    return read_jsonl(path, fields, triple)

@@ -13,7 +13,7 @@ before any parse error. The parser then walks that list by index.
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -274,16 +274,7 @@ def template_of(query: QuerySpec) -> QueryTemplate:
     return QueryTemplate(tables=query.tables, joins=query.joins)
 
 
-@functools.lru_cache(maxsize=4096)
 def template_key(template: QueryTemplate) -> int:
-    """The 64-bit key the token model conditions on; each template is keyed
-    once while it stays among the 4096 most recently keyed."""
-    return fnv1a64("template:" + template.key())
-
-
-def fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """The 64-bit key the token model conditions on: a little-endian blake2b digest."""
+    digest = hashlib.blake2b(("template:" + template.key()).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")

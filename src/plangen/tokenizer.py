@@ -80,6 +80,14 @@ def build_vocab(texts: Iterable[str]) -> Vocabulary:
     return Vocabulary((BOS, EOS, UNK, *sorted(seen)))
 
 
+def check_response(text: str, field: str = "response") -> str:
+    """``text``, if none of its tokens is <bos>: the token model is trained
+    on responses and reads a <bos> it emits as the end of a decode."""
+    if BOS in text and BOS in split_tokens(text):
+        raise VocabularyError(f"{field} holds the token {BOS}")
+    return text
+
+
 def tokenize(text: str, vocab: Vocabulary, response: bool = False) -> list[int]:
     """Token ids for the text; responses get EOS appended."""
     ids = vocab.encode(split_tokens(text))

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PlangenError
-from .model import DEFAULT_CONTEXTS, PackedSequences, TokenModel, add_rows
+from .model import PackedSequences, TokenModel, add_rows
 from .tokenizer import build_vocab
 
 QIT_LEARNING_RATE = 2e-4
@@ -77,7 +77,8 @@ def sft_loss(model: TokenModel, batch: Sequence[tuple[int, str]]) -> float:
     """Mean negative log-likelihood over (key, response) pairs."""
     if not batch:
         raise TrainingError("empty batch")
-    return _sft_loss_grad(model, _encode_pairs(model, batch), np.arange(len(batch)))[0]
+    packed = _encode_pairs(model, batch)
+    return _sft_loss_grad(model, packed, model.resolve(packed.contexts), np.arange(len(batch)))[0]
 
 
 def dpo_reward_diff(
@@ -85,7 +86,8 @@ def dpo_reward_diff(
 ) -> float:
     """Reference-normalized, beta-scaled log-likelihood-ratio difference."""
     encoded = encode_triples(reference, [(key, chosen, rejected)])
-    return _rewards(policy.log_probs(encoded.sequences), encoded.reference, beta)[0]
+    log_p = policy.log_probs(encoded.sequences, policy.resolve(encoded.sequences.contexts))
+    return _rewards(log_p, encoded.reference, beta)[0]
 
 
 def dpo_loss(
@@ -126,7 +128,7 @@ def train_qit(
         raise TrainingError("empty training dataset")
     trained = model.copy()
     packed = _encode_pairs(trained, pairs)
-    trained.reserve(packed.rows)
+    at = trained.reserve(packed.contexts)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     epochs = (rng.permutation(len(pairs)) for _ in itertools.count())  # a shuffle per epoch
     size = config.batch_size
@@ -135,20 +137,20 @@ def train_qit(
     for step, batch in zip(range(config.steps), batches):
         # Gradients are read off the pre-update parameters for the whole
         # batch, then applied to the rows of its contexts only.
-        loss, contexts, delta = _sft_loss_grad(trained, packed, batch)
+        loss, slab_rows, delta = _sft_loss_grad(trained, packed, at, batch)
         delta *= -(config.learning_rate / len(batch))
-        add_rows(trained, contexts, delta)
+        add_rows(trained, slab_rows, delta)
         trace.append(TraceRow(step=step, loss=loss))
     return trained, trace
 
 
-def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray) -> tuple:
-    """(mean NLL of the sequences ``batch``, their contexts, rows of d(summed NLL)/d logits)."""
-    log_p, contexts, delta = model.row_grads(packed, batch, nll=True)
+def _sft_loss_grad(model: TokenModel, packed: PackedSequences, at: np.ndarray, batch: np.ndarray) -> tuple:
+    """(mean NLL of the sequences ``batch``, their slab rows, rows of d(summed NLL)/d logits)."""
+    log_p, slab_rows, delta = model.row_grads(packed, at, batch, nll=True)
     loss = 0.0
     for lp in log_p.tolist():
         loss -= lp
-    return loss / len(batch), contexts, delta
+    return loss / len(batch), slab_rows, delta
 
 
 def _encode_pairs(model: TokenModel, pairs: Sequence[tuple[int, str]]) -> PackedSequences:
@@ -177,13 +179,13 @@ def encode_triples(
     packed = _encode_pairs(reference, pairs)
     if np.any(packed.lengths <= 1):
         raise TrainingError("preference responses must tokenize to at least one token")
-    return EncodedTriples(packed, reference.log_probs(packed))
+    return EncodedTriples(packed, reference.log_probs(packed, reference.resolve(packed.contexts)))
 
 
-def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, batch, beta: float) -> tuple:
-    """(mean preference loss over the triples ``batch``, contexts, rows of d(loss)/d logits)."""
+def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray, batch, beta: float) -> tuple:
+    """(mean preference loss over the triples ``batch``, slab rows, rows of d(loss)/d logits)."""
     seqs = (2 * np.asarray(batch)[:, np.newaxis] + [0, 1]).ravel()
-    log_p, contexts, grad = policy.row_grads(encoded.sequences, seqs)
+    log_p, slab_rows, grad = policy.row_grads(encoded.sequences, at, seqs)
     loss, weights = 0.0, []
     for u in _rewards(log_p, encoded.reference[seqs], beta):
         loss += _softplus(-u)
@@ -191,7 +193,7 @@ def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, batch, beta: flo
         scale = -_sigmoid(-u) * beta / len(batch)
         weights += [scale, -scale]
     grad *= np.repeat(weights, encoded.sequences.lengths[seqs])[:, np.newaxis]
-    return loss / len(batch), contexts, grad
+    return loss / len(batch), slab_rows, grad
 
 
 def _rewards(log_p: np.ndarray, reference: np.ndarray, beta: float) -> list[float]:
@@ -212,30 +214,32 @@ def train_qdpo(
         raise TrainingError("empty preference dataset")
     encoded = encode_triples(policy_init, triples)
     policy = policy_init.copy()
-    policy.reserve(encoded.sequences.rows)
+    at = policy.reserve(encoded.sequences.contexts)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = rng.permutation(len(triples))
     size = min(config.batch_size, len(triples))
     trace: list[TraceRow] = []
     for step in range(config.steps):
         batch = order.take(range(step * size, (step + 1) * size), mode="wrap")
-        loss, contexts, rows = _dpo_loss_grad(policy, encoded, batch, config.beta)
+        loss, slab_rows, rows = _dpo_loss_grad(policy, encoded, at, batch, config.beta)
         rows *= -config.learning_rate
-        add_rows(policy, contexts, rows)
-        trace.append(TraceRow(step=step, loss=loss, margin=mean_margin(policy, encoded)))
+        add_rows(policy, slab_rows, rows)
+        trace.append(TraceRow(step=step, loss=loss, margin=mean_margin(policy, encoded, at)))
     return policy, trace
 
 
-def mean_margin(policy: TokenModel, encoded: EncodedTriples) -> float:
-    margins = triple_margins(policy, encoded)
+def mean_margin(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray) -> float:
+    """Mean margin over the triples, ``at`` holding the policy's slab row
+    of each of encoded.sequences.contexts."""
+    margins = triple_margins(policy, encoded, at)
     total = 0.0
     for margin in margins:
         total += margin
     return total / len(margins)
 
 
-def triple_margins(policy: TokenModel, encoded: EncodedTriples) -> list[float]:
-    log_p = policy.log_probs(encoded.sequences)
+def triple_margins(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray) -> list[float]:
+    log_p = policy.log_probs(encoded.sequences, at)
     return (log_p[0::2] - log_p[1::2]).tolist()
 
 
@@ -250,15 +254,15 @@ class GradCheckReport:
 
 
 def grad_check(
-    terms: Callable[[TokenModel], tuple], model: TokenModel, candidate_rows: Sequence[int],
+    terms: Callable[[TokenModel], tuple], model: TokenModel, candidates: Sequence[int],
     h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
     """Central finite differences of the loss against the analytic gradient.
 
-    ``terms(model)`` gives the loss and its gradient as rows with their
-    contexts, as a training step applies it. Samples parameter entries from
-    the candidate rows (so the check is not vacuous) and reports the worst
-    relative error.
+    ``terms(model)`` gives the loss and its gradient as rows with their slab
+    rows in ``model``, as a training step applies it. Samples parameter
+    entries from the rows of the candidate contexts (so the check is not
+    vacuous) and reports the worst relative error.
     """
     if h <= 0:
         raise TrainingError("finite-difference step must be positive")
@@ -267,24 +271,24 @@ def grad_check(
     rng = np.random.Generator(np.random.PCG64(seed))
     n_cols = len(model.vocab)
     entries = set()
-    while len(entries) < min(n_params, len(candidate_rows) * n_cols):
-        entries.add((candidate_rows[rng.integers(len(candidate_rows))], int(rng.integers(n_cols))))
-    _, contexts, rows = terms(model)
-    analytic = TokenModel.create(model.vocab, model.n_contexts)
-    analytic.reserve(contexts)
-    add_rows(analytic, contexts, rows)
-    max_rel = 0.0
+    while len(entries) < min(n_params, len(candidates) * n_cols):
+        entries.add((candidates[rng.integers(len(candidates))], int(rng.integers(n_cols))))
     probe = model.copy()
-    probe.reserve(candidate_rows)
+    probe.reserve(candidates)
+    _, slab_rows, rows = terms(probe)
+    analytic = TokenModel(probe.vocab, probe.index, np.zeros_like(probe.rows))
+    add_rows(analytic, slab_rows, rows)
+    max_rel = 0.0
     work = probe.rows
-    for r, c in sorted(entries):
-        slot, expected = probe.slots[r], analytic.logits(r)[c]
-        original = work[slot, c]
-        work[slot, c] = original + h
+    for ctx, c in sorted(entries):
+        row = probe.index[ctx]
+        expected = analytic.rows[row, c]
+        original = work[row, c]
+        work[row, c] = original + h
         up = terms(probe)[0]
-        work[slot, c] = original - h
+        work[row, c] = original - h
         down = terms(probe)[0]
-        work[slot, c] = original
+        work[row, c] = original
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(expected))
         # Entries below the finite-difference noise floor count as agreement
@@ -302,22 +306,23 @@ def sft_grad_check(
     everything = np.arange(len(pairs))
 
     def terms(probe: TokenModel):
-        loss, contexts, delta = _sft_loss_grad(probe, packed, everything)
-        return loss, contexts, delta / len(pairs)
+        loss, slab_rows, delta = _sft_loss_grad(probe, packed, probe.resolve(packed.contexts), everything)
+        return loss, slab_rows, delta / len(pairs)
 
-    return grad_check(terms, model, packed.rows.tolist(), h, tolerance, n_params, seed)
+    return grad_check(terms, model, packed.contexts.tolist(), h, tolerance, n_params, seed)
 
 
 def dpo_grad_check(
     policy: TokenModel, reference: TokenModel, triples: Sequence[tuple[int, str, str]], beta: float,
     h: float = 1e-5, tolerance: float = 1e-5, n_params: int = 200, seed: int = 0,
 ) -> GradCheckReport:
-    if (policy.vocab, policy.n_contexts) != (reference.vocab, reference.n_contexts):
-        raise TrainingError("policy and reference differ in vocabulary or context count")
+    if policy.vocab != reference.vocab:
+        raise TrainingError("policy and reference differ in vocabulary")
     encoded = encode_triples(reference, triples)
+    contexts = encoded.sequences.contexts
     return grad_check(
-        lambda probe: _dpo_loss_grad(probe, encoded, range(len(triples)), beta),
-        policy, encoded.sequences.rows.tolist(), h, tolerance, n_params, seed,
+        lambda probe: _dpo_loss_grad(probe, encoded, probe.resolve(contexts), range(len(triples)), beta),
+        policy, contexts.tolist(), h, tolerance, n_params, seed,
     )
 
 
@@ -325,12 +330,11 @@ def dpo_grad_check(
 
 
 def fit_qit_from_records(
-    pairs: Sequence[tuple[int, str]], config: TrainConfig, n_contexts: int = DEFAULT_CONTEXTS
+    pairs: Sequence[tuple[int, str]], config: TrainConfig
 ) -> tuple[TokenModel, list[TraceRow]]:
     """Build a fresh model (vocabulary from the responses) and train it."""
     vocab = build_vocab(response for _, response in pairs)
-    model = TokenModel.create(vocab, n_contexts)
-    return train_qit(model, pairs, config)
+    return train_qit(TokenModel.create(vocab), pairs, config)
 
 
 def write_trace(trace: Sequence[TraceRow], path: str | Path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import itertools
 import json
 import math
@@ -33,8 +34,8 @@ from plangen.dataset import (
 from plangen.errors import PlangenError
 from plangen.executor import best_timing, micro_execute, read_plan_log
 from plangen.hints import HintError
-from plangen.jsonl import NUMBER, read_json, read_lines
-from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel
+from plangen.jsonl import read_lines
+from plangen.model import CHECKPOINT_FORMAT, ModelError, TokenModel, context_id
 from plangen.optimizers import MAX_DP_TABLES, NEST_LOOP_THRESHOLD, TooManyTables
 from plangen.pipeline import RunReport, read_responses
 from plangen.plans import (
@@ -48,13 +49,12 @@ from plangen.sql import (
     SqlSemanticError,
     SqlSyntaxError,
     _check_connected,
-    fnv1a64,
     parse_sql,
     render_sql,
     template_key,
     template_of,
 )
-from plangen.tokenizer import Vocabulary, detokenize, tokenize
+from plangen.tokenizer import detokenize, tokenize
 from plangen.training import (
     QDPO_LEARNING_RATE, QDPO_STEPS, QIT_LEARNING_RATE, QIT_STEPS, TraceRow, TrainConfig,
 )
@@ -327,117 +327,71 @@ def brute_force_counts(query, data):
 # with it on every pipeline prompt (tests/test_model.py).
 
 
+def blake2b64(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+
+
 def reference_prompt_key(prompt: str) -> int:
     """Stable conditioning key: the query template when recoverable."""
     try:
         spec = parse_sql(extract_input_sql(prompt))
-        return fnv1a64("template:" + template_of(spec).key())
+        return blake2b64("template:" + template_of(spec).key())
     except PlangenError:
-        return fnv1a64("prompt:" + prompt)
+        return blake2b64("prompt:" + prompt)
 
 
 # --- dense logits table reference ---
 #
-# The model stores only touched rows in a slab. The references below keep
-# the dense (n_contexts x |V|) table the model held before, and compare it
-# with the slab model's logits.
+# The model stores only touched rows in a slab behind a dict of contexts. The
+# references below hold logits as a dense table over an explicit ascending
+# array of 64-bit contexts, and compare it with the slab model's logits.
 
 
-def dense_theta(model) -> np.ndarray:
-    """The model's logits as a dense (n_contexts, |V|) table."""
-    return model.rows[model.slots]
+def touched(*models) -> np.ndarray:
+    """The contexts with a row in any of ``models``, ascending."""
+    return np.array(sorted(set().union(*(model.index for model in models))), dtype=np.uint64)
 
 
-def dense_model(vocab, theta: np.ndarray) -> TokenModel:
-    """The model whose logits are the dense table ``theta``."""
-    return TokenModel.from_rows(vocab, len(theta), np.arange(len(theta)), theta)
+def dense_theta(model, contexts=None) -> np.ndarray:
+    """The model's logits at ``contexts``, by default at every context it
+    has a row for, as a dense (len(contexts), |V|) table."""
+    return model.logits(touched(model) if contexts is None else contexts)
 
 
-def reference_save_model(vocab, theta: np.ndarray, path) -> None:
-    """The checkpoint writer over a dense table: the contexts whose rows left
-    their zero init, ascending, and those rows as one blob."""
-    contexts = np.flatnonzero(theta.any(axis=1))
+def dense_model(vocab, theta: np.ndarray, contexts) -> TokenModel:
+    """The model whose logits are the dense table ``theta`` over ``contexts``."""
+    return TokenModel.from_rows(vocab, contexts, theta)
+
+
+def random_model(vocab, rng, scale: float, pairs) -> TokenModel:
+    """Logits drawn from N(0, scale) at every context that a step of the
+    (key, response) ``pairs`` reaches, and zero elsewhere."""
+    contexts = np.unique(np.concatenate([ref_encode_response(vocab, *pair).contexts for pair in pairs]))
+    return dense_model(vocab, rng.normal(0.0, scale, size=(len(contexts), len(vocab))), contexts)
+
+
+def reference_save_model(vocab, contexts, theta: np.ndarray, path) -> None:
+    """The checkpoint writer over a dense table on ascending ``contexts``:
+    the contexts whose rows left their zero init and those rows as one blob."""
+    nonzero = theta.any(axis=1)
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "n_contexts": len(theta),
+        "n_contexts": 2**64,
         "vocab": list(vocab.tokens),
-        "rows": [int(ctx) for ctx in contexts],
-        "logits": base64.b64encode(theta[contexts].astype("<f8").tobytes()).decode("ascii"),
+        "rows": [int(ctx) for ctx in np.asarray(contexts, dtype=np.uint64)[nonzero]],
+        "logits": base64.b64encode(theta[nonzero].astype("<f8").tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as out:
         json.dump(payload, out, sort_keys=True)
-
-
-# --- checkpoint format /1 ---
-#
-# The format before /2: one base64 string of each non-zero row, keyed by the
-# canonical decimal of its context. Its writer and loader are kept here to
-# show that a /1 checkpoint and its /2 re-save hold the same logits.
-
-FORMAT_1 = "plangen-token-model/1"
-
-
-def save_model_format_1(model, path) -> None:
-    nonzero = np.flatnonzero(model.rows.any(axis=1)[model.slots])
-    rows = {
-        str(int(ctx)): base64.b64encode(
-            np.ascontiguousarray(model.logits(ctx), dtype="<f8").tobytes()
-        ).decode("ascii")
-        for ctx in nonzero
-    }
-    payload = {
-        "format": FORMAT_1,
-        "n_contexts": model.n_contexts,
-        "vocab": list(model.vocab.tokens),
-        "dtype": "<f8",
-        "rows": rows,
-    }
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(payload, out, sort_keys=True)
-
-
-def load_model_format_1(path) -> TokenModel:
-    return read_json(path, {"n_contexts": NUMBER, "vocab": list, "rows": dict}, _from_format_1)
-
-
-def _from_format_1(payload: dict) -> TokenModel:
-    if payload.get("format") != FORMAT_1:
-        raise ModelError(f"unsupported checkpoint format {payload.get('format')!r}")
-    if not all(isinstance(token, str) for token in payload["vocab"]):
-        raise ModelError("vocab holds a token that is not a string")
-    vocab = Vocabulary(tuple(payload["vocab"]))
-    contexts, rows = [], []
-    for key, blob in payload["rows"].items():
-        try:
-            ctx = int(key)
-        except ValueError:
-            raise ModelError(f"row key {key!r} is not an integer") from None
-        if key != str(ctx):  # so no two keys, such as "5" and "05", name one row
-            raise ModelError(f"row key {key!r} is not the canonical decimal of context {ctx}")
-        if not 0 <= ctx < payload["n_contexts"]:
-            raise ModelError(f"row {ctx} outside the context table")
-        if not isinstance(blob, str):
-            raise ModelError(f"row {ctx} is not a base64 string")
-        try:
-            row = np.frombuffer(base64.b64decode(blob), dtype="<f8")
-        except ValueError:  # bad base64, or not whole float64 values
-            raise ModelError(f"row {ctx} is not base64 of float64 values") from None
-        if len(row) != len(vocab):
-            raise ModelError(f"row {ctx} does not match the vocabulary size")
-        contexts.append(ctx)
-        rows.append(row)
-    rows = np.reshape(rows, (len(rows), len(vocab)))
-    model = TokenModel.from_rows(vocab, payload["n_contexts"], contexts, rows)
-    if not np.isfinite(model.rows).all():
-        raise ModelError("non-finite parameters")
-    return model
 
 
 # --- step-by-step decoding reference ---
 #
-# Greedy decoding as it ran before the after-<bos> steps were read a block at
-# a time: one scalar context and one argmax per step. TokenModel.greedy_decode
-# must return the same string (tests/test_model.py).
+# Greedy decoding as it ran before a decode stopped at its first <bos>: one
+# three-hash context and one argmax per step, up to max_len or <eos>.
+# TokenModel.greedy_decode must return the same string (tests/test_model.py)
+# whenever no row sits at a step after <bos> past position 0, which training
+# never reaches.
 
 
 def reference_greedy_decode(model, key: int, max_len: int, theta=None) -> str:
@@ -445,10 +399,12 @@ def reference_greedy_decode(model, key: int, max_len: int, theta=None) -> str:
     if max_len <= 0:
         raise ModelError(f"max_len must be positive, got {max_len}")
     theta = dense_theta(model) if theta is None else theta
+    table = dict(zip(touched(model).tolist(), theta))
+    zero = np.zeros(len(model.vocab))
     out: list[int] = []
     prev = model.vocab.bos_id
     for position in range(max_len):
-        row = theta[model.context_id(key, position, prev)]
+        row = table.get(context_id(key, position, prev), zero)
         token = int(np.argmax(row))
         if token == model.vocab.eos_id:
             break
@@ -467,15 +423,23 @@ def reference_greedy_decode(model, key: int, max_len: int, theta=None) -> str:
 
 @dataclass(frozen=True)
 class RefSequence:
-    contexts: np.ndarray
+    contexts: np.ndarray  # uint64 contexts, or their places in a dense table
     ids: np.ndarray
 
 
-def ref_encode_response(model, key: int, response: str) -> RefSequence:
-    ids = tokenize(response, model.vocab, response=True)
-    prev = [model.vocab.bos_id, *ids[:-1]]
-    ctx = [model.context_id(key, t, p) for t, p in enumerate(prev)]
-    return RefSequence(np.asarray(ctx, dtype=np.int64), np.asarray(ids, dtype=np.int64))
+def ref_encode_response(vocab, key: int, response: str) -> RefSequence:
+    ids = tokenize(response, vocab, response=True)
+    prev = [vocab.bos_id, *ids[:-1]]
+    ctx = [context_id(key, t, p) for t, p in enumerate(prev)]
+    return RefSequence(np.asarray(ctx, dtype=np.uint64), np.asarray(ids, dtype=np.int64))
+
+
+def dense_places(models, seqs):
+    """(the contexts any of ``models`` has a row for or any of ``seqs``
+    reaches, ascending; ``seqs`` with each context replaced by its place
+    among them)."""
+    contexts = np.union1d(touched(*models), np.concatenate([seq.contexts for seq in seqs]))
+    return contexts, [RefSequence(np.searchsorted(contexts, seq.contexts), seq.ids) for seq in seqs]
 
 
 def _ref_log_softmax(rows):
@@ -523,8 +487,9 @@ def _ref_sigmoid(x: float) -> float:
 
 
 def reference_train_qit(model, pairs, config):
-    trained = dense_theta(model)
-    encoded = [ref_encode_response(model, key, response) for key, response in pairs]
+    seqs = [ref_encode_response(model.vocab, key, response) for key, response in pairs]
+    space, encoded = dense_places([model], seqs)
+    trained = dense_theta(model, space)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = []
     step = 0
@@ -545,17 +510,16 @@ def reference_train_qit(model, pairs, config):
                 np.add.at(trained, contexts, -(config.learning_rate / len(batch)) * delta)
             trace.append(TraceRow(step=step, loss=loss))
             step += 1
-    return dense_model(model.vocab, trained), trace
+    return dense_model(model.vocab, trained, space), trace
 
 
 def reference_train_qdpo(policy_init, triples, config):
-    reference = dense_theta(policy_init)
+    seqs = [ref_encode_response(policy_init.vocab, key, response)
+            for key, *responses in triples for response in responses]
+    space, places = dense_places([policy_init], seqs)
+    reference = dense_theta(policy_init, space)
     policy = reference.copy()
-    encoded = []
-    for key, chosen, rejected in triples:
-        encoded.append(
-            (ref_encode_response(policy_init, key, chosen), ref_encode_response(policy_init, key, rejected))
-        )
+    encoded = list(zip(places[0::2], places[1::2]))
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = list(rng.permutation(len(encoded)))
     trace = []
@@ -585,7 +549,7 @@ def reference_train_qdpo(policy_init, triples, config):
             total += ref_log_prob(policy, chosen) - ref_log_prob(policy, rejected)
         margin = total / len(encoded)
         trace.append(TraceRow(step=step, loss=loss, margin=margin))
-    return dense_model(policy_init.vocab, policy), trace
+    return dense_model(policy_init.vocab, policy, space), trace
 
 
 # --- reference optimizers: the frozenset implementations the bitmask ones replaced ---

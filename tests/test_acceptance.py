@@ -17,6 +17,7 @@ from plangen.catalog import MicroTable, load_catalog
 from plangen.costs import CostModel
 from plangen.executor import execute_plan, micro_execute
 from plangen.hints import emit_hints, parse_hints
+from plangen.model import context_id
 from plangen.optimizers import dp_optimize, greedy_optimize, random_optimize
 from plangen.pipeline import PipelineConfig, run_pipeline
 from plangen.plans import (
@@ -52,12 +53,13 @@ from tests.conftest import (
     brute_force_counts,
     brute_force_join,
     canonical_multiset,
-    dense_model,
     dense_theta,
     plan_cost,
     qit_config,
+    random_model,
     random_plan,
     reference_time,
+    touched,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -361,11 +363,11 @@ def _with_ops(plan, ops):
 
 def _naive_log_prob(model, key, response):
     ids = tokenize(response, model.vocab, response=True)
-    theta = dense_theta(model)
+    table = dict(zip(touched(model).tolist(), dense_theta(model)))
     prev = model.vocab.bos_id
     total = 0.0
     for position, target in enumerate(ids):
-        row = theta[model.context_id(key, position, prev)]
+        row = table.get(context_id(key, position, prev), np.zeros(len(model.vocab)))
         exps = [math.exp(v) for v in row]
         total += math.log(exps[target] / sum(exps))
         prev = target
@@ -384,14 +386,14 @@ def test_criterion_7_objective_exactness():
     rng = np.random.Generator(np.random.PCG64(71))
     ln2 = math.log(2.0)
     for i in range(100):
-        model = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
+        model = random_model(vocab, rng, 1.0, [(i, response) for response in RESPONSE_POOL])
         chosen, rejected = rng.choice(len(RESPONSE_POOL), size=2, replace=False)
         for beta in (0.05, 0.1, 0.3):
             loss = dpo_loss(model, model, i, RESPONSE_POOL[chosen], RESPONSE_POOL[rejected], beta)
             assert abs(loss - ln2) <= 1e-12
 
-    model = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
-    reference = dense_model(vocab, rng.normal(0, 1, size=(256, len(vocab))))
+    model = random_model(vocab, rng, 1.0, [(1, response) for response in RESPONSE_POOL])
+    reference = random_model(vocab, rng, 1.0, [(1, response) for response in RESPONSE_POOL])
     for response in RESPONSE_POOL:
         got = sequence_log_prob(model, 1, response)
         assert abs(got - _naive_log_prob(model, 1, response)) <= 1e-10
@@ -412,13 +414,14 @@ def test_criterion_7_objective_exactness():
 def test_criterion_8_gradient_checks():
     vocab = build_vocab(RESPONSE_POOL)
     rng = np.random.Generator(np.random.PCG64(81))
-    model = dense_model(vocab, rng.normal(0, 0.5, size=(256, len(vocab))))
+    every_pair = [(key, response) for key in range(3) for response in RESPONSE_POOL]
+    model = random_model(vocab, rng, 0.5, every_pair)
     pairs = list(enumerate(RESPONSE_POOL))
     sft_report = sft_grad_check(model, pairs, h=1e-5, tolerance=1e-5, n_params=200, seed=8)
     assert sft_report.checked >= 200
     assert sft_report.passed, sft_report.max_rel_error
 
-    reference = dense_model(vocab, rng.normal(0, 0.5, size=(256, len(vocab))))
+    reference = random_model(vocab, rng, 0.5, every_pair)
     triples = [
         (0, RESPONSE_POOL[0], RESPONSE_POOL[1]),
         (1, RESPONSE_POOL[1], RESPONSE_POOL[2]),
@@ -471,9 +474,7 @@ def preference_fixture(fixture_catalog, fixture_graph, fixture_tables):
         if len(triples) >= 50:
             break
     triples = triples[:50]
-    sft_model, _ = fit_qit_from_records(
-        pairs[: len(pairs)], qit_config(steps=300, seed=90), n_contexts=65536
-    )
+    sft_model, _ = fit_qit_from_records(pairs[: len(pairs)], qit_config(steps=300, seed=90))
     return sft_model, triples
 
 
@@ -498,11 +499,11 @@ def test_criterion_9_two_stage_training(preference_fixture):
     assert len(triples) == 50
     config = TrainConfig(learning_rate=0.02, steps=300, batch_size=8, beta=0.1, seed=95)
     encoded = encode_triples(sft_model, triples)
-    initial = triple_margins(sft_model, encoded)
+    initial = triple_margins(sft_model, encoded, sft_model.resolve(encoded.sequences.contexts))
     tuned, trace = train_qdpo(sft_model, triples, config)
     checkpoints = [row.margin for row in trace[::30]] + [trace[-1].margin]
     assert all(b > a for a, b in zip(checkpoints, checkpoints[1:]))
-    final = triple_margins(tuned, encoded)
+    final = triple_margins(tuned, encoded, tuned.resolve(encoded.sequences.contexts))
     improved = sum(1 for a, b in zip(initial, final) if b > a)
     assert improved >= math.ceil(0.95 * len(triples))
 
@@ -511,7 +512,8 @@ def test_criterion_9_two_stage_training(preference_fixture):
     for beta in (0.05, 0.5):
         config = TrainConfig(learning_rate=0.4, steps=3000, batch_size=8, beta=beta, seed=96)
         trained, _ = train_qdpo(sft_model, triples, config)
-        runs[beta] = float(np.linalg.norm(dense_theta(trained) - dense_theta(sft_model)))
+        every = touched(trained, sft_model)
+        runs[beta] = float(np.linalg.norm(dense_theta(trained, every) - dense_theta(sft_model, every)))
     assert runs[0.5] < runs[0.05]
     passed(9, "overfit reproduction; margins rise on >=95% of 50 triples; beta controls divergence")
 

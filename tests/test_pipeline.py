@@ -61,7 +61,6 @@ def fast_config(out_dir, **overrides) -> PipelineConfig:
         workload_joins="1,2",
         qit_steps=150,
         qdpo_steps=40,
-        n_contexts=65536,
     )
     base.update(overrides)
     return PipelineConfig().with_overrides(**{k: str(v) for k, v in base.items()})
@@ -148,7 +147,7 @@ def test_a_small_run_judges_something_or_exits_1_naming_a_file(count, joins, spl
     with tempfile.TemporaryDirectory() as tmp:
         cfg, run_dir = Path(tmp) / "pipeline.cfg", Path(tmp) / "run"
         cfg.write_text(_fixture_config_text(run_dir) + "qit_steps = 2\nqdpo_steps = 2\n"
-                       "n_contexts = 4096\nmax_len = 16\n", encoding="utf-8")
+                       "max_len = 16\n", encoding="utf-8")
         result = invoke("run", "--config", cfg, "--workload-count", count, "--workload-joins", joins,
                         "--split-mode", split_mode, "--demo-mode", demo_mode)
         if result.exit_code == 0:
@@ -164,8 +163,7 @@ def test_a_run_parses_each_distinct_query_text_once_and_the_next_run_again(tmp_p
     parsed = []
     parse = sql.parse_sql
     monkeypatch.setattr(sql, "parse_sql", lambda text: parsed.append(text) or parse(text))
-    config = fast_config(tmp_path / "first", workload_count=12, qit_steps=2, qdpo_steps=2,
-                         n_contexts=4096)
+    config = fast_config(tmp_path / "first", workload_count=12, qit_steps=2, qdpo_steps=2)
     run_pipeline(config)
     texts = (tmp_path / "first" / "workload.sql").read_text().splitlines()
     assert sorted(parsed) == sorted(set(texts))
@@ -209,12 +207,16 @@ def test_a_bad_workload_line_is_located_on_every_read(tmp_path):
     "setting", ["max_len = 0", "max_len = -1", "n_contexts = 0", "n_contexts = 2147483648"]
 )
 def test_config_rejects_a_count_below_one_naming_the_file(tmp_path, setting):
-    """Also a context count beyond int32, before any table is allocated."""
+    """A context count is no longer a key, since a context is a full 64-bit
+    hash: a config that sets one, at any value, is refused naming the file,
+    the line and the key."""
     path = tmp_path / "bad.cfg"
     path.write_text(setting + "\n", encoding="utf-8")
-    key, value = setting.split(" = ")
-    bound = "at least 1" if int(value) < 1 else "at most 2147483647"
-    with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: {key} must be {bound}"):
+    if setting.startswith("max_len"):
+        where = f"{path}: max_len must be at least 1"
+    else:
+        where = f"{path}:1: unknown config key 'n_contexts'"
+    with pytest.raises(PipelineError, match=f"^{re.escape(where)}"):
         PipelineConfig.from_file(path)
 
 
@@ -423,7 +425,7 @@ def test_a_source_edit_recomputes_every_stage_to_a_fresh_run(tmp_path):
     package = _copy_package(tmp_path / "src")
     config = tmp_path / "fast.cfg"
     config.write_text(_fixture_config_text(tmp_path / "unused") + "workload_count = 20\n"
-                      "workload_joins = 1,2\nqit_steps = 150\nqdpo_steps = 40\nn_contexts = 65536\n")
+                      "workload_joins = 1,2\nqit_steps = 150\nqdpo_steps = 40\n")
     first, again = _run_with_package(tmp_path / "src", config, tmp_path / "run", tmp_path / "run")
     assert set(first.values()) == {"computed"} and set(again.values()) == {"cached"}
     model_py = package / "model.py"
@@ -747,7 +749,7 @@ def test_cli_chain_equals_run_pipeline(tmp_path):
         "train-qit", "--sft", chain / "sft.jsonl", "--out", chain / "qit.ckpt",
         "--lr", config.qit_lr, "--steps", config.qit_steps,
         "--batch-size", config.batch_size, "--seed", config.qit_seed,
-        "--contexts", config.n_contexts, "--trace", chain / "qit_trace.csv",
+        "--trace", chain / "qit_trace.csv",
     )
     assert r.exit_code == 0, r.output
     r = invoke(
@@ -873,7 +875,7 @@ def _zero_join_count(tmp_path):
 def _checkpoint_without_vocab(tmp_path):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text(
-        json.dumps({"format": "plangen-token-model/2", "n_contexts": 4, "rows": [], "logits": ""}),
+        json.dumps({"format": "plangen-token-model/3", "n_contexts": 2**64, "rows": [], "logits": ""}),
         encoding="utf-8",
     )
     sql = tmp_path / "q.sql"
@@ -940,16 +942,19 @@ def _workload_with_bad_sql(tmp_path):
             "--out-test", tmp_path / "test.sql"], "workload.sql:2: expected SELECT"
 
 
+def _contexts_in_config(tmp_path, value):
+    """A config that still sets n_contexts: contexts are full 64-bit hashes."""
+    cfg, text = tmp_path / "p.cfg", _fixture_config_text(tmp_path / "run")
+    cfg.write_text(text + f"n_contexts = {value}\n", encoding="utf-8")
+    return ["run", "--config", cfg], f"{cfg}:{len(text.splitlines()) + 1}: unknown config key 'n_contexts'"
+
+
 def _zero_contexts_in_config(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(_fixture_config_text(tmp_path / "run") + "n_contexts = 0\n", encoding="utf-8")
-    return ["run", "--config", cfg], "n_contexts"
+    return _contexts_in_config(tmp_path, 0)
 
 
 def _too_many_contexts_in_config(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text(_fixture_config_text(tmp_path / "run") + "n_contexts = 2147483648\n", encoding="utf-8")
-    return ["run", "--config", cfg], f"{cfg}: n_contexts must be at most 2147483647"
+    return _contexts_in_config(tmp_path, 2147483648)
 
 
 def _zero_max_len_in_config(tmp_path):
@@ -958,30 +963,9 @@ def _zero_max_len_in_config(tmp_path):
     return ["run", "--config", cfg], f"{cfg}: max_len"
 
 
-def _train_qit_with_contexts(tmp_path, contexts):
-    sft = tmp_path / "sft.jsonl"
-    prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
-    sft.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "title"}) + "\n")
-    return ["train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt", "--contexts", contexts], (
-        "n_contexts"
-    )
-
-
-def _train_qit_zero_contexts(tmp_path):
-    return _train_qit_with_contexts(tmp_path, 0)
-
-
-def _train_qit_negative_contexts(tmp_path):
-    return _train_qit_with_contexts(tmp_path, -3)
-
-
-def _train_qit_too_many_contexts(tmp_path):
-    return _train_qit_with_contexts(tmp_path, 2**31)
-
-
 def _infer_with_checkpoint(tmp_path, **fields):
     ckpt = tmp_path / "bad.ckpt"
-    payload = {"format": "plangen-token-model/2", "n_contexts": 4,
+    payload = {"format": "plangen-token-model/3", "n_contexts": 2**64,
                "vocab": ["<bos>", "<eos>", "<unk>"], "rows": [], "logits": "", **fields}
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     sql = tmp_path / "q.sql"
@@ -1003,7 +987,7 @@ def _checkpoint_with_boolean_context_count(tmp_path):
 
 
 def _checkpoint_with_too_many_contexts(tmp_path):
-    return _infer_with_checkpoint(tmp_path, n_contexts=2**31), "bad.ckpt: n_contexts"
+    return _infer_with_checkpoint(tmp_path, n_contexts=2**64 + 1), "bad.ckpt: n_contexts"
 
 
 def _checkpoint_with_bad_row_key(tmp_path):
@@ -1022,7 +1006,7 @@ def _checkpoint_with_bool_context(tmp_path):
 
 
 def _checkpoint_with_two_keys_for_one_row(tmp_path):
-    args = _infer_with_checkpoint(tmp_path, n_contexts=8, rows=[5, 5], logits=_logits([1.0] * 3, [2.0] * 3))
+    args = _infer_with_checkpoint(tmp_path, rows=[5, 5], logits=_logits([1.0] * 3, [2.0] * 3))
     return args, "bad.ckpt: rows are not strictly ascending"
 
 
@@ -1032,7 +1016,7 @@ def _checkpoint_with_descending_contexts(tmp_path):
 
 
 def _checkpoint_with_context_out_of_range(tmp_path):
-    args = _infer_with_checkpoint(tmp_path, rows=[4], logits=_logits([1.0, 2.0, 3.0]))
+    args = _infer_with_checkpoint(tmp_path, rows=[2**64], logits=_logits([1.0, 2.0, 3.0]))
     return args, "bad.ckpt: rows holds a context outside the context table"
 
 
@@ -1069,6 +1053,14 @@ def _checkpoint_with_non_finite_logit(tmp_path):
 def _checkpoint_in_format_1(tmp_path):
     args = _infer_with_checkpoint(tmp_path, format="plangen-token-model/1", rows={"1": _logits([1.0, 2.0, 3.0])})
     return args, "bad.ckpt: unsupported checkpoint format 'plangen-token-model/1'"
+
+
+def _checkpoint_in_format_2(tmp_path):
+    """Its contexts are folded into n_contexts rows: read as 64-bit contexts
+    they would give a silently wrong model."""
+    args = _infer_with_checkpoint(tmp_path, format="plangen-token-model/2", n_contexts=131072,
+                                  rows=[1], logits=_logits([1.0, 2.0, 3.0]))
+    return args, "bad.ckpt: unsupported checkpoint format 'plangen-token-model/2'"
 
 
 def _unreadable_stages_json(tmp_path):
@@ -1243,6 +1235,42 @@ def _dpo_without_input(tmp_path):
     qit = tmp_path / "qit.ckpt"
     assert invoke("train-qit", "--sft", sft, "--out", qit, "--steps", 5).exit_code == 0
     return dpo, qit
+
+
+def _with_bos(path, field: str) -> int:
+    """Appends the token <bos> to ``field`` of the last row of the JSON Lines
+    file ``path``; returns that row's line number."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[-1][field] += " <bos>"
+    write_jsonl(rows, path)
+    return len(rows)
+
+
+def _train_qit_response_with_bos(tmp_path):
+    """Training on a <bos> would put a row after <bos>, where a decode stops."""
+    _, _, sft, _ = _two_query_logs(tmp_path)
+    line = _with_bos(sft, "response")
+    return ["train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt", "--steps", 5], (
+        f"error: {sft}:{line}: response holds the token <bos>\n"
+    )
+
+
+def _train_qdpo_with_bos(tmp_path, field):
+    _, _, sft, dpo = _two_query_logs(tmp_path)
+    qit = tmp_path / "qit.ckpt"
+    assert invoke("train-qit", "--sft", sft, "--out", qit, "--steps", 5).exit_code == 0
+    line = _with_bos(dpo, field)
+    return ["train-qdpo", "--dpo", dpo, "--init", qit, "--out", tmp_path / "qdpo.ckpt", "--steps", 5], (
+        f"error: {dpo}:{line}: {field} holds the token <bos>\n"
+    )
+
+
+def _train_qdpo_chosen_with_bos(tmp_path):
+    return _train_qdpo_with_bos(tmp_path, "chosen")
+
+
+def _train_qdpo_rejected_with_bos(tmp_path):
+    return _train_qdpo_with_bos(tmp_path, "rejected")
 
 
 def _train_qdpo_prompt_without_input(tmp_path):
@@ -1467,8 +1495,10 @@ def _negative_workload_count_in_config(tmp_path):
 
 
 def _grad_check_samples(tmp_path, samples):
-    args, _ = _train_qit_with_contexts(tmp_path, 64)
-    assert invoke(*args, "--steps", 1).exit_code == 0
+    sft = tmp_path / "sft.jsonl"
+    prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
+    sft.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "title"}) + "\n")
+    assert invoke("train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt", "--steps", 1).exit_code == 0
     return ["grad-check", "--model", tmp_path / "qit.ckpt", "--loss", "sft", "--sft",
             tmp_path / "sft.jsonl", "--samples", samples], (
         f"error: --samples must be at least 1, got {samples}: nothing would be checked\n"
@@ -1489,8 +1519,9 @@ def _grad_check_negative_samples(tmp_path):
      _corpus_without_response, _corpus_not_json, _corpus_with_bad_sql, _sft_prompt_without_input,
      _corpus_with_numeric_sql, _dpo_with_numeric_chosen, _sft_with_list_response,
      _workload_with_bad_sql, _zero_contexts_in_config, _zero_max_len_in_config,
-     _train_qit_zero_contexts, _train_qit_negative_contexts, _checkpoint_with_fractional_contexts,
-     _too_many_contexts_in_config, _train_qit_too_many_contexts, _checkpoint_with_too_many_contexts,
+     _checkpoint_with_fractional_contexts, _too_many_contexts_in_config,
+     _checkpoint_with_too_many_contexts, _checkpoint_in_format_2, _train_qit_response_with_bos,
+     _train_qdpo_chosen_with_bos, _train_qdpo_rejected_with_bos,
      _checkpoint_with_two_keys_for_one_row,
      _checkpoint_with_bad_row_key, _checkpoint_with_numeric_row, _checkpoint_with_fractional_context,
      _checkpoint_with_bool_context, _checkpoint_with_descending_contexts,
@@ -1734,8 +1765,7 @@ def test_cli_run_and_report(tmp_path):
         "workload_count = 12\n"
         "workload_joins = 1\n"
         "qit_steps = 60\n"
-        "qdpo_steps = 10\n"
-        "n_contexts = 65536\n",
+        "qdpo_steps = 10\n",
         encoding="utf-8",
     )
     result = invoke("run", "--config", cfg_file)
@@ -1761,8 +1791,7 @@ def test_cli_run_flags_override_config(tmp_path):
         "workload_count = 30\n"
         "workload_joins = 1\n"
         "qit_steps = 40\n"
-        "qdpo_steps = 5\n"
-        "n_contexts = 65536\n",
+        "qdpo_steps = 5\n",
         encoding="utf-8",
     )
     result = invoke("run", "--config", cfg_file, "--workload-count", 8)
