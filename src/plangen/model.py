@@ -132,14 +132,16 @@ class TokenModel:
         return EncodedSequence(ctx, np.asarray(ids, dtype=np.int32))
 
     def log_prob(self, encoded: "EncodedSequence") -> float:
-        packed = PackedSequences.pack([encoded])
-        return float(self.log_probs(packed, self.resolve(packed.contexts))[0])
+        return float(self.log_probs(PackedSequences.pack([encoded]))[0])
 
-    def log_probs(self, packed: "PackedSequences", at: np.ndarray) -> np.ndarray:
+    def log_probs(self, packed: "PackedSequences", at: np.ndarray | None = None) -> np.ndarray:
         """log p of every packed sequence, ``at`` holding the slab row of each
-        of packed.contexts: each distinct context's row max and log-sum-exp is
-        computed once, a token's log-prob is (logits[c, y] - max_c) - lse_c,
-        and each equal-length group is summed along axis 1."""
+        of packed.contexts (resolved here if not given): each distinct
+        context's row max and log-sum-exp is computed once, a token's log-prob
+        is (logits[c, y] - max_c) - lse_c, and each equal-length group is
+        summed along axis 1."""
+        if at is None:
+            at = self.resolve(packed.contexts)
         row_max, lse = np.empty(len(at)), np.empty(len(at))
         for first in range(0, len(at), 512):  # small blocks keep the peak memory low
             span = slice(first, first + 512)
@@ -158,13 +160,17 @@ class TokenModel:
             out[seqs] = token.reshape(-1, length).sum(axis=1)
         return out
 
-    def row_grads(self, packed: "PackedSequences", at: np.ndarray, seqs: np.ndarray, nll: bool = False) -> tuple:
+    def row_grads(
+        self, packed: "PackedSequences", seqs: np.ndarray, at: np.ndarray | None = None, nll: bool = False
+    ) -> tuple:
         """(log p of each of the packed sequences ``seqs``, the slab rows of
         their tokens in order, d log p / d row of each token) from one gather
-        and one softmax, ``at`` holding the slab row of each of
-        packed.contexts; with ``nll``, d(-log p) / d row. Stage two takes the
-        softmax as exp / row sum, stage one as exp(log-softmax): they differ
-        in the last bit, and each keeps its own so checkpoints do not move."""
+        and one softmax, ``at`` as in ``log_probs``; with ``nll``,
+        d(-log p) / d row. Stage two takes the softmax as exp / row sum, stage
+        one as exp(log-softmax): they differ in the last bit, and each keeps
+        its own so checkpoints do not move."""
+        if at is None:
+            at = self.resolve(packed.contexts)
         lengths = packed.lengths[seqs]
         ends = np.cumsum(lengths)
         tokens = np.arange(ends[-1]) + np.repeat(packed.starts[seqs] - (ends - lengths), lengths)

@@ -105,6 +105,13 @@ def check_workload_count(count: int) -> None:
         raise PipelineError(f"workload count must be at least 1, got {count}")
 
 
+# Keys an earlier version read, each with the values it allowed. A config
+# may still set one: the value is checked as before and has no effect.
+# ``n_contexts`` sized the table contexts were folded into; a context is now
+# the full 64-bit hash, so every count gives the same model.
+RETIRED_KEYS = {"n_contexts": range(1, 2**31)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     catalog: str = ""
@@ -153,6 +160,11 @@ class PipelineConfig:
             if "=" not in line:
                 raise PipelineError(f"not key = value: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in RETIRED_KEYS:
+                allowed = RETIRED_KEYS[key]
+                if not value.isdecimal() or int(value) not in allowed:
+                    raise PipelineError(f"{key} must be from {allowed.start} to {allowed.stop - 1}, got {value}")
+                return None
             if key not in {f.name for f in fields(cls)}:
                 raise PipelineError(f"unknown config key {key!r}")
             return key, value

@@ -78,7 +78,7 @@ def sft_loss(model: TokenModel, batch: Sequence[tuple[int, str]]) -> float:
     if not batch:
         raise TrainingError("empty batch")
     packed = _encode_pairs(model, batch)
-    return _sft_loss_grad(model, packed, model.resolve(packed.contexts), np.arange(len(batch)))[0]
+    return _sft_loss_grad(model, packed, np.arange(len(batch)))[0]
 
 
 def dpo_reward_diff(
@@ -86,7 +86,7 @@ def dpo_reward_diff(
 ) -> float:
     """Reference-normalized, beta-scaled log-likelihood-ratio difference."""
     encoded = encode_triples(reference, [(key, chosen, rejected)])
-    log_p = policy.log_probs(encoded.sequences, policy.resolve(encoded.sequences.contexts))
+    log_p = policy.log_probs(encoded.sequences)
     return _rewards(log_p, encoded.reference, beta)[0]
 
 
@@ -137,16 +137,16 @@ def train_qit(
     for step, batch in zip(range(config.steps), batches):
         # Gradients are read off the pre-update parameters for the whole
         # batch, then applied to the rows of its contexts only.
-        loss, slab_rows, delta = _sft_loss_grad(trained, packed, at, batch)
+        loss, slab_rows, delta = _sft_loss_grad(trained, packed, batch, at)
         delta *= -(config.learning_rate / len(batch))
         add_rows(trained, slab_rows, delta)
         trace.append(TraceRow(step=step, loss=loss))
     return trained, trace
 
 
-def _sft_loss_grad(model: TokenModel, packed: PackedSequences, at: np.ndarray, batch: np.ndarray) -> tuple:
+def _sft_loss_grad(model: TokenModel, packed: PackedSequences, batch: np.ndarray, at=None) -> tuple:
     """(mean NLL of the sequences ``batch``, their slab rows, rows of d(summed NLL)/d logits)."""
-    log_p, slab_rows, delta = model.row_grads(packed, at, batch, nll=True)
+    log_p, slab_rows, delta = model.row_grads(packed, batch, at, nll=True)
     loss = 0.0
     for lp in log_p.tolist():
         loss -= lp
@@ -179,13 +179,13 @@ def encode_triples(
     packed = _encode_pairs(reference, pairs)
     if np.any(packed.lengths <= 1):
         raise TrainingError("preference responses must tokenize to at least one token")
-    return EncodedTriples(packed, reference.log_probs(packed, reference.resolve(packed.contexts)))
+    return EncodedTriples(packed, reference.log_probs(packed))
 
 
-def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray, batch, beta: float) -> tuple:
+def _dpo_loss_grad(policy: TokenModel, encoded: EncodedTriples, batch, beta: float, at=None) -> tuple:
     """(mean preference loss over the triples ``batch``, slab rows, rows of d(loss)/d logits)."""
     seqs = (2 * np.asarray(batch)[:, np.newaxis] + [0, 1]).ravel()
-    log_p, slab_rows, grad = policy.row_grads(encoded.sequences, at, seqs)
+    log_p, slab_rows, grad = policy.row_grads(encoded.sequences, seqs, at)
     loss, weights = 0.0, []
     for u in _rewards(log_p, encoded.reference[seqs], beta):
         loss += _softplus(-u)
@@ -221,16 +221,16 @@ def train_qdpo(
     trace: list[TraceRow] = []
     for step in range(config.steps):
         batch = order.take(range(step * size, (step + 1) * size), mode="wrap")
-        loss, slab_rows, rows = _dpo_loss_grad(policy, encoded, at, batch, config.beta)
+        loss, slab_rows, rows = _dpo_loss_grad(policy, encoded, batch, config.beta, at)
         rows *= -config.learning_rate
         add_rows(policy, slab_rows, rows)
         trace.append(TraceRow(step=step, loss=loss, margin=mean_margin(policy, encoded, at)))
     return policy, trace
 
 
-def mean_margin(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray) -> float:
+def mean_margin(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray | None = None) -> float:
     """Mean margin over the triples, ``at`` holding the policy's slab row
-    of each of encoded.sequences.contexts."""
+    of each of encoded.sequences.contexts (resolved if not given)."""
     margins = triple_margins(policy, encoded, at)
     total = 0.0
     for margin in margins:
@@ -238,7 +238,7 @@ def mean_margin(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray) -> 
     return total / len(margins)
 
 
-def triple_margins(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray) -> list[float]:
+def triple_margins(policy: TokenModel, encoded: EncodedTriples, at: np.ndarray | None = None) -> list[float]:
     log_p = policy.log_probs(encoded.sequences, at)
     return (log_p[0::2] - log_p[1::2]).tolist()
 
@@ -306,7 +306,7 @@ def sft_grad_check(
     everything = np.arange(len(pairs))
 
     def terms(probe: TokenModel):
-        loss, slab_rows, delta = _sft_loss_grad(probe, packed, probe.resolve(packed.contexts), everything)
+        loss, slab_rows, delta = _sft_loss_grad(probe, packed, everything)
         return loss, slab_rows, delta / len(pairs)
 
     return grad_check(terms, model, packed.contexts.tolist(), h, tolerance, n_params, seed)
@@ -319,10 +319,9 @@ def dpo_grad_check(
     if policy.vocab != reference.vocab:
         raise TrainingError("policy and reference differ in vocabulary")
     encoded = encode_triples(reference, triples)
-    contexts = encoded.sequences.contexts
     return grad_check(
-        lambda probe: _dpo_loss_grad(probe, encoded, probe.resolve(contexts), range(len(triples)), beta),
-        policy, contexts.tolist(), h, tolerance, n_params, seed,
+        lambda probe: _dpo_loss_grad(probe, encoded, range(len(triples)), beta),
+        policy, encoded.sequences.contexts.tolist(), h, tolerance, n_params, seed,
     )
 
 

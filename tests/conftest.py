@@ -10,6 +10,7 @@ import math
 import operator
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -350,6 +351,16 @@ def reference_prompt_key(prompt: str) -> int:
 def touched(*models) -> np.ndarray:
     """The contexts with a row in any of ``models``, ascending."""
     return np.array(sorted(set().union(*(model.index for model in models))), dtype=np.uint64)
+
+
+def array_bytes(model) -> int:
+    """Bytes of the model's arrays, as the benchmark's ``theta_bytes`` counts them."""
+    return sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+
+
+def index_bytes(model) -> int:
+    """Bytes of the context index: the dict, its 64-bit keys and its row numbers."""
+    return sys.getsizeof(model.index) + sum(map(sys.getsizeof, itertools.chain(*model.index.items())))
 
 
 def dense_theta(model, contexts=None) -> np.ndarray:

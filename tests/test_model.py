@@ -35,8 +35,10 @@ from plangen.training import (
 from plangen.workload import gen_workload, load_join_graph
 from tests.conftest import (
     FIXTURES_DIR,
+    array_bytes,
     dense_model,
     dense_theta,
+    index_bytes,
     random_model,
     reference_greedy_decode,
     reference_prompt_key,
@@ -506,17 +508,14 @@ def test_no_trained_template_of_the_fixture_emits_bos(fixture_run_dir, fixture_q
                 break
 
 
-def _model_bytes(model: TokenModel) -> int:
-    """Bytes of the model's arrays, as the benchmark's ``theta_bytes`` counts them."""
-    return sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
-
-
 def test_a_new_model_holds_under_a_megabyte(vocab):
-    """Under 64 KB, and reserving rows adds their logits and nothing else."""
+    """Under 64 KB with its index, and reserving rows adds their logits and
+    an index entry of about a hundred bytes each, nothing else."""
     model = TokenModel.create(vocab)
-    assert _model_bytes(model) < 64 * 1024
+    assert array_bytes(model) + index_bytes(model) < 64 * 1024
     model.reserve(np.arange(1000, dtype=np.uint64) * np.uint64(2**50))
-    assert _model_bytes(model) == 8 * len(vocab) * 1001
+    assert array_bytes(model) == 8 * len(vocab) * 1001
+    assert index_bytes(model) < 128 * 1000
 
 
 @settings(max_examples=100, deadline=None)

@@ -207,17 +207,27 @@ def test_a_bad_workload_line_is_located_on_every_read(tmp_path):
     "setting", ["max_len = 0", "max_len = -1", "n_contexts = 0", "n_contexts = 2147483648"]
 )
 def test_config_rejects_a_count_below_one_naming_the_file(tmp_path, setting):
-    """A context count is no longer a key, since a context is a full 64-bit
-    hash: a config that sets one, at any value, is refused naming the file,
-    the line and the key."""
+    """Also a retired context count outside the range it had, naming the
+    line: a config that was invalid before stays invalid."""
     path = tmp_path / "bad.cfg"
     path.write_text(setting + "\n", encoding="utf-8")
-    if setting.startswith("max_len"):
+    key, value = setting.split(" = ")
+    if key == "max_len":
         where = f"{path}: max_len must be at least 1"
     else:
-        where = f"{path}:1: unknown config key 'n_contexts'"
+        where = f"{path}:1: n_contexts must be from 1 to 2147483647, got {value}"
     with pytest.raises(PipelineError, match=f"^{re.escape(where)}"):
         PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("count", [1, 512, 2147483647])
+def test_a_retired_context_count_loads_and_changes_nothing(tmp_path, count):
+    """A context is the full 64-bit hash, so a config that still sets
+    n_contexts, as configs of earlier versions do, loads as if it did not."""
+    text = (FIXTURES / "pipeline.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "old.cfg"
+    path.write_text(text + f"n_contexts = {count}\n", encoding="utf-8")
+    assert PipelineConfig.from_file(path) == PipelineConfig.from_file(FIXTURES / "pipeline.cfg")
 
 
 def test_split_ratio_and_determinism(micro_catalog, micro_join_lines, tmp_path):
@@ -943,10 +953,11 @@ def _workload_with_bad_sql(tmp_path):
 
 
 def _contexts_in_config(tmp_path, value):
-    """A config that still sets n_contexts: contexts are full 64-bit hashes."""
+    """A config that sets the retired n_contexts outside the range it had."""
     cfg, text = tmp_path / "p.cfg", _fixture_config_text(tmp_path / "run")
     cfg.write_text(text + f"n_contexts = {value}\n", encoding="utf-8")
-    return ["run", "--config", cfg], f"{cfg}:{len(text.splitlines()) + 1}: unknown config key 'n_contexts'"
+    where = f"{cfg}:{len(text.splitlines()) + 1}"
+    return ["run", "--config", cfg], f"{where}: n_contexts must be from 1 to 2147483647, got {value}"
 
 
 def _zero_contexts_in_config(tmp_path):

@@ -31,8 +31,10 @@ from plangen.training import (
 from tests.conftest import (
     FIXTURES_DIR,
     RefSequence,
+    array_bytes,
     dense_model,
     dense_theta,
+    index_bytes,
     qdpo_config,
     qit_config,
     ref_encode_response,
@@ -232,6 +234,7 @@ def test_qdpo_margin_oracle_consistency():
     at = policy.resolve(encoded.sequences.contexts)
     assert at.all()  # every step reads a random row
     margins = triple_margins(policy, encoded, at)
+    assert triple_margins(policy, encoded) == margins
     from plangen.training import sequence_log_prob
 
     want = [
@@ -362,11 +365,11 @@ def test_kernel_equals_per_sequence_formulas(data):
     order = data.draw(st.permutations(range(len(refs))), label="order")
     seqs = np.array(order[: data.draw(st.integers(1, len(refs)), label="batch size")])
     places = np.concatenate([refs[i].contexts for i in seqs])
-    log_p, got_rows, grad = model.row_grads(packed, at, seqs)
+    log_p, got_rows, grad = model.row_grads(packed, seqs, at)
     assert np.array_equal(got_rows, model.resolve(contexts[places]))
     assert np.array_equal(log_p, [ref_log_prob(theta, refs[i]) for i in seqs])
     assert np.array_equal(grad, np.concatenate([ref_log_prob_row_grad(theta, refs[i]) for i in seqs]))
-    log_p, _, delta = model.row_grads(packed, at, seqs, nll=True)
+    log_p, _, delta = model.row_grads(packed, seqs, nll=True)
     nll = [ref_nll_and_row_grad(theta, refs[i]) for i in seqs]
     assert np.array_equal(-log_p, [n for n, _ in nll])
     assert np.array_equal(delta, np.concatenate([d for _, d in nll]))
@@ -399,12 +402,13 @@ def test_add_rows_rejects_a_non_contiguous_table():
 
 
 def test_a_model_trained_on_the_fixture_holds_under_two_megabytes(fixture_datasets):
-    """A model holds only the trained rows, whatever the context space."""
+    """A model holds only the trained rows and their index entries, whatever
+    the context space."""
     pairs, triples = fixture_datasets
     qit, _ = fit_qit_from_records(pairs, qit_config(steps=5, seed=1))
     qdpo, _ = train_qdpo(qit, triples, qdpo_config(steps=5, seed=2))
     for model in (qit, qdpo):
-        assert sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray)) < 2 * 2**20
+        assert array_bytes(model) + index_bytes(model) < 2 * 2**20
 
 
 def test_dpo_grad_check_rejects_a_mismatched_reference():
