@@ -264,8 +264,9 @@ def hint_cmd(bracket, sql_file):
 def grad_check_cmd(model_path, loss, sft_path, dpo_path, reference, beta, step,
                    tolerance, samples, seed, limit):
     """Verify analytic gradients with central finite differences."""
-    if samples < 1:
-        raise PlangenError(f"--samples must be at least 1, got {samples}: nothing would be checked")
+    for flag, value in (("--samples", samples), ("--limit", limit)):
+        if value < 1:
+            raise PlangenError(f"{flag} must be at least 1, got {value}: nothing would be checked")
     model = load_model(model_path)
     if loss == "sft":
         if not sft_path:

@@ -1,16 +1,18 @@
 """Tabular autoregressive token model.
 
 The model holds a row of logits over the vocabulary for each context. A
-context is the full 64-bit hash of the integer template key
-(``sql.template_key``) the caller passes, the step index and the previous
-token id, so the conditional next-token distribution factorizes the response
-probability exactly:
+context is one splitmix64 of ``key ^ (position << 32) ^ prev``: the integer
+template key (``sql.template_key``) the caller passes, the step index and the
+previous token id, so the conditional next-token distribution factorizes the
+response probability exactly:
 
     log p(y | x) = sum_t log softmax(logits[ctx(x, t, y_{t-1})])[y_t]
 
 The model never reads a prompt. All hashing is explicit 64-bit arithmetic,
-never Python's randomized hash(), and no two steps share a row short of a
-64-bit hash collision.
+never Python's randomized hash(). splitmix64 is a bijection on 64-bit words,
+so under one key two steps whose position and previous token are both below
+2**32 never share a row; steps of different keys share one only by a 64-bit
+hash collision.
 
 Only the rows training touches are stored. ``rows`` is a slab of logit rows
 and ``index`` maps each touched context to its slab row. Row 0 is all zeros
@@ -24,15 +26,12 @@ Decoding is greedy and stops at <eos> or <bos>. An untouched context's
 logits are all zero, so its argmax is token 0, <bos>. Training never sees
 <bos> as the previous token after position 0, since no response may hold it
 (``tokenizer.check_response``), so every step after a <bos> reads no row and
-emits <bos> again, which adds nothing to the text. Below ``_INNER_POSITIONS``
-the key-free inner hash of a step is read from a table built once per
-vocabulary size, so a step hashes once.
+emits <bos> again, which adds nothing to the text.
 """
 
 from __future__ import annotations
 
 import base64
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,9 +45,8 @@ from .tokenizer import Vocabulary, check_response, detokenize, tokenize
 
 _MASK = (1 << 64) - 1
 
-CHECKPOINT_FORMAT = "plangen-token-model/3"
+CHECKPOINT_FORMAT = "plangen-token-model/4"
 CONTEXT_SPACE = 2**64  # a context is a full 64-bit hash
-_INNER_POSITIONS = 256  # positions whose key-free inner hashes are tabled
 
 
 class ModelError(PlangenError):
@@ -70,17 +68,9 @@ def _splitmix(x):
 
 def context_id(template_key: int, position, prev_token):
     """Context of a step; ``position`` and ``prev_token`` may also be
-    equal-length uint64 arrays, giving the contexts of every step."""
-    return _splitmix(template_key ^ _splitmix(position ^ _splitmix(prev_token)))
-
-
-@functools.lru_cache(maxsize=8)
-def _inner_hashes(width: int) -> list[list[int]]:
-    """``_splitmix(position ^ _splitmix(prev))`` as Python ints, indexed
-    [position][prev] for every position below _INNER_POSITIONS and token id
-    below ``width``: a step's context is then one splitmix of key ^ this."""
-    positions = np.arange(_INNER_POSITIONS, dtype=np.uint64)[:, np.newaxis]
-    return _splitmix(positions ^ _splitmix(np.arange(width, dtype=np.uint64))).tolist()
+    equal-length uint64 arrays, giving the contexts of every step. The int
+    path's first masked add drops the bits above 64, as numpy wraps."""
+    return _splitmix(template_key ^ (position << 32) ^ prev_token)
 
 
 @dataclass
@@ -91,7 +81,6 @@ class TokenModel:
 
     @classmethod
     def create(cls, vocab: Vocabulary) -> "TokenModel":
-        _inner_hashes(len(vocab))  # built here, so no decode pays for it
         return cls(vocab, {}, np.zeros((1, len(vocab))))
 
     @classmethod
@@ -198,22 +187,19 @@ class TokenModel:
         """Argmax decoding up to ``max_len`` steps, <eos> or <bos>. A step
         whose context has no row reads zero logits, whose argmax is <bos>, so
         it ends the decode without an argmax: an untrained template decodes
-        in one step. Each step hashes one context, through ``_inner_hashes``
-        below _INNER_POSITIONS and through ``context_id`` past it."""
+        in one step. Each step hashes its context once, ``context_id``
+        inlined."""
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
         bos, eos = self.vocab.bos_id, self.vocab.eos_id
-        rows, index, inner = self.rows, self.index, _inner_hashes(len(self.vocab))
+        rows, index = self.rows, self.index
         out: list[int] = []
         prev = bos
         for position in range(max_len):
-            if position < _INNER_POSITIONS:  # _splitmix(key ^ inner), inlined
-                x = ((key ^ inner[position][prev]) + 0x9E3779B97F4A7C15) & _MASK
-                x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-                row = index.get(x ^ (x >> 31))
-            else:
-                row = index.get(context_id(key, position, prev))
+            x = ((key ^ (position << 32) ^ prev) + 0x9E3779B97F4A7C15) & _MASK
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+            row = index.get(x ^ (x >> 31))
             if row is None:
                 break
             token = int(rows[row].argmax())
@@ -307,7 +293,7 @@ def _from_checkpoint(payload: dict) -> TokenModel:
     if not set(map(type, contexts)) <= {int}:  # a bool is not a context
         raise ModelError("rows holds a context that is not an integer")
     if contexts and not 0 <= min(contexts) <= max(contexts) < CONTEXT_SPACE:
-        raise ModelError("rows holds a context outside the context table")
+        raise ModelError("rows holds a context outside [0, 2**64)")
     contexts = np.array(contexts, dtype=np.uint64)
     if (contexts[1:] <= contexts[:-1]).any():
         raise ModelError("rows are not strictly ascending")

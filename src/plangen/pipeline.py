@@ -147,6 +147,9 @@ class PipelineConfig:
         check_split_mode(self.split_mode)
         if self.max_len < 1:
             raise PipelineError(f"max_len must be at least 1, got {self.max_len}")
+        PreferenceConfig(self.r0)  # the training and preference rules, checked as the config loads
+        TrainConfig(self.qit_lr, self.qit_steps, self.batch_size, seed=self.qit_seed)
+        TrainConfig(self.qdpo_lr, self.qdpo_steps, self.batch_size, self.beta, self.qdpo_seed)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
@@ -172,7 +175,7 @@ class PipelineConfig:
         values = dict(read_lines(path, setting))
         try:
             return cls().with_overrides(**values).with_overrides(**overrides)
-        except PipelineError as exc:
+        except PlangenError as exc:
             raise PipelineError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "PipelineConfig":

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from plangen.catalog import load_catalog, serialize_stats
 from plangen.dataset import Demonstration, build_prompt
 from plangen.model import (
-    _INNER_POSITIONS,
     CHECKPOINT_FORMAT,
     ModelError,
     TokenModel,
-    _inner_hashes,
     _splitmix,
     add_rows,
     context_id,
@@ -241,11 +239,12 @@ def test_a_saved_model_loads_with_every_logit_and_resaves_its_bytes(tmp_path_fac
     assert (out / "a.ckpt").read_bytes() == (out / "b.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize("old", ["plangen-token-model/1", "plangen-token-model/2"])
+@pytest.mark.parametrize("old", ["plangen-token-model/1", "plangen-token-model/2", "plangen-token-model/3"])
 def test_a_checkpoint_in_an_earlier_format_is_refused_naming_it(fixture_run_dir, tmp_path, old):
     """Formats /1 and /2 hold contexts folded into a table of n_contexts
-    rows, which no 64-bit context reads: such a file is refused, naming the
-    file and its format, rather than read as a silently wrong model."""
+    rows, and /3 contexts of a nested three-hash: no context of this format
+    reads them, so such a file is refused, naming the file and its format,
+    rather than read as a silently untrained model."""
     payload = json.loads((fixture_run_dir / "qit.ckpt").read_text())
     assert payload["format"] == CHECKPOINT_FORMAT
     path = tmp_path / "old.ckpt"
@@ -445,25 +444,26 @@ def test_decoding_allocates_per_block_never_per_context():
     assert model.rows.nbytes == before["rows"].nbytes and np.array_equal(model.rows, before["rows"])
 
 
-@settings(max_examples=100, deadline=None)
-@given(key=st.integers(0, 2**64 - 1), position=st.integers(0, _INNER_POSITIONS - 1),
-       width=st.integers(3, 64))
-def test_one_hash_of_the_inner_table_is_the_context_of_a_step(key, position, width):
-    """Below _INNER_POSITIONS a decode step hashes key ^ _inner_hashes(|V|)[position][prev]
-    once, and for every token id that is context_id's three-hash context."""
-    inner = _inner_hashes(width)
-    assert len(inner) == _INNER_POSITIONS and {len(row) for row in inner} == {width}
-    for prev in range(width):
-        assert _splitmix(key ^ inner[position][prev]) == context_id(key, position, prev)
+_STEP = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))  # (position, prev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.integers(0, 2**64 - 1), a=_STEP, b=_STEP)
+def test_under_one_key_distinct_steps_never_share_a_context(key, a, b):
+    """key ^ (position << 32) ^ prev is injective in (position, prev) below
+    2**32 each, and splitmix64 is a bijection on 64-bit words."""
+    assume(a != b)
+    assert context_id(key, *a) != context_id(key, *b)
+    assert context_id(key, *a) == _splitmix(key ^ (a[0] << 32) ^ a[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(key=st.integers(0, 2**64 - 1), data=st.data())
 def test_a_decode_follows_a_trained_chain_across_the_first_block_edge(key, data):
     """Rows planted at context_id of each step of a response of up to 300
-    tokens, none of them <bos>, then <eos>: the decode reads the steps below
-    _INNER_POSITIONS through the one-hash table and the later ones through
-    context_id, and returns the whole response at any max_len."""
+    tokens, none of them <bos>, then <eos>: the decode's inlined hash reads
+    every step, those past position 256 too, and returns the whole response
+    at any max_len."""
     vocab = build_vocab(RESPONSES)
     tokens = data.draw(st.lists(st.integers(2, len(vocab) - 1), max_size=300), label="tokens")
     contexts = [context_id(key, i, prev) for i, prev in enumerate([vocab.bos_id, *tokens])]

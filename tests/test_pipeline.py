@@ -220,6 +220,32 @@ def test_config_rejects_a_count_below_one_naming_the_file(tmp_path, setting):
         PipelineConfig.from_file(path)
 
 
+_OUT_OF_RANGE = {
+    "beta = 0": "beta must be positive, got 0.0",
+    "r0 = 1.5": "ratio threshold must be in (0, 1), got 1.5",
+    "qit_steps = -1": "step count must be non-negative, got -1",
+    "qdpo_steps = -2": "step count must be non-negative, got -2",
+    "qit_lr = 0": "learning rate must be positive, got 0.0",
+    "qdpo_lr = -0.1": "learning rate must be positive, got -0.1",
+    "batch_size = 0": "batch size must be positive, got 0",
+}
+
+
+@pytest.mark.parametrize("setting", list(_OUT_OF_RANGE))
+def test_a_training_value_out_of_range_fails_as_the_config_loads(tmp_path, setting):
+    """A training or preference value out of range is refused as the config
+    loads, naming the file, before any stage runs."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + setting + "\n", encoding="utf-8")
+    where = _OUT_OF_RANGE[setting]
+    with pytest.raises(PipelineError, match=f"^{re.escape(f'{cfg}: {where}')}$"):
+        PipelineConfig.from_file(cfg)
+    result = invoke("run", "--config", cfg)
+    assert result.exit_code == 1
+    assert result.output == f"error: {cfg}: {where}\n"
+    assert not (tmp_path / "run" / "stages.json").exists()
+
+
 @pytest.mark.parametrize("count", [1, 512, 2147483647])
 def test_a_retired_context_count_loads_and_changes_nothing(tmp_path, count):
     """A context is the full 64-bit hash, so a config that still sets
@@ -885,7 +911,7 @@ def _zero_join_count(tmp_path):
 def _checkpoint_without_vocab(tmp_path):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text(
-        json.dumps({"format": "plangen-token-model/3", "n_contexts": 2**64, "rows": [], "logits": ""}),
+        json.dumps({"format": "plangen-token-model/4", "n_contexts": 2**64, "rows": [], "logits": ""}),
         encoding="utf-8",
     )
     sql = tmp_path / "q.sql"
@@ -976,7 +1002,7 @@ def _zero_max_len_in_config(tmp_path):
 
 def _infer_with_checkpoint(tmp_path, **fields):
     ckpt = tmp_path / "bad.ckpt"
-    payload = {"format": "plangen-token-model/3", "n_contexts": 2**64,
+    payload = {"format": "plangen-token-model/4", "n_contexts": 2**64,
                "vocab": ["<bos>", "<eos>", "<unk>"], "rows": [], "logits": "", **fields}
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     sql = tmp_path / "q.sql"
@@ -1028,12 +1054,12 @@ def _checkpoint_with_descending_contexts(tmp_path):
 
 def _checkpoint_with_context_out_of_range(tmp_path):
     args = _infer_with_checkpoint(tmp_path, rows=[2**64], logits=_logits([1.0, 2.0, 3.0]))
-    return args, "bad.ckpt: rows holds a context outside the context table"
+    return args, "bad.ckpt: rows holds a context outside [0, 2**64)"
 
 
 def _checkpoint_with_negative_context(tmp_path):
     args = _infer_with_checkpoint(tmp_path, rows=[-1], logits=_logits([1.0, 2.0, 3.0]))
-    return args, "bad.ckpt: rows holds a context outside the context table"
+    return args, "bad.ckpt: rows holds a context outside [0, 2**64)"
 
 
 def _checkpoint_with_rows_not_a_list(tmp_path):
@@ -1505,23 +1531,31 @@ def _negative_workload_count_in_config(tmp_path):
     return ["run", "--config", cfg], f"error: {cfg}: workload count must be at least 1, got -5\n"
 
 
-def _grad_check_samples(tmp_path, samples):
+def _grad_check_flag(tmp_path, flag, value):
     sft = tmp_path / "sft.jsonl"
     prompt = "INSTRUCTION: plan\nINPUT:\n<SQL>: SELECT * FROM title;\n<Statistics>:\ntitle"
     sft.write_text(json.dumps({"query_id": "q0001", "prompt": prompt, "response": "title"}) + "\n")
     assert invoke("train-qit", "--sft", sft, "--out", tmp_path / "qit.ckpt", "--steps", 1).exit_code == 0
     return ["grad-check", "--model", tmp_path / "qit.ckpt", "--loss", "sft", "--sft",
-            tmp_path / "sft.jsonl", "--samples", samples], (
-        f"error: --samples must be at least 1, got {samples}: nothing would be checked\n"
+            tmp_path / "sft.jsonl", flag, value], (
+        f"error: {flag} must be at least 1, got {value}: nothing would be checked\n"
     )
 
 
 def _grad_check_zero_samples(tmp_path):
-    return _grad_check_samples(tmp_path, 0)
+    return _grad_check_flag(tmp_path, "--samples", 0)
 
 
 def _grad_check_negative_samples(tmp_path):
-    return _grad_check_samples(tmp_path, -3)
+    return _grad_check_flag(tmp_path, "--samples", -3)
+
+
+def _grad_check_zero_limit(tmp_path):
+    return _grad_check_flag(tmp_path, "--limit", 0)
+
+
+def _grad_check_negative_limit(tmp_path):
+    return _grad_check_flag(tmp_path, "--limit", -1)
 
 
 @pytest.mark.parametrize(
@@ -1555,7 +1589,8 @@ def _grad_check_negative_samples(tmp_path):
      _report_build_test_query_without_plans, _report_build_plans_of_unknown_query,
      _gen_sft_workload_query_without_plans, _infer_table_absent_from_catalog,
      _split_workload_ratio_above_one, _split_workload_negative_ratio, _gen_workload_negative_count,
-     _split_workload_by_template_of_one_template, _negative_workload_count_in_config, _grad_check_zero_samples, _grad_check_negative_samples],
+     _split_workload_by_template_of_one_template, _negative_workload_count_in_config, _grad_check_zero_samples, _grad_check_negative_samples,
+     _grad_check_zero_limit, _grad_check_negative_limit],
 )
 def test_cli_bad_inputs_exit_1_naming_the_problem(tmp_path, case):
     args, where = case(tmp_path)

@@ -34,7 +34,7 @@ SAMPLE_LINES = [
     "movie_id,kind_id",
     "0,1",
     '{"query_id": "q0001", "response": "x"}',
-    '{"format": "plangen-token-model/3", "n_contexts": 18446744073709551616, "vocab": ["<bos>", "<eos>", "<unk>"], '
+    '{"format": "plangen-token-model/4", "n_contexts": 18446744073709551616, "vocab": ["<bos>", "<eos>", "<unk>"], '
     '"rows": [1], "logits": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}',
 ]
 CONTENTS = (
