@@ -330,10 +330,12 @@ def report_cmd(run_dir, build, tables_dir, as_json):
 @_domain_errors
 def run_cmd(config_path, **flags):
     """Run the whole pipeline from a config file; flags override the file."""
-    if config_path:
-        config = pl.PipelineConfig.from_file(config_path, **flags)
-    else:
-        config = pl.PipelineConfig().with_overrides(**flags)
+    config = pl.PipelineConfig.from_file(config_path) if config_path else pl.PipelineConfig()
+    for name, value in flags.items():  # one at a time, after the file's values, so an error names its flag
+        try:
+            config = config.with_overrides(**{name: value})
+        except PlangenError as exc:
+            raise PlangenError(f"--{name.replace('_', '-')}: {exc}") from None
     result = pl.run_pipeline(config)
     for name, status in result.stages:
         click.echo(f"stage {name}: {status} in {result.seconds[name]:.3f} s")

@@ -1,18 +1,19 @@
 """Tabular autoregressive token model.
 
 The model holds a row of logits over the vocabulary for each context. A
-context is one splitmix64 of ``key ^ (position << 32) ^ prev``: the integer
-template key (``sql.template_key``) the caller passes, the step index and the
-previous token id, so the conditional next-token distribution factorizes the
-response probability exactly:
+context is ``splitmix(splitmix(key) ^ (position << 32) ^ prev)``: the integer
+template key (``sql.template_key``) the caller passes, mixed once per
+sequence, the step index and the previous token id, so the conditional
+next-token distribution factorizes the response probability exactly:
 
     log p(y | x) = sum_t log softmax(logits[ctx(x, t, y_{t-1})])[y_t]
 
 The model never reads a prompt. All hashing is explicit 64-bit arithmetic,
 never Python's randomized hash(). splitmix64 is a bijection on 64-bit words,
 so under one key two steps whose position and previous token are both below
-2**32 never share a row; steps of different keys share one only by a 64-bit
-hash collision.
+2**32 never share a row. Two keys mix to two words whose XOR is
+pseudo-random, so steps of different keys share one only by a 64-bit hash
+collision, small keys too.
 
 Only the rows training touches are stored. ``rows`` is a slab of logit rows
 and ``index`` maps each touched context to its slab row. Row 0 is all zeros
@@ -22,9 +23,14 @@ can update before its first step (``TokenModel.reserve``), which also gives
 the slab row of each, once; ``add_rows`` then works on slab rows and refuses
 row 0. Memory grows with the touched rows only.
 
-Decoding is greedy and stops at <eos> or <bos>. An untouched context's
-logits are all zero, so its argmax is token 0, <bos>. Training never sees
-<bos> as the previous token after position 0, since no response may hold it
+Decoding is greedy and stops at <eos> or <bos>. It reads each row's argmax
+token from ``top``, one list entry per slab row, never the row itself.
+``top`` cannot go stale: the slab is the model's own read-only copy, so only
+the writers (``reserve``, ``put`` and ``add_rows``) change it, and each drops
+``top``; the constructor and ``from_rows`` build it, and a decode after a
+write builds it again. An untouched context's logits are all zero, so its
+argmax is token 0, <bos>. Training never sees <bos> as the previous token
+after position 0, since no response may hold it
 (``tokenizer.check_response``), so every step after a <bos> reads no row and
 emits <bos> again, which adds nothing to the text.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import base64
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,7 +52,7 @@ from .tokenizer import Vocabulary, check_response, detokenize, tokenize
 
 _MASK = (1 << 64) - 1
 
-CHECKPOINT_FORMAT = "plangen-token-model/4"
+CHECKPOINT_FORMAT = "plangen-token-model/5"
 CONTEXT_SPACE = 2**64  # a context is a full 64-bit hash
 
 
@@ -68,16 +75,49 @@ def _splitmix(x):
 
 def context_id(template_key: int, position, prev_token):
     """Context of a step; ``position`` and ``prev_token`` may also be
-    equal-length uint64 arrays, giving the contexts of every step. The int
-    path's first masked add drops the bits above 64, as numpy wraps."""
-    return _splitmix(template_key ^ (position << 32) ^ prev_token)
+    equal-length uint64 arrays, giving the contexts of every step, with the
+    key mixed once. The int path's first masked add drops the bits above 64,
+    as numpy wraps."""
+    return _splitmix(_splitmix(template_key) ^ (position << 32) ^ prev_token)
 
 
 @dataclass
 class TokenModel:
     vocab: Vocabulary
     index: dict[int, int]  # each touched context -> its row of ``rows``
-    rows: np.ndarray  # (touched + 1, |V|) float64 logits; row 0 is the shared zero row
+    rows: np.ndarray  # (touched + 1, |V|) float64 logits, read-only; row 0 is the shared zero row
+    # top: list[int] | None, the argmax token of each row of ``rows``; None after a write
+
+    def __setattr__(self, name, value):
+        if name == "rows":  # a copy, so no view of the slab outside the model can write it
+            self._hold(np.array(value))
+        else:
+            object.__setattr__(self, name, value)
+
+    def __post_init__(self):
+        self._top()
+
+    def _hold(self, slab: np.ndarray) -> None:
+        """Make ``slab``, an array nothing else refers to, the model's slab."""
+        slab.flags.writeable = False
+        object.__setattr__(self, "rows", slab)
+        self.top = None
+
+    def _top(self) -> list[int]:
+        """``top``, built again if a write dropped it."""
+        if self.top is None:
+            self.top = self.rows.argmax(axis=1).tolist()
+        return self.top
+
+    @contextmanager
+    def _writing(self):
+        """The slab, writeable inside the block only; ``top`` is dropped."""
+        self.top = None
+        self.rows.flags.writeable = True
+        try:
+            yield self.rows
+        finally:
+            self.rows.flags.writeable = False
 
     @classmethod
     def create(cls, vocab: Vocabulary) -> "TokenModel":
@@ -85,14 +125,15 @@ class TokenModel:
 
     @classmethod
     def from_rows(cls, vocab: Vocabulary, contexts, rows) -> "TokenModel":
-        """The model whose logits are ``rows[i]`` at ``contexts[i]`` and zero elsewhere."""
+        """The model whose logits are ``rows[i]`` at ``contexts[i]`` and zero
+        elsewhere, its ``top`` built, so it decodes without building it."""
         model = cls.create(vocab)
-        at = model.reserve(contexts)  # before reading model.rows, which it grows
-        model.rows[at] = rows
+        model.put(model.reserve(contexts), rows)
+        model._top()
         return model
 
     def copy(self) -> "TokenModel":
-        return TokenModel(self.vocab, dict(self.index), self.rows.copy())
+        return TokenModel(self.vocab, dict(self.index), self.rows)
 
     def reserve(self, contexts) -> np.ndarray:
         """Give each of ``contexts`` that has no row a zero row of its own;
@@ -101,8 +142,15 @@ class TokenModel:
         at = [index.setdefault(ctx, len(index) + 1) for ctx in np.asarray(contexts, dtype=np.uint64).tolist()]
         if len(index) >= len(self.rows):
             fresh = np.zeros((len(index) + 1 - len(self.rows), self.rows.shape[1]))
-            self.rows = np.concatenate([self.rows, fresh])
+            self._hold(np.concatenate([self.rows, fresh]))
         return np.array(at, dtype=np.intp)
+
+    def put(self, at: np.ndarray, rows: np.ndarray) -> None:
+        """Slab rows ``at`` = ``rows``. Row 0, the shared zero row, is refused."""
+        if not np.all(at):
+            raise ModelError("a write reaches the shared zero row; reserve a row first")
+        with self._writing() as slab:
+            slab[at] = rows
 
     def resolve(self, contexts) -> np.ndarray:
         """The slab row of each of ``contexts``, 0 for one without a row."""
@@ -186,13 +234,15 @@ class TokenModel:
     def greedy_decode(self, key: int, max_len: int) -> str:
         """Argmax decoding up to ``max_len`` steps, <eos> or <bos>. A step
         whose context has no row reads zero logits, whose argmax is <bos>, so
-        it ends the decode without an argmax: an untrained template decodes
-        in one step. Each step hashes its context once, ``context_id``
-        inlined."""
+        it ends the decode: an untrained template decodes in one step. The key
+        is mixed once; each step then hashes its context once, ``context_id``
+        inlined, and reads its token from ``top``, which the writers drop and
+        a decode after a write builds again."""
         if max_len <= 0:
             raise ModelError(f"max_len must be positive, got {max_len}")
         bos, eos = self.vocab.bos_id, self.vocab.eos_id
-        rows, index = self.rows, self.index
+        top, index = self._top(), self.index
+        key = _splitmix(key)
         out: list[int] = []
         prev = bos
         for position in range(max_len):
@@ -202,7 +252,7 @@ class TokenModel:
             row = index.get(x ^ (x >> 31))
             if row is None:
                 break
-            token = int(rows[row].argmax())
+            token = top[row]
             if token == eos or token == bos:
                 break
             out.append(token)
@@ -251,14 +301,14 @@ def add_rows(model: TokenModel, at: np.ndarray, rows: np.ndarray) -> None:
     """Slab row at[i] += rows[i] for every i in order, as np.add.at over the
     rows would, but as one several times faster flat np.add.at onto the
     slab. Row 0, the shared zero row, is refused: reserve a row first."""
-    slab = model.rows
-    if not slab.flags.c_contiguous:
+    if not model.rows.flags.c_contiguous:
         raise ModelError("add_rows needs a C-contiguous slab")
     if not at.all():
         raise ModelError("an update reaches the shared zero row; reserve a row first")
-    width = slab.shape[1]
+    width = model.rows.shape[1]
     flat = np.add.outer(at * width, np.arange(width)).ravel()
-    np.add.at(slab.reshape(-1), flat, rows.ravel())
+    with model._writing() as slab:
+        np.add.at(slab.reshape(-1), flat, rows.ravel())
 
 
 def save_model(model: TokenModel, path: str | Path) -> None:

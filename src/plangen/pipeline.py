@@ -152,9 +152,8 @@ class PipelineConfig:
         TrainConfig(self.qdpo_lr, self.qdpo_steps, self.batch_size, self.beta, self.qdpo_seed)
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        """The config a file sets, then ``overrides`` (None keeps the file's
-        value); an error names the file."""
+    def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """The config a file sets; an error names the file."""
 
         def setting(raw: str) -> tuple[str, str] | None:
             line = raw.split("#", 1)[0].strip()
@@ -174,7 +173,7 @@ class PipelineConfig:
 
         values = dict(read_lines(path, setting))
         try:
-            return cls().with_overrides(**values).with_overrides(**overrides)
+            return cls().with_overrides(**values)
         except PlangenError as exc:
             raise PipelineError(f"{path}: {exc}") from None
 

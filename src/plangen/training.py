@@ -279,16 +279,18 @@ def grad_check(
     analytic = TokenModel(probe.vocab, probe.index, np.zeros_like(probe.rows))
     add_rows(analytic, slab_rows, rows)
     max_rel = 0.0
-    work = probe.rows
     for ctx, c in sorted(entries):
-        row = probe.index[ctx]
-        expected = analytic.rows[row, c]
-        original = work[row, c]
-        work[row, c] = original + h
+        at = np.array([probe.index[ctx]])
+        expected = analytic.rows[at[0], c]
+        original = probe.rows[at]  # a copy: fancy indexing
+        shifted = original.copy()
+        shifted[0, c] = original[0, c] + h
+        probe.put(at, shifted)
         up = terms(probe)[0]
-        work[row, c] = original - h
+        shifted[0, c] = original[0, c] - h
+        probe.put(at, shifted)
         down = terms(probe)[0]
-        work[row, c] = original
+        probe.put(at, original)
         numeric = (up - down) / (2 * h)
         denom = max(abs(numeric), abs(expected))
         # Entries below the finite-difference noise floor count as agreement

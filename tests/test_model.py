@@ -23,7 +23,7 @@ from plangen.model import (
 )
 from plangen.pipeline import PipelineConfig, run_pipeline, stage_workload
 from plangen.sql import render_sql, template_key, template_of
-from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, detokenize, split_tokens
+from plangen.tokenizer import BOS, EOS, UNK, Vocabulary, build_vocab, detokenize, split_tokens, tokenize
 from plangen.training import (
     dpo_loss,
     dpo_reward_diff,
@@ -228,7 +228,7 @@ def test_a_saved_model_loads_with_every_logit_and_resaves_its_bytes(tmp_path_fac
     rows = np.array(data.draw(st.lists(row, min_size=len(touched_contexts), max_size=len(touched_contexts))), dtype=float)
     model = TokenModel.create(vocab)
     at = model.reserve(touched_contexts)
-    model.rows[at] = rows.reshape(len(touched_contexts), len(vocab)) + 0.0  # no -0.0
+    model.put(at, rows.reshape(len(touched_contexts), len(vocab)) + 0.0)  # no -0.0
     out = tmp_path_factory.mktemp("round_trip")
     save_model(model, out / "a.ckpt")
     loaded = load_model(out / "a.ckpt")
@@ -239,12 +239,13 @@ def test_a_saved_model_loads_with_every_logit_and_resaves_its_bytes(tmp_path_fac
     assert (out / "a.ckpt").read_bytes() == (out / "b.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize("old", ["plangen-token-model/1", "plangen-token-model/2", "plangen-token-model/3"])
+@pytest.mark.parametrize("old", [f"plangen-token-model/{n}" for n in range(1, 5)])
 def test_a_checkpoint_in_an_earlier_format_is_refused_naming_it(fixture_run_dir, tmp_path, old):
     """Formats /1 and /2 hold contexts folded into a table of n_contexts
-    rows, and /3 contexts of a nested three-hash: no context of this format
-    reads them, so such a file is refused, naming the file and its format,
-    rather than read as a silently untrained model."""
+    rows, /3 contexts of a nested three-hash, and /4 contexts of the key
+    unmixed: no context of this format reads them, so such a file is
+    refused, naming the file and its format, rather than read as a silently
+    untrained model."""
     payload = json.loads((fixture_run_dir / "qit.ckpt").read_text())
     assert payload["format"] == CHECKPOINT_FORMAT
     path = tmp_path / "old.ckpt"
@@ -450,11 +451,11 @@ _STEP = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))  # (posi
 @settings(max_examples=200, deadline=None)
 @given(key=st.integers(0, 2**64 - 1), a=_STEP, b=_STEP)
 def test_under_one_key_distinct_steps_never_share_a_context(key, a, b):
-    """key ^ (position << 32) ^ prev is injective in (position, prev) below
-    2**32 each, and splitmix64 is a bijection on 64-bit words."""
+    """mixed key ^ (position << 32) ^ prev is injective in (position, prev)
+    below 2**32 each, and splitmix64 is a bijection on 64-bit words."""
     assume(a != b)
     assert context_id(key, *a) != context_id(key, *b)
-    assert context_id(key, *a) == _splitmix(key ^ (a[0] << 32) ^ a[1])
+    assert context_id(key, *a) == _splitmix(_splitmix(key) ^ (a[0] << 32) ^ a[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,6 +507,79 @@ def test_no_trained_template_of_the_fixture_emits_bos(fixture_run_dir, fixture_q
             assert prev != model.vocab.bos_id, (key, position)
             if prev == model.vocab.eos_id:
                 break
+
+
+_WRITES = ("reserve", "add", "put", "extend", "copy", "from_rows")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_decode_after_any_write_equals_the_reference(data):
+    """Random writes (reserve, add_rows, put, a step appended to a key's
+    decode), copies and from_rows rebuilds, each followed by decoding every
+    model made so far under every key: each decode equals the step-by-step
+    reference, which reads the slab itself, so no decode reads an argmax
+    table that a write left stale, and a copy's writes never reach the model
+    it was copied from."""
+    vocab = build_vocab(RESPONSES)
+    keys = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True), label="keys")
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    steps = [context_id(key, position, prev) for key in keys for position in range(4)
+             for prev in ([vocab.bos_id] if position == 0 else rng.choice(len(vocab), 3).tolist())]
+    models = [TokenModel.create(vocab)]
+    for write in data.draw(st.lists(st.sampled_from(_WRITES), max_size=12), label="writes"):
+        model = models[data.draw(st.integers(0, len(models) - 1))]
+        contexts = rng.choice(steps, size=rng.integers(1, 6)).astype(np.uint64)
+        if write == "reserve":
+            model.reserve(contexts)
+        elif write == "add" and model.index:
+            at = rng.choice(list(model.index.values()), size=rng.integers(1, 6))
+            add_rows(model, at, rng.normal(0.0, 3.0, size=(len(at), len(vocab))))
+        elif write == "put":
+            model.put(model.reserve(contexts), rng.normal(0.0, 3.0, size=(len(contexts), len(vocab))))
+        elif write == "extend":  # the step where a key's decode ends now emits a word or <eos>
+            key = keys[rng.integers(len(keys))]
+            tokens = [vocab.bos_id, *tokenize(reference_greedy_decode(model, key, 600), vocab)]
+            at = model.reserve([context_id(key, len(tokens) - 1, tokens[-1])])
+            row = np.zeros((1, len(vocab)))
+            row[0, rng.integers(vocab.eos_id, len(vocab))] = 1.0
+            add_rows(model, at, row)
+        elif write == "copy":
+            models.append(model.copy())
+        elif write == "from_rows":
+            models.append(TokenModel.from_rows(vocab, touched(model), dense_theta(model)))
+        for each in models:
+            for key in keys:
+                assert each.greedy_decode(key, 600) == reference_greedy_decode(each, key, 600)
+
+
+def test_the_slab_is_written_only_through_the_writers(vocab):
+    """Writing a decoded model's slab in place raises, through the model or
+    any view of it, and ``put`` refuses the shared zero row; an array set as
+    the slab, through the constructor or by assignment, is copied, so the
+    caller's array does not reach the model, and the next decode reads the
+    new slab."""
+    tokens = [vocab.token_id(word) for word in ("Step1", ":", "[", "a", ",")]
+    eos = np.zeros(len(vocab))
+    eos[vocab.eos_id] = 1.0
+    model = _chain(vocab, 7, tokens, eos)
+    assert model.greedy_decode(7, 600) == "Step1: [a,"
+    first = model.index[context_id(7, 0, vocab.bos_id)]
+    for write in (lambda rows: rows.__setitem__((first, 0), 5.0), lambda rows: rows.__iadd__(1.0),
+                  lambda rows: np.add.at(rows, first, 1.0), lambda rows: rows[first:].fill(0.0),
+                  lambda rows: np.copyto(rows.reshape(-1), 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write(model.rows)
+    with pytest.raises(ModelError, match="shared zero row"):
+        model.put(np.array([0]), eos[np.newaxis])
+    assert model.greedy_decode(7, 600) == "Step1: [a,"
+    slab = np.array(model.rows)
+    slab[first] = eos
+    built = TokenModel(vocab, dict(model.index), slab)
+    model.rows = slab
+    slab[first] = 0.0  # the caller's array, not either model's
+    for made in (built, model):
+        assert made.greedy_decode(7, 600) == ""
 
 
 def test_a_new_model_holds_under_a_megabyte(vocab):

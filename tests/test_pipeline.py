@@ -27,6 +27,7 @@ from plangen.dataset import (
 from plangen.errors import PlangenError
 from plangen.executor import PlanTiming, read_plan_log, write_plan_log
 from plangen.jsonl import write_jsonl
+from plangen.model import CHECKPOINT_FORMAT
 from plangen import pipeline, sql
 from plangen.pipeline import (
     SPLIT_MODES,
@@ -124,7 +125,7 @@ def test_run_refuses_a_one_query_workload_as_the_config_loads(tmp_path):
     cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
     result = invoke("run", "--config", cfg, "--workload-count", 1, "--demo-mode", "none")
     assert result.exit_code == 1, result.output
-    assert result.output == f"error: {cfg}: workload count must be at least 2 to split into train and test, got 1\n"
+    assert result.output == "error: --workload-count: workload count must be at least 2 to split into train and test, got 1\n"
     assert not (tmp_path / "run").exists()
     with pytest.raises(PipelineError, match="^workload count must be at least 2"):
         PipelineConfig(workload_count=1)
@@ -142,8 +143,8 @@ def test_run_refuses_a_one_query_workload_as_the_config_loads(tmp_path):
 )
 def test_a_small_run_judges_something_or_exits_1_naming_a_file(count, joins, split_mode, demo_mode):
     """No config runs to a report over an empty test split or SFT set, and
-    every refusal names the config or the input file it found wanting; an
-    exception other than a located error would escape ``invoke``."""
+    every refusal names the flag, the config or the input file it found
+    wanting; an exception other than a located error would escape ``invoke``."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, run_dir = Path(tmp) / "pipeline.cfg", Path(tmp) / "run"
         cfg.write_text(_fixture_config_text(run_dir) + "qit_steps = 2\nqdpo_steps = 2\n"
@@ -155,7 +156,7 @@ def test_a_small_run_judges_something_or_exits_1_naming_a_file(count, joins, spl
             assert datasets["test"] > 0 and datasets["sft_records"] > 0
         else:
             assert result.exit_code == 1, result.output
-            located = rf"^error: ({re.escape(str(cfg))}|stage [a-z-]+: {re.escape(str(run_dir))}/[a-z_.]+): "
+            located = rf"^error: (--workload-count|{re.escape(str(cfg))}|stage [a-z-]+: {re.escape(str(run_dir))}/[a-z_.]+): "
             assert re.match(located, result.output), result.output
 
 
@@ -244,6 +245,37 @@ def test_a_training_value_out_of_range_fails_as_the_config_loads(tmp_path, setti
     assert result.exit_code == 1
     assert result.output == f"error: {cfg}: {where}\n"
     assert not (tmp_path / "run" / "stages.json").exists()
+
+
+_BAD_FLAGS = {
+    "--beta": ("0", "beta must be positive, got 0.0"),
+    "--r0": ("1.5", "ratio threshold must be in (0, 1), got 1.5"),
+    "--workload-count": ("1", "workload count must be at least 2 to split into train and test, got 1"),
+    "--qit-steps": ("-1", "step count must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("flag", list(_BAD_FLAGS))
+def test_a_bad_run_flag_is_named_not_the_config_file(tmp_path, flag):
+    """The config file's own values are valid, so a flag out of range is
+    reported against the flag, with or without a file, and no stage runs."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run"), encoding="utf-8")
+    value, problem = _BAD_FLAGS[flag]
+    for args in (("--config", cfg), ("--out-dir", tmp_path / "run")):
+        result = invoke("run", *args, flag, value)
+        assert result.exit_code == 1
+        assert result.output == f"error: {flag}: {problem}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bad_config_value_is_named_even_when_a_flag_overrides_it(tmp_path):
+    """The file is checked before its values are overridden."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_fixture_config_text(tmp_path / "run") + "beta = 0\n", encoding="utf-8")
+    result = invoke("run", "--config", cfg, "--beta", "0.1")
+    assert result.exit_code == 1
+    assert result.output == f"error: {cfg}: beta must be positive, got 0.0\n"
 
 
 @pytest.mark.parametrize("count", [1, 512, 2147483647])
@@ -911,7 +943,7 @@ def _zero_join_count(tmp_path):
 def _checkpoint_without_vocab(tmp_path):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text(
-        json.dumps({"format": "plangen-token-model/4", "n_contexts": 2**64, "rows": [], "logits": ""}),
+        json.dumps({"format": CHECKPOINT_FORMAT, "n_contexts": 2**64, "rows": [], "logits": ""}),
         encoding="utf-8",
     )
     sql = tmp_path / "q.sql"
@@ -1002,7 +1034,7 @@ def _zero_max_len_in_config(tmp_path):
 
 def _infer_with_checkpoint(tmp_path, **fields):
     ckpt = tmp_path / "bad.ckpt"
-    payload = {"format": "plangen-token-model/4", "n_contexts": 2**64,
+    payload = {"format": CHECKPOINT_FORMAT, "n_contexts": 2**64,
                "vocab": ["<bos>", "<eos>", "<unk>"], "rows": [], "logits": "", **fields}
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     sql = tmp_path / "q.sql"

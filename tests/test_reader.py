@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plangen.catalog import load_catalog, load_tables
 from plangen.errors import PlangenError
 from plangen.jsonl import InputError, read_jsonl, read_lines, read_text
-from plangen.model import load_model
+from plangen.model import CHECKPOINT_FORMAT, load_model
 from plangen.pipeline import PipelineConfig, read_workload
 from plangen.workload import WorkloadError, load_join_graph
 
@@ -34,7 +34,7 @@ SAMPLE_LINES = [
     "movie_id,kind_id",
     "0,1",
     '{"query_id": "q0001", "response": "x"}',
-    '{"format": "plangen-token-model/4", "n_contexts": 18446744073709551616, "vocab": ["<bos>", "<eos>", "<unk>"], '
+    f'{{"format": "{CHECKPOINT_FORMAT}", "n_contexts": 18446744073709551616, "vocab": ["<bos>", "<eos>", "<unk>"], '
     '"rows": [1], "logits": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}',
 ]
 CONTENTS = (
