@@ -110,8 +110,11 @@ class TokenModel:
         return self.top
 
     @contextmanager
-    def _writing(self):
-        """The slab, writeable inside the block only; ``top`` is dropped."""
+    def _writing(self, at: np.ndarray):
+        """The slab, writeable inside the block only, for a write to slab
+        rows ``at``; ``top`` is dropped. Row 0, the shared zero row, is refused."""
+        if not np.all(at):
+            raise ModelError("an update reaches the shared zero row; reserve a row first")
         self.top = None
         self.rows.flags.writeable = True
         try:
@@ -147,9 +150,7 @@ class TokenModel:
 
     def put(self, at: np.ndarray, rows: np.ndarray) -> None:
         """Slab rows ``at`` = ``rows``. Row 0, the shared zero row, is refused."""
-        if not np.all(at):
-            raise ModelError("a write reaches the shared zero row; reserve a row first")
-        with self._writing() as slab:
+        with self._writing(at) as slab:
             slab[at] = rows
 
     def resolve(self, contexts) -> np.ndarray:
@@ -303,11 +304,9 @@ def add_rows(model: TokenModel, at: np.ndarray, rows: np.ndarray) -> None:
     slab. Row 0, the shared zero row, is refused: reserve a row first."""
     if not model.rows.flags.c_contiguous:
         raise ModelError("add_rows needs a C-contiguous slab")
-    if not at.all():
-        raise ModelError("an update reaches the shared zero row; reserve a row first")
     width = model.rows.shape[1]
     flat = np.add.outer(at * width, np.arange(width)).ravel()
-    with model._writing() as slab:
+    with model._writing(at) as slab:
         np.add.at(slab.reshape(-1), flat, rows.ravel())
 
 
